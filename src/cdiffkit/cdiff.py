@@ -17,12 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCs, SizeGuardExceeded
+from .errors import DegenerateCs, SizeGuardExceeded, WitnessMismatch
 from .field import FieldSpec
 from .functions import FunctionTable
+from .parallel import parallel_map
 
 DDT_DENSE_BOUND = 4096   # materialize the dense q x q count matrix up to this q
-_A_CHUNK = 128           # rows per vectorized block in the uniformity kernel
+_A_CHUNK = 128           # rows per vectorized block of the derivative kernel
 
 
 class AConvention(enum.Enum):
@@ -85,11 +86,33 @@ class SpectrumReport:
         return "\n".join(lines) + "\n"
 
 
+def derivative_rows(spec: FieldSpec, values, c: int, a_list) -> np.ndarray:
+    """The c-derivative kernel: row i of the result is
+    x -> F(x + a_list[i]) - c*F(x) over all ranks x, for F given by values."""
+    ncf = spec.neg_array(spec.scale_array(c, values))
+    if spec._add is not None:
+        shifted = values[spec._add[a_list]]
+    else:
+        shifted = values[np.stack([spec.add_row(int(a)) for a in a_list])]
+    return spec.add_arrays(shifted, ncf[np.newaxis, :])
+
+
+def _count_blocks(spec: FieldSpec, values, c: int, rows: int):
+    """Histograms of the derivative rows a < rows, a block at a time: yields
+    (a_list, counts) with counts[i, b] the number of solutions x of
+    F(x + a_list[i]) - c*F(x) = b."""
+    q = spec.q
+    for start in range(0, rows, _A_CHUNK):
+        a_list = np.arange(start, min(start + _A_CHUNK, rows))
+        block = derivative_rows(spec, values, c, a_list)
+        offsets = (np.arange(len(a_list), dtype=np.int64) * q)[:, None]
+        yield a_list, np.bincount((block.astype(np.int64) + offsets).ravel(),
+                                  minlength=block.size).reshape(block.shape)
+
+
 def c_derivative(F: FunctionTable, c: int, a: int) -> FunctionTable:
     """Table of x -> F(x + a) - c*F(x)."""
-    spec = F.spec
-    shifted = F.values[spec.add_row(a)]
-    return FunctionTable(spec, spec.sub_arrays(shifted, spec.scale_array(c, F.values)),
+    return FunctionTable(F.spec, derivative_rows(F.spec, F.values, c, [a])[0],
                          {"kind": "raw"})
 
 
@@ -103,43 +126,49 @@ def ddt_c(F: FunctionTable, c: int) -> np.ndarray:
             f"dense DDT needs q <= {DDT_DENSE_BOUND}; q = {q}. "
             "Use uniformity()/spectrum(), which stream per-a histograms.")
     out = np.zeros((q, q), dtype=np.int32)
-    ncf = spec.neg_array(spec.scale_array(c, F.values))
-    for a in range(q):
-        d = spec.add_arrays(F.values[spec.add_row(a)], ncf)
-        out[a] = np.bincount(d, minlength=q)
+    for a_list, counts in _count_blocks(spec, F.values, c, q):
+        out[a_list] = counts
     return out
 
 
-def _row_block(spec: FieldSpec, values, ncf, a_list):
-    """Derivative values for a block of shifts: row i is D_{a_list[i]}."""
-    if spec._add is not None:
-        shifted = values[spec._add[a_list]]
-    else:
-        shifted = values[np.stack([spec.add_row(int(a)) for a in a_list])]
-    return spec.add_arrays(shifted, ncf[np.newaxis, :])
+def _shift_rows(spec: FieldSpec, values) -> int:
+    """The kernel's dispatch point: how many leading shift rows a = 0, 1, ...
+    decide every per-c maximum and its witness.
 
-
-def _scan_c(spec: FieldSpec, values, c: int):
-    """One pass over all shifts for a fixed c.
-
-    Returns (max over all a, witness, max over a != 0, witness), each witness
-    being the lexicographically smallest (a, b) attaining the maximum.
+    For F = A*x^d (A != 0, d >= 1) and a != 0, substituting x = a*y gives
+    F(x + a) - c*F(x) = a^d (F(y + 1) - c*F(y)), so row a is row 1 with b
+    relabelled by b -> b / a^d: every nonzero row has row 1's maximum, and
+    the lexicographically smallest witness over a != 0 lies in row 1.  Rows
+    0 and 1 then suffice.  The test reads the values only, in O(q) (the
+    origin descriptor of a loaded table is not evidence): A = F(1) and
+    d = log(F(g)/A) for the primitive element g, a reduced d of 0 being
+    q - 1.  Every other function scans all q rows.
     """
     q = spec.q
-    ncf = spec.neg_array(spec.scale_array(c, values))
+    if spec._log is None or q <= 2:
+        return q
+    A = int(values[1])
+    Fg = int(values[spec.primitive_rank])
+    if A == 0 or Fg == 0:
+        return q
+    d = (int(spec._log[Fg]) - int(spec._log[A])) % (q - 1) or q - 1
+    if np.array_equal(values, spec.scale_array(A, spec.pow_all(d))):
+        return 2
+    return q
+
+
+def _scan_c(spec: FieldSpec, values, c: int, rows: int):
+    """One pass over the shifts a < rows for a fixed c.
+
+    Returns (max over those a, witness, max over those a != 0, witness),
+    each witness being the lexicographically smallest (a, b) attaining the
+    maximum.  rows = q is the generic all-shifts scan.
+    """
     best_all = 0
     wit_all = (0, 0)
     best_nz = 0
     wit_nz = (0, 0)
-    offsets = None
-    for start in range(0, q, _A_CHUNK):
-        a_list = np.arange(start, min(start + _A_CHUNK, q))
-        block = _row_block(spec, values, ncf, a_list)
-        rows = len(a_list)
-        if offsets is None or len(offsets) != rows:
-            offsets = (np.arange(rows, dtype=np.int64) * q)[:, None]
-        counts = np.bincount((block.astype(np.int64) + offsets).ravel(),
-                             minlength=rows * q).reshape(rows, q)
+    for a_list, counts in _count_blocks(spec, values, c, rows):
         row_max = counts.max(axis=1)
         for i in np.nonzero(row_max > min(best_all, best_nz))[0]:
             a = int(a_list[i])
@@ -154,23 +183,49 @@ def _scan_c(spec: FieldSpec, values, c: int):
 
 
 def _solutions(spec: FieldSpec, values, c: int, a: int, b: int):
-    d = spec.add_arrays(values[spec.add_row(a)],
-                        spec.neg_array(spec.scale_array(c, values)))
+    d = derivative_rows(spec, values, c, [a])[0]
     return tuple(int(x) for x in np.nonzero(d == b)[0])
+
+
+def _witness_solutions(spec: FieldSpec, values, c: int, value: int,
+                       a: int, b: int):
+    """Solution set of the witness (a, b), after recounting row a directly:
+    its maximum must be value and b the smallest b attaining it."""
+    d = derivative_rows(spec, values, c, [a])[0]
+    counts = np.bincount(d, minlength=spec.q)
+    if counts.max() != value or int(np.argmax(counts)) != b:
+        raise WitnessMismatch(
+            f"c = {c}: kernel reports {value} at (a, b) = ({a}, {b}), but row "
+            f"{a} has maximum {counts.max()} first attained at b = "
+            f"{int(np.argmax(counts))}")
+    return tuple(int(x) for x in np.nonzero(d == b)[0])
+
+
+def _uniformity_at(state, c: int) -> UniformityResult:
+    spec, values, conv, rows = state
+    best_all, wit_all, best_nz, wit_nz = _scan_c(spec, values, c, rows)
+    if conv.admits_zero_shift(c):
+        value, (wa, wb) = best_all, wit_all
+    else:
+        value, (wa, wb) = best_nz, wit_nz
+    sols = _witness_solutions(spec, values, c, value, wa, wb)
+    return UniformityResult(c, value, wa, wb, sols, conv)
+
+
+def _both_conventions_at(state, c: int):
+    spec, values, _, rows = state
+    return (c,) + _scan_c(spec, values, c, rows)
+
+
+def _run_per_c(F: FunctionTable, worker, conv, cs, threads: int) -> list:
+    state = (F.spec, F.values, conv, _shift_rows(F.spec, F.values))
+    return parallel_map(worker, state, cs, threads)
 
 
 def uniformity(F: FunctionTable, c: int, conv: AConvention) -> UniformityResult:
     """Maximum difference count over the convention's admissible (a, b),
     with the lexicographically smallest witness and its solution set."""
-    spec = F.spec
-    best_all, wit_all, best_nz, wit_nz = _scan_c(spec, F.values, c)
-    if conv.admits_zero_shift(c):
-        value, (wa, wb) = best_all, wit_all
-    else:
-        value, (wa, wb) = best_nz, wit_nz
-    sols = _solutions(spec, F.values, c, wa, wb)
-    assert len(sols) == value
-    return UniformityResult(c, value, wa, wb, sols, conv)
+    return _run_per_c(F, _uniformity_at, conv, [c], 1)[0]
 
 
 def admissible_c(spec: FieldSpec, c_filter) -> list:
@@ -191,22 +246,6 @@ def admissible_c(spec: FieldSpec, c_filter) -> list:
     return cs
 
 
-def _spectrum_worker(c):
-    spec, values, conv = _PAR_CTX
-    best_all, wit_all, best_nz, wit_nz = _scan_c(spec, values, c)
-    if conv is _DUAL:
-        return (c, best_all, wit_all, best_nz, wit_nz)
-    if conv.admits_zero_shift(c):
-        value, (wa, wb) = best_all, wit_all
-    else:
-        value, (wa, wb) = best_nz, wit_nz
-    sols = _solutions(spec, values, c, wa, wb)
-    return (c, value, wa, wb, sols)
-
-
-_PAR_CTX = None
-
-
 def spectrum(F: FunctionTable, c_filter, conv: AConvention,
              threads: int = 1) -> SpectrumReport:
     """Per-c uniformity over a set of c values, plus the overall maximum.
@@ -217,11 +256,7 @@ def spectrum(F: FunctionTable, c_filter, conv: AConvention,
     """
     spec = F.spec
     cs = admissible_c(spec, c_filter)
-    rows = _run_per_c(spec, F.values, conv, cs, threads)
-    results = tuple(
-        UniformityResult(c, value, wa, wb, sols, conv)
-        for (c, value, wa, wb, sols) in rows
-    )
+    results = tuple(_run_per_c(F, _uniformity_at, conv, cs, threads))
     c_desc = c_filter if isinstance(c_filter, str) else ",".join(map(str, cs))
     return SpectrumReport(
         field=spec.to_json_dict(),
@@ -233,35 +268,14 @@ def spectrum(F: FunctionTable, c_filter, conv: AConvention,
     )
 
 
-def _run_per_c(spec, values, conv, cs, threads):
-    global _PAR_CTX
-    ctx = None
-    if threads > 1 and len(cs) > 1:
-        import multiprocessing as mp
-        try:
-            ctx = mp.get_context("fork")   # workers inherit _PAR_CTX
-        except ValueError:
-            ctx = None
-    _PAR_CTX = (spec, values, conv)
-    try:
-        if ctx is None:
-            return [_spectrum_worker(c) for c in cs]
-        chunk = max(1, len(cs) // (threads * 8))
-        with ctx.Pool(processes=threads) as pool:
-            return pool.map(_spectrum_worker, cs, chunksize=chunk)
-    finally:
-        _PAR_CTX = None
-
-
 def dual_convention_max(F: FunctionTable, c_filter, threads: int = 1):
     """Overall maxima under both conventions in a single sweep.
 
     Returns {"include-zero": (max, witness), "nonzero": (max, witness)} over
     the given c-set, where each witness is (c, a, b).
     """
-    spec = F.spec
-    cs = admissible_c(spec, c_filter)
-    rows = _run_per_c(spec, F.values, _DUAL, cs, threads)
+    cs = admissible_c(F.spec, c_filter)
+    rows = _run_per_c(F, _both_conventions_at, None, cs, threads)
     best = {"include-zero": (0, None), "nonzero": (0, None)}
     for (c, best_all, wit_all, best_nz, wit_nz) in rows:
         if c != 1 and best_all > best["include-zero"][0]:
@@ -271,13 +285,6 @@ def dual_convention_max(F: FunctionTable, c_filter, threads: int = 1):
         if best_nz > best["nonzero"][0]:
             best["nonzero"] = (best_nz, (c,) + wit_nz)
     return best
-
-
-class _DualMarker:
-    pass
-
-
-_DUAL = _DualMarker()
 
 
 def cross_solution_check(F: FunctionTable, a: int, b1: int, b2: int,

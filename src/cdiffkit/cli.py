@@ -7,7 +7,6 @@ Exit codes: 0 success (refutations included), 1 refutation under --strict,
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import sys
 
@@ -32,7 +31,6 @@ def _envelope(field_spec, descriptor, convention, payload):
         "tool": "cdiffkit",
         "version": __version__,
         "schema": 1,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "field": field_spec.to_json_dict() if field_spec is not None else None,
         "function": descriptor,
         "a_convention": convention,

@@ -63,6 +63,11 @@ class SizeGuardExceeded(CdiffkitError):
     """Requested computation exceeds the configured size guard."""
 
 
+class WitnessMismatch(CdiffkitError):
+    """A uniformity value disagrees with a direct recount of its witness
+    row (library bug)."""
+
+
 # number theory
 
 class SubfieldEdgeCase(CdiffkitError):

@@ -45,6 +45,7 @@ from .errors import UnknownClaim
 from .field import build_field, is_prime
 from .functions import FunctionTable, from_monomial, from_polynomial, inverse_table, raw_table
 from .numth import chebyshev_is_permutation
+from .parallel import parallel_map
 
 INCLUDE = AConvention.INCLUDE_A_ZERO
 NONZERO = AConvention.NONZERO_ONLY
@@ -454,26 +455,10 @@ def grid(claim_id: str, preset: str = "acceptance") -> list:
     raise UnknownClaim(f"claim {claim_id!r} not in {CLAIM_IDS}")
 
 
-def _sweep_worker(item):
-    claim_id, params = item
-    return verify(claim_id, params)
-
-
 def sweep(claim_id: str, preset: str = "acceptance", threads: int = 1):
     """All verdicts for a claim over a preset grid, in grid order."""
-    items = [(claim_id, params) for params in grid(claim_id, preset)]
-    if threads > 1 and len(items) > 1:
-        import multiprocessing as mp
-        try:
-            ctx = mp.get_context("fork")
-        except ValueError:
-            ctx = None
-        if ctx is not None:
-            with ctx.Pool(processes=threads) as pool:
-                verdict_lists = pool.map(_sweep_worker, items,
-                                         chunksize=max(1, len(items) // (threads * 4)))
-            return [v for lst in verdict_lists for v in lst]
-    return [v for item in items for v in _sweep_worker(item)]
+    verdict_lists = parallel_map(verify, claim_id, grid(claim_id, preset), threads)
+    return [v for lst in verdict_lists for v in lst]
 
 
 def summarize(verdicts) -> dict:

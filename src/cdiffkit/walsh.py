@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cdiff import _count_blocks, derivative_rows
 from .errors import NotRationalInteger, SizeGuardExceeded
 from .field import FieldSpec
 from .functions import FunctionTable
@@ -369,15 +370,12 @@ def apcn_statistic(F: FunctionTable, c: int, size_guard: int | None = APCN_SIZE_
 def counts_power_sum(F: FunctionTable, c: int, j: int) -> int:
     """sum over all a, b of n_F(a, b, c)^j with
     n_F(a, b, c) = #{x : F(x+a) - cF(x) = F(b+a) - cF(b)}."""
-    spec = F.spec
-    q = spec.q
-    ncf = spec.neg_array(spec.scale_array(c, F.values))
     total = 0
-    for a in range(q):
-        d = spec.add_arrays(F.values[spec.add_row(a)], ncf)
-        mult = np.bincount(d, minlength=q)
+    for _, mult in _count_blocks(F.spec, F.values, c, F.spec.q):
         # sum over b of mult[d[b]]^j  ==  sum over hit values y of mult[y]^(j+1)
-        total += int((mult.astype(object) ** (j + 1)).sum())
+        # (exactly, in Python integers, from the histogram of multiplicities)
+        freq = np.bincount(mult.ravel())
+        total += sum(int(f) * m ** (j + 1) for m, f in enumerate(freq) if f)
     return total
 
 
@@ -439,8 +437,7 @@ def derivative_walsh_statistic(F: FunctionTable, c: int, a: int, delta: int,
     if term_guard is not None and q ** delta > term_guard:
         raise SizeGuardExceeded(
             f"derivative statistic guarded to q^delta <= {term_guard}")
-    ncf = spec.neg_array(spec.scale_array(c, F.values))
-    dvals = spec.add_arrays(F.values[spec.add_row(a)], ncf)
+    dvals = derivative_rows(spec, F.values, c, [a])[0]
     tr = spec.trace_all()
     g = np.zeros((q, p), dtype=np.int64)   # g[v] = exponent counts of W_D(0, v)
     for v in range(q):

@@ -1,11 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cdiffkit import (AConvention, build_field, c_derivative,
                       cross_solution_check, ddt_c, dual_convention_max,
                       from_monomial, from_polynomial, inverse_table, raw_table,
                       spectrum, uniformity)
-from cdiffkit.errors import DegenerateCs, SizeGuardExceeded
+from cdiffkit import cdiff
+from cdiffkit.errors import DegenerateCs, SizeGuardExceeded, WitnessMismatch
+from cdiffkit.functions import table_from_json_dict, table_to_json_dict
 
 from oracles import brute_uniformity, ddt_counts, eval_poly, slow_field_like
 
@@ -264,3 +269,126 @@ def test_raw_function_uniformity_oracle():
         for conv, inc in ((INC, c != 1), (NZ, False)):
             assert (uniformity(F, c, conv).value
                     == brute_uniformity(oracle, list(map(int, vals)), c, inc))
+
+
+def test_witness_check_rejects_inflated_value(gf8):
+    F = from_monomial(gf8, 3)
+    res = uniformity(F, 7, NZ)
+    args = (gf8, F.values, 7)
+    assert cdiff._witness_solutions(*args, res.value, 1, 1) == res.solutions
+    with pytest.raises(WitnessMismatch):
+        cdiff._witness_solutions(*args, res.value + 1, 1, 1)
+    with pytest.raises(WitnessMismatch):   # row 1 first attains its maximum at b = 1
+        cdiff._witness_solutions(*args, res.value, 1, 2)
+
+
+# -- the power-map dispatch against the generic all-rows scan ---------------
+
+DISPATCH_FIELDS = ([(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 6)]
+                   + [(5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3)])
+FUNCTION_KINDS = ("monomial", "inverse", "raw_monomial", "perturbed")
+
+
+@st.composite
+def dispatch_cases(draw):
+    """(F, power_map): a field with q <= 343 and one of four function kinds."""
+    p, n = draw(st.sampled_from(DISPATCH_FIELDS))
+    spec = build_field(p, n)
+    q = spec.q
+    kind = draw(st.sampled_from(FUNCTION_KINDS))
+    if kind == "inverse":
+        return inverse_table(spec), q > 2
+    A = draw(st.integers(1, q - 1))
+    d = draw(st.integers(1, 3 * q))
+    values = spec.scale_array(A, spec.pow_all(d))
+    if kind == "monomial":
+        F = from_polynomial(spec, {(d - 1) % (q - 1) + 1: A})
+        assert np.array_equal(F.values, values)
+        return F, q > 2
+    if kind == "raw_monomial":
+        # the values alone select the fast path, whatever the origin says
+        return raw_table(spec, values), q > 2
+    # a loaded table may claim a monomial origin over arbitrary values; with
+    # F(1) and F(g) kept, A*x^d is the only power map they allow, so a
+    # change at any other x leaves no power map
+    x = draw(st.sampled_from([x for x in range(q) if x not in (1, spec.primitive_rank)]))
+    values = values.copy()
+    values[x] = (values[x] + draw(st.integers(1, q - 1))) % q
+    blob = table_to_json_dict(raw_table(spec, values))
+    blob["origin"] = {"kind": "monomial", "d": d}
+    return table_from_json_dict(blob), False
+
+
+def _generic_shift_rows(spec, values):
+    return spec.q
+
+
+def _perturbed_monomial(spec, d, x):
+    blob = table_to_json_dict(from_monomial(spec, d))
+    blob["values"][x] = (blob["values"][x] + 1) % spec.q
+    return table_from_json_dict(blob), False
+
+
+# the edge fields q = 2, 3 and the largest field, GF(7^3), on every run
+DISPATCH_EXAMPLES = [
+    (from_monomial(build_field(2, 1), 1), False),
+    (inverse_table(build_field(2, 1)), False),
+    (from_monomial(build_field(3, 1), 2), True),
+    (inverse_table(build_field(3, 1)), True),
+    (from_polynomial(build_field(7, 3), {5: 3}), True),
+    (inverse_table(build_field(7, 3)), True),
+    (_perturbed_monomial(build_field(7, 3), 2, 0)),
+    (inverse_table(build_field(2, 8)), True),
+]
+
+
+def _with_examples(test):
+    for case in DISPATCH_EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
+def _with_examples_both_conventions(test):
+    # the perturbed table runs the generic scan on every path; at q = 343
+    # the scan test above covers it
+    for case in DISPATCH_EXAMPLES[:6]:
+        for conv in (INC, NZ):
+            test = example(case, conv)(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dispatch_cases())
+@_with_examples
+def test_dispatch_scan_matches_generic(case):
+    F, power_map = case
+    spec, q = F.spec, F.spec.q
+    rows = cdiff._shift_rows(spec, F.values)
+    assert rows == (2 if power_map else q)
+    for c in range(q):
+        assert (cdiff._scan_c(spec, F.values, c, rows)
+                == cdiff._scan_c(spec, F.values, c, q))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(dispatch_cases(), st.sampled_from([INC, NZ]))
+@_with_examples_both_conventions
+def test_dispatch_payloads_match_generic(case, conv):
+    F, _ = case
+    spec = F.spec
+    fast = spectrum(F, "all", conv, threads=1)
+    fast_dual = dual_convention_max(F, "all")
+    assert spectrum(F, "all", conv, threads=2).to_json_dict() == fast.to_json_dict()
+    assert dual_convention_max(F, "all", threads=2) == fast_dual
+    with mock.patch.object(cdiff, "_shift_rows", _generic_shift_rows):
+        generic = spectrum(F, "all", conv, threads=1)
+        generic_dual = dual_convention_max(F, "all")
+    assert fast.to_json_dict() == generic.to_json_dict()
+    assert fast.results == generic.results
+    assert fast_dual == generic_dual
+    if spec.q <= 27:
+        oracle = slow_field_like(spec)
+        vals = [int(v) for v in F.values]
+        for r in fast.results:
+            include = conv.admits_zero_shift(r.c)
+            assert r.value == brute_uniformity(oracle, vals, r.c, include)

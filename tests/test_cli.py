@@ -73,12 +73,16 @@ def test_spectrum_threads_identical_payload(capsys):
     code, out1, _ = run(capsys, *argv, "--threads", "1")
     code2, out2, _ = run(capsys, *argv, "--threads", "2")
     assert code == code2 == 0
-    p1 = json.loads(out1)
-    p2 = json.loads(out2)
-    p1.pop("timestamp")
-    p2.pop("timestamp")
-    assert p1 == p2
-    assert p1["payload"]["overall_max"] == 5
+    assert out1 == out2
+    assert json.loads(out1)["payload"]["overall_max"] == 5
+
+
+def test_threads_below_one_exits_2(capsys):
+    code, _, err = run(capsys, "spectrum", "--p", "2", "--n", "3",
+                       "--function", "monomial:3", "--c-set", "nonzero",
+                       "--a-convention", "nonzero", "--threads", "0")
+    assert code == 2
+    assert "threads" in err
 
 
 def test_function_spec_inverse_and_table(tmp_path, capsys):
