@@ -17,7 +17,8 @@ from .field import build_field
 from .functions import from_monomial, from_polynomial, inverse_table, load_table
 from .numth import gcd_power_formula, trinomial_roots
 from .theorems import CLAIM_IDS, summarize, sweep
-from .walsh import apcn_statistic, convolution_statistic, pcn_power_sum
+from .walsh import (APCN_SIZE_GUARD, CONVOLUTION_TERM_GUARD, apcn_statistic,
+                    convolution_statistic, pcn_power_sum)
 from . import reference_data
 
 CONVENTIONS = {
@@ -178,8 +179,8 @@ def _cmd_walsh_check(args):
     spec = _field_from_args(args)
     F = _parse_function(spec, args.function)
     c, delta = args.c, args.delta
-    apcn_guard = None if args.allow_large else 64
-    term_guard = None if args.allow_large else 10 ** 9
+    apcn_guard = None if args.allow_large else APCN_SIZE_GUARD
+    term_guard = None if args.allow_large else CONVOLUTION_TERM_GUARD
     pcn = pcn_power_sum(F, c)
     pcn_bound = spec.p ** (4 * spec.n)
     payload = {

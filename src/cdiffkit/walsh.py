@@ -223,11 +223,30 @@ def _conj_axis(arr: np.ndarray, p: int) -> np.ndarray:
 
 def _cyclic_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Elementwise product in Z[zeta_p]: cyclic convolution along the last axis."""
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
     for k in range(p):
         for i in range(p):
             out[..., k] += a[..., i] * b[..., (k - i) % p]
     return out
+
+
+def _conj_power_sum(arr: np.ndarray, j: int, p: int) -> CyclotomicInt:
+    """sum over the entries z of a (..., p) array of conj(z) * z^j, exactly."""
+    # Shifting each entry by its smallest coefficient keeps the element
+    # (1 + zeta + ... + zeta^(p-1) = 0) and leaves coefficients >= 0.  With L
+    # the largest L1 norm of a shifted entry, every coefficient of every
+    # partial product conj(z) z^i (i <= j) and of every partial sum is at most
+    # L^(j+1) * entries in absolute value, so int64 is exact below 2^63;
+    # otherwise the same code runs on Python integers (object dtype).
+    z = arr.reshape(-1, p)
+    z = z - z.min(axis=1, keepdims=True)
+    L = int(z.sum(axis=1).max())
+    if L ** (j + 1) * len(z) >= 2 ** 63:
+        z = z.astype(object)
+    term = _conj_axis(z, p)
+    for _ in range(j):
+        term = _cyclic_mul(term, z, p)
+    return CyclotomicInt(p, term.sum(axis=0))
 
 
 def _g_array(F: FunctionTable, c: int, W: np.ndarray) -> np.ndarray:
@@ -277,15 +296,7 @@ def _convolution_tensor(F: FunctionTable, c: int, j: int,
     if W is None:
         W = _walsh_array(F)
     Ghat = _transform_1d(spec, _transform_1d(spec, _g_array(F, c, W), 0), 1)
-    total = CyclotomicInt.integer(p, 0)
-    for s in range(q):
-        for t in range(q):
-            z = CyclotomicInt(p, Ghat[s, t])
-            term = z.conj()
-            for _ in range(j):
-                term = term * z
-            total = total + term
-    return _exact_divide(total, q * q)
+    return _exact_divide(_conj_power_sum(Ghat, j, p), q * q)
 
 
 def _exact_divide(z: CyclotomicInt, d: int) -> CyclotomicInt:
@@ -327,21 +338,8 @@ def pcn_power_sum(F: FunctionTable, c: int) -> int:
     with a = 0 admissible).
     """
     _reject_c1(c)
-    spec = F.spec
-    q, p = spec.q, spec.p
-    if q <= 256:
-        W = _walsh_array(F)
-        N = _cyclic_mul(W, _conj_axis(W, p), p)
-        cv = spec.scale_array(c, np.arange(q))
-        terms = _cyclic_mul(N, N[:, cv], p)
-        return CyclotomicInt(p, terms.sum(axis=(0, 1))).as_integer()
-    W = walsh_table(F)
-    total = CyclotomicInt.integer(p, 0)
-    for u in range(q):
-        for v in range(q):
-            total = total + (W.entries[u][v].norm_sq()
-                             * W.entries[u][spec.mul(c, v)].norm_sq())
-    return total.as_integer()
+    # |W(u,v)|^2 |W(u,cv)|^2 = |G(u,v)|^2 with G(u,v) = W(u,v) conj(W(u,cv))
+    return _conj_power_sum(_g_array(F, c, _walsh_array(F)), 1, F.spec.p).as_integer()
 
 
 def apcn_statistic(F: FunctionTable, c: int, size_guard: int | None = APCN_SIZE_GUARD):
@@ -448,14 +446,7 @@ def derivative_walsh_statistic(F: FunctionTable, c: int, a: int, delta: int,
     A = phi_coefficients(delta)
     total = p ** n * A[0]
     for j in range(1, delta + 1):
-        s = CyclotomicInt.integer(p, 0)
-        for t in range(q):
-            z = CyclotomicInt(p, ghat[t])
-            term = z.conj()
-            for _ in range(j):
-                term = term * z
-            s = s + term
-        s_int = _exact_divide(s, q).as_integer()
+        s_int = _exact_divide(_conj_power_sum(ghat, j, p), q).as_integer()
         scaled, rem = divmod(A[j] * s_int, p ** (j * n))
         if rem:
             raise NotRationalInteger("derivative sum not divisible by p^(jn)")

@@ -8,7 +8,8 @@ from cdiffkit import (AConvention, CyclotomicInt, apcn_statistic, build_field,
                       from_monomial, from_polynomial, pcn_power_sum, raw_table,
                       uniformity, walsh, walsh_table)
 from cdiffkit.errors import NotRationalInteger, SizeGuardExceeded
-from cdiffkit.walsh import _convolution_tensor, phi_coefficients
+from cdiffkit.walsh import (_conj_power_sum, _convolution_tensor,
+                            counts_power_sum, phi_coefficients)
 
 from oracles import (brute_convolution_tensor, brute_derivative_statistic,
                      brute_pcn_sum, brute_walsh, slow_field_like)
@@ -69,6 +70,24 @@ def test_canonical_form_p5(a):
     # adding the zero relation does not change the element
     rel = CyclotomicInt(5, [1, 1, 1, 1, 1])
     assert z + rel == z
+
+
+@pytest.mark.parametrize("scale", [50, 2 ** 40])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_conj_power_sum_matches_scalar_arithmetic(p, scale):
+    # coefficients near 2^40 push L^(j+1) * entries past 2^63, so the sum runs
+    # on object dtype; int64 arithmetic would wrap and disagree
+    rng = np.random.default_rng(p)
+    arr = scale - rng.integers(0, 2 * scale, size=(6, p), dtype=np.int64)
+    for j in (1, 2, 3):
+        want = CyclotomicInt.integer(p, 0)
+        for row in arr:
+            z = CyclotomicInt(p, row)
+            term = z.conj()
+            for _ in range(j):
+                term = term * z
+            want = want + term
+        assert _conj_power_sum(arr, j, p) == want
 
 
 # -- walsh transform ----------------------------------------------------------
@@ -152,6 +171,20 @@ def test_pcn_coulter_matthews_gf27_equality(gf27):
     assert uniformity(F, c, INC).value == 1
 
 
+@pytest.mark.parametrize("p,n", [(7, 3), (2, 9)])
+def test_pcn_above_q256_matches_counts(p, n):
+    spec = build_field(p, n)
+    q = spec.q
+    rng = np.random.default_rng(q)
+    for F in (from_polynomial(spec, {1: 2}), from_monomial(spec, 2),
+              raw_table(spec, rng.integers(0, q, q))):
+        for c in (0, 2, q - 1):
+            s = pcn_power_sum(F, c)
+            assert s == q ** 2 * counts_power_sum(F, c, 1)
+            assert s >= p ** (4 * n)
+            assert (s == p ** (4 * n)) == (uniformity(F, c, INC).value == 1)
+
+
 def test_pcn_rejects_c1(gf9):
     with pytest.raises(ValueError):
         pcn_power_sum(from_monomial(gf9, 2), 1)
@@ -171,7 +204,7 @@ def test_tensor_matches_brute_force():
             F = from_monomial(spec, desc["d"])
         oracle = slow_field_like(spec)
         vals = [F[x] for x in range(spec.q)]
-        for j in (1, 2):
+        for j in ((1, 2, 3) if spec.q == 4 else (1, 2)):
             assert (_convolution_tensor(F, c, j).as_integer()
                     == brute_convolution_tensor(oracle, vals, c, j))
 
@@ -179,7 +212,6 @@ def test_tensor_matches_brute_force():
 def test_count_walsh_duality():
     # sum over a, b of n_F(a,b,c)^j equals p^(-2jn) times the (j+1)-fold
     # convolution tensor, exactly, for j in {1, 2}
-    from cdiffkit.walsh import counts_power_sum
     rng = np.random.default_rng(23)
     for (p, n) in [(2, 2), (3, 1), (2, 3), (3, 2), (2, 4)]:
         spec = build_field(p, n)
