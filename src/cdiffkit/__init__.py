@@ -42,8 +42,8 @@ from .walsh import (
     convolution_statistic,
     derivative_walsh_statistic,
     pcn_power_sum,
-    walsh,
     walsh_table,
+    walsh_value,
 )
 
 __all__ = [
@@ -56,5 +56,5 @@ __all__ = [
     "from_polynomial", "gcd_power_formula", "inverse_table", "load_table",
     "pcn_power_sum", "raw_table", "save_table", "solve_quadratic", "spectrum",
     "sweep", "table_from_json_dict", "table_to_json_dict", "trinomial_roots",
-    "uniformity", "verify", "walsh", "walsh_table",
+    "uniformity", "verify", "walsh_table", "walsh_value",
 ]

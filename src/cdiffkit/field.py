@@ -447,9 +447,6 @@ class FieldSpec:
         dy = self._digits[ys]
         return self._undigitize((dx + dy) % self.p)
 
-    def sub_arrays(self, xs, ys):
-        return self.add_arrays(xs, self._neg[ys])
-
     def neg_array(self, xs):
         return self._neg[xs]
 

@@ -24,7 +24,8 @@ character sums (m = n throughout; q = p^n):
 Convolution tensors are evaluated through an exact character-sum
 reorganization (a group Fourier transform over (F_q, +)^2 whose twiddle
 factors are powers of zeta_p, i.e. coefficient rotations), which brings the
-literal q^(2 delta) summation down to O(q^3) ring operations.
+literal q^(2 delta) summation down to the cost of the transform: the DFT
+over (Z_p)^n, O(q n p^2) coefficient operations per transformed vector.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ class CyclotomicInt:
 # Walsh transform
 # ---------------------------------------------------------------------------
 
-def walsh(F: FunctionTable, u: int, v: int) -> CyclotomicInt:
+def walsh_value(F: FunctionTable, u: int, v: int) -> CyclotomicInt:
     """W_F(u, v) = sum_x zeta^(Tr(v F(x)) - Tr(u x))."""
     spec = F.spec
     tr = spec.trace_all()
@@ -185,20 +186,13 @@ def _walsh_array(F: FunctionTable) -> np.ndarray:
     """All Walsh values as an int64 array of shape (q, q, p); entry [u, v]
     is the exponent-count vector of W_F(u, v)."""
     spec = F.spec
-    q, p = spec.q, spec.p
-    tr = spec.trace_all()
-    ranks = np.arange(q)
-    tr_vF = np.empty((q, q), dtype=np.int64)   # row w: Tr(w F(x)) over x
-    tr_ux = np.empty((q, q), dtype=np.int64)   # row w: Tr(w x) over x
-    for w in range(q):
-        tr_vF[w] = tr[spec.scale_array(w, F.values)]
-        tr_ux[w] = tr[spec.scale_array(w, ranks)]
-    out = np.zeros((q, q, p), dtype=np.int64)
-    for u in range(q):
-        e = (tr_vF - tr_ux[u][np.newaxis, :]) % p          # (q, q): rows are v
-        flat = (e + (np.arange(q) * p)[:, None]).ravel()
-        out[u] = np.bincount(flat, minlength=q * p).reshape(q, p)
-    return out
+    q = spec.q
+    # zeta^0 at [x, F(x)]; the transform along v gives zeta^Tr(v F(x)), the
+    # one along x then gives sum_x zeta^(Tr(v F(x)) + Tr(s x)) = W_F(-s, v)
+    graph = np.zeros((q, q, spec.p), dtype=np.int64)
+    graph[np.arange(q), F.values, 0] = 1
+    graph = _transform_1d(spec, graph, 1)
+    return _transform_1d(spec, graph, 0)[spec.neg_array(np.arange(q))]
 
 
 def walsh_table(F: FunctionTable) -> WalshTable:
@@ -260,25 +254,31 @@ def _transform_1d(spec: FieldSpec, arr: np.ndarray, axis: int) -> np.ndarray:
     """Character transform along one group axis:
     out[s, ...] = sum_w zeta^(Tr(s w)) arr[w, ...], exact in int64.
 
-    The twiddle factors are powers of zeta, i.e. rotations of the
-    coefficient axis, so the whole pass is permutation + addition.
+    Tr(s w) = <t(s), digits(w)> mod p with digit i of t(s) = Tr(s alpha^i),
+    so this is the DFT over (Z_p)^n (n p-point stages, one per base-p digit
+    of w) followed by a gather by t.  Its twiddle factors are rotations of
+    the coefficient axis; each stage grows the largest coefficient by at
+    most a factor of p, so q = p^n bounds the whole transform.
     """
-    q, p = spec.q, spec.p
+    q, p, n = spec.q, spec.p, spec.n
     arr = np.moveaxis(arr, axis, 0)
     peak = int(np.abs(arr).max()) if arr.size else 0
     if peak and peak > (2 ** 62) // (q * p):
         raise SizeGuardExceeded("transform would overflow int64 accumulators")
-    tr = spec.trace_all()
-    out = np.zeros_like(arr)
-    ranks = np.arange(q)
-    for s in range(q):
-        rot = tr[spec.scale_array(s, ranks)]          # rotation amount per w
-        acc = out[s]
+    x = arr.reshape((p,) * n + arr.shape[1:])    # one axis per digit of w
+    for i in range(n):
+        y = np.moveaxis(x, i, 0)
+        out = np.empty_like(y)
         for k in range(p):
-            rows = arr[rot == k]
-            if len(rows):
-                acc += np.roll(rows.sum(axis=0), k, axis=-1)
-    return np.moveaxis(out, 0, axis)
+            out[k] = y[0]
+            for d in range(1, p):
+                out[k] += np.roll(y[d], k * d % p, axis=-1)   # zeta^(k d) y[d]
+        x = np.moveaxis(out, 0, i)
+    del y      # frees the last stage's input before the gather
+    tr = spec.trace_all()
+    # the polynomial basis element alpha^i has rank p^i
+    t = sum(tr[spec.scale_array(p ** i, np.arange(q))] * p ** i for i in range(n))
+    return np.moveaxis(x.reshape(arr.shape)[t], 0, axis)
 
 
 def _convolution_tensor(F: FunctionTable, c: int, j: int,
@@ -289,7 +289,8 @@ def _convolution_tensor(F: FunctionTable, c: int, j: int,
 
     Computed exactly as (1/q^2) * sum over characters chi of
     conj(hat G)(chi) * hat G(chi)^j with G(u, v) = W(u, v) conj(W)(u, c v);
-    the transform collapses the q^(2j) summation to O(q^3) ring operations.
+    the transform collapses the q^(2j) summation to O(q n p^2) coefficient
+    operations per transformed vector.
     """
     spec = F.spec
     p, q = spec.p, spec.q
@@ -436,13 +437,11 @@ def derivative_walsh_statistic(F: FunctionTable, c: int, a: int, delta: int,
         raise SizeGuardExceeded(
             f"derivative statistic guarded to q^delta <= {term_guard}")
     dvals = derivative_rows(spec, F.values, c, [a])[0]
-    tr = spec.trace_all()
-    g = np.zeros((q, p), dtype=np.int64)   # g[v] = exponent counts of W_D(0, v)
-    for v in range(q):
-        e = tr[spec.scale_array(v, dvals)] % p
-        g[v] = np.bincount(e, minlength=p)
-    # 1D character transform: hat g(t) = sum_v zeta^(Tr(t v)) g(v)
-    ghat = _transform_1d(spec, g, 0)
+    # g[v] = W_D(0, v) = sum_y #{x : D(x) = y} zeta^(Tr(v y)), the transform
+    # of D's value histogram; then hat g(t) = sum_v zeta^(Tr(t v)) g(v)
+    hist = np.zeros((q, p), dtype=np.int64)
+    hist[:, 0] = np.bincount(dvals, minlength=q)
+    ghat = _transform_1d(spec, _transform_1d(spec, hist, 0), 0)
     A = phi_coefficients(delta)
     total = p ** n * A[0]
     for j in range(1, delta + 1):

@@ -1,18 +1,23 @@
+import functools
+import inspect
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdiffkit import (AConvention, CyclotomicInt, apcn_statistic, build_field,
                       convolution_statistic, derivative_walsh_statistic,
                       from_monomial, from_polynomial, pcn_power_sum, raw_table,
-                      uniformity, walsh, walsh_table)
+                      uniformity, walsh_table, walsh_value)
 from cdiffkit.errors import NotRationalInteger, SizeGuardExceeded
 from cdiffkit.walsh import (_conj_power_sum, _convolution_tensor,
-                            counts_power_sum, phi_coefficients)
+                            _transform_1d, _walsh_array, counts_power_sum,
+                            phi_coefficients)
 
 from oracles import (brute_convolution_tensor, brute_derivative_statistic,
-                     brute_pcn_sum, brute_walsh, slow_field_like)
+                     brute_pcn_sum, brute_walsh, brute_walsh_table,
+                     slow_field_like)
 
 INC = AConvention.INCLUDE_A_ZERO
 
@@ -95,7 +100,7 @@ def test_conj_power_sum_matches_scalar_arithmetic(p, scale):
 def test_walsh_at_origin_is_q(gf9):
     for d in (1, 2, 5):
         F = from_monomial(gf9, d)
-        assert walsh(F, 0, 0).as_integer() == 9
+        assert walsh_value(F, 0, 0).as_integer() == 9
 
 
 def test_walsh_identity_orthogonality(gf8):
@@ -103,7 +108,7 @@ def test_walsh_identity_orthogonality(gf8):
     for u in range(8):
         for v in range(8):
             expect = 8 if u == v else 0
-            assert walsh(F, u, v).as_integer() == expect
+            assert walsh_value(F, u, v).as_integer() == expect
 
 
 def test_walsh_square_gf3_is_bent():
@@ -111,7 +116,7 @@ def test_walsh_square_gf3_is_bent():
     F = from_monomial(gf3, 2)
     for u in range(3):
         for v in (1, 2):
-            assert walsh(F, u, v).norm_sq().as_integer() == 3
+            assert walsh_value(F, u, v).norm_sq().as_integer() == 3
 
 
 def test_walsh_matches_oracle():
@@ -122,8 +127,42 @@ def test_walsh_matches_oracle():
         vals = [F[x] for x in range(spec.q)]
         for u in range(spec.q):
             for v in range(spec.q):
-                assert (walsh(F, u, v)
+                assert (walsh_value(F, u, v)
                         == CyclotomicInt(p, brute_walsh(oracle, vals, u, v)))
+
+
+TRANSFORM_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2),
+                    (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(TRANSFORM_FIELDS), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 48), st.integers(1, 3))
+@example((2, 2), 0, 3, 2)
+@example((2, 5), 1, 7, 3)
+def test_transform_matches_character_sums(pn, seed, d, k):
+    spec = build_field(*pn)
+    q, p = spec.q, spec.p
+    oracle = slow_field_like(spec)
+    oracle.trace = functools.cache(oracle.trace)   # brute_walsh_table: q^3 calls
+    rng = np.random.default_rng(seed)
+    for F in (raw_table(spec, rng.integers(0, q, q)), from_monomial(spec, d)):
+        want = brute_walsh_table(oracle, [F[x] for x in range(q)])
+        assert np.array_equal(_walsh_array(F), np.array(want))
+    # out[s] = sum_w zeta^Tr(s w) arr[w]; multiplying by zeta^e rotates by e
+    arr = rng.integers(-1000, 1000, size=(q, k, p), dtype=np.int64)
+    tr_sw = [[oracle.trace(oracle.mul(s, w)) for w in range(q)] for s in range(q)]
+    want = np.array([sum(np.roll(arr[w], tr_sw[s][w], axis=-1) for w in range(q))
+                     for s in range(q)])
+    assert np.array_equal(_transform_1d(spec, arr, 0), want)
+    assert np.array_equal(_transform_1d(spec, arr.swapaxes(0, 1), 1),
+                          want.swapaxes(0, 1))
+
+
+def test_walsh_module_not_shadowed():
+    import cdiffkit.walsh as w
+    assert inspect.ismodule(w)
+    assert callable(w.convolution_statistic)
 
 
 def test_walsh_table_invariants(gf9):
