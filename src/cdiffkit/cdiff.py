@@ -157,29 +157,71 @@ def _shift_rows(spec: FieldSpec, values) -> int:
     return q
 
 
+def _row_maxima(spec: FieldSpec, values, c: int, rows: int):
+    """One pass over the shifts a < rows for a fixed c: the maximum of each
+    row's histogram over b, and the smallest b attaining it."""
+    maxima, first_b = [], []
+    for _, counts in _count_blocks(spec, values, c, rows):
+        b = counts.argmax(axis=1)
+        maxima.append(counts[np.arange(len(b)), b])
+        first_b.append(b)
+    return np.concatenate(maxima), np.concatenate(first_b)
+
+
+def _maximal_rows(row_max):
+    """(max over all a, the rows attaining it, max over a != 0, the rows
+    a != 0 attaining it), rows ascending."""
+    best_all = int(row_max.max())
+    best_nz = int(row_max[1:].max())
+    return (best_all, np.nonzero(row_max == best_all)[0],
+            best_nz, 1 + np.nonzero(row_max[1:] == best_nz)[0])
+
+
 def _scan_c(spec: FieldSpec, values, c: int, rows: int):
-    """One pass over the shifts a < rows for a fixed c.
+    """The per-c maxima over the shifts a < rows.
 
     Returns (max over those a, witness, max over those a != 0, witness),
     each witness being the lexicographically smallest (a, b) attaining the
     maximum.  rows = q is the generic all-shifts scan.
     """
-    best_all = 0
-    wit_all = (0, 0)
-    best_nz = 0
-    wit_nz = (0, 0)
-    for a_list, counts in _count_blocks(spec, values, c, rows):
-        row_max = counts.max(axis=1)
-        for i in np.nonzero(row_max > min(best_all, best_nz))[0]:
-            a = int(a_list[i])
-            m = int(row_max[i])
-            if m > best_all:
-                best_all = m
-                wit_all = (a, int(np.argmax(counts[i])))
-            if a != 0 and m > best_nz:
-                best_nz = m
-                wit_nz = (a, int(np.argmax(counts[i])))
-    return best_all, wit_all, best_nz, wit_nz
+    row_max, first_b = _row_maxima(spec, values, c, rows)
+    best_all, top_all, best_nz, top_nz = _maximal_rows(row_max)
+    a_all, a_nz = int(top_all[0]), int(top_nz[0])
+    return (best_all, (a_all, int(first_b[a_all])),
+            best_nz, (a_nz, int(first_b[a_nz])))
+
+
+def _orbit_representatives(spec: FieldSpec, values, cs) -> dict:
+    """The dispatch point over c: maps each requested c (cs ascending, and
+    so the keys) to (r, k), where c = r^(p^k) and r is the c whose scan
+    decides it.
+
+    If F commutes with Frobenius, F(x^p) = F(x)^p for every x, then raising
+    F(x + a) - c*F(x) = b to the p-th power gives
+    n_F(a, b, c) = n_F(a^p, b^p, c^p): row a of the c-DDT has the maximum
+    of row a^p of the c^p-DDT, and both maxima (over all a and over
+    a != 0) are constant on each Frobenius orbit of c.  Each requested c is
+    then represented by the smallest requested c on its orbit.  The test
+    reads the values only, in O(q); it needs the Frobenius table, n > 1 and
+    at least two values of c.  Otherwise every c represents itself.
+    """
+    frob = spec._frob
+    if (frob is None or spec.n == 1 or len(cs) < 2
+            or not np.array_equal(values[frob], frob[values])):
+        return {c: (c, 0) for c in cs}
+    requested = set(cs)
+    rep = {}
+    for c in cs:
+        if c in rep:
+            continue
+        x, k = c, 0
+        while True:
+            if x in requested:
+                rep[x] = (c, k)
+            x, k = int(frob[x]), k + 1
+            if x == c:
+                break
+    return {c: rep[c] for c in cs}
 
 
 def _solutions(spec: FieldSpec, values, c: int, a: int, b: int):
@@ -201,15 +243,41 @@ def _witness_solutions(spec: FieldSpec, values, c: int, value: int,
     return tuple(int(x) for x in np.nonzero(d == b)[0])
 
 
-def _uniformity_at(state, c: int) -> UniformityResult:
+def _admissible_max(conv: AConvention, c: int, top):
+    """(value, rows attaining it) from _maximal_rows under the convention."""
+    return top[:2] if conv.admits_zero_shift(c) else top[2:]
+
+
+def _uniformity_at(state, item):
+    """(result for c, the rows attaining c's maxima if keep, else None) for
+    item = (c, keep)."""
     spec, values, conv, rows = state
-    best_all, wit_all, best_nz, wit_nz = _scan_c(spec, values, c, rows)
-    if conv.admits_zero_shift(c):
-        value, (wa, wb) = best_all, wit_all
-    else:
-        value, (wa, wb) = best_nz, wit_nz
-    sols = _witness_solutions(spec, values, c, value, wa, wb)
-    return UniformityResult(c, value, wa, wb, sols, conv)
+    c, keep = item
+    row_max, first_b = _row_maxima(spec, values, c, rows)
+    top = _maximal_rows(row_max)
+    value, top_rows = _admissible_max(conv, c, top)
+    a = int(top_rows[0])
+    b = int(first_b[a])
+    sols = _witness_solutions(spec, values, c, value, a, b)
+    return UniformityResult(c, value, a, b, sols, conv), (top if keep else None)
+
+
+def _orbit_image(state, c: int, k: int, top) -> UniformityResult:
+    """The result for c = r^(p^k) from the rows attaining r's maxima.
+
+    Row a of r has the maximum of row a^(p^k) of c, so c's witness row is
+    the smallest image of a row that attains r's maximum; its smallest b
+    is found by counting that one row.
+    """
+    spec, values, conv, _ = state
+    value, top_rows = _admissible_max(conv, c, top)
+    for _ in range(k):
+        top_rows = spec._frob[top_rows]
+    a = int(top_rows.min())
+    row = derivative_rows(spec, values, c, [a])[0]
+    b = int(np.argmax(np.bincount(row, minlength=spec.q)))
+    sols = _witness_solutions(spec, values, c, value, a, b)
+    return UniformityResult(c, value, a, b, sols, conv)
 
 
 def _both_conventions_at(state, c: int):
@@ -217,15 +285,14 @@ def _both_conventions_at(state, c: int):
     return (c,) + _scan_c(spec, values, c, rows)
 
 
-def _run_per_c(F: FunctionTable, worker, conv, cs, threads: int) -> list:
-    state = (F.spec, F.values, conv, _shift_rows(F.spec, F.values))
-    return parallel_map(worker, state, cs, threads)
+def _kernel_state(F: FunctionTable, conv):
+    return (F.spec, F.values, conv, _shift_rows(F.spec, F.values))
 
 
 def uniformity(F: FunctionTable, c: int, conv: AConvention) -> UniformityResult:
     """Maximum difference count over the convention's admissible (a, b),
     with the lexicographically smallest witness and its solution set."""
-    return _run_per_c(F, _uniformity_at, conv, [c], 1)[0]
+    return _uniformity_at(_kernel_state(F, conv), (c, False))[0]
 
 
 def admissible_c(spec: FieldSpec, c_filter) -> list:
@@ -250,13 +317,25 @@ def spectrum(F: FunctionTable, c_filter, conv: AConvention,
              threads: int = 1) -> SpectrumReport:
     """Per-c uniformity over a set of c values, plus the overall maximum.
 
-    With threads > 1 the c values are distributed over worker processes
+    Only the orbit representatives (see _orbit_representatives) are
+    scanned.  Every other c takes its witness row from the rows attaining
+    its representative's maximum, mapped through Frobenius: that is the
+    lexicographically smallest witness a scan of c would find.  Its
+    smallest b and solution set are counted from that one row.  With
+    threads > 1 the representatives are distributed over worker processes
     (fork start method); results are merged in c order, so the report is
     identical for every thread count.
     """
     spec = F.spec
     cs = admissible_c(spec, c_filter)
-    results = tuple(_run_per_c(F, _uniformity_at, conv, cs, threads))
+    state = _kernel_state(F, conv)
+    rep = _orbit_representatives(spec, F.values, cs)
+    shared = {r for r, k in rep.values() if k}
+    firsts = [c for c, (r, _) in rep.items() if r == c]
+    done = dict(zip(firsts, parallel_map(_uniformity_at, state,
+                                         [(c, c in shared) for c in firsts], threads)))
+    results = tuple(done[c][0] if r == c else _orbit_image(state, c, k, done[r][1])
+                    for c, (r, k) in rep.items())
     c_desc = c_filter if isinstance(c_filter, str) else ",".join(map(str, cs))
     return SpectrumReport(
         field=spec.to_json_dict(),
@@ -272,10 +351,15 @@ def dual_convention_max(F: FunctionTable, c_filter, threads: int = 1):
     """Overall maxima under both conventions in a single sweep.
 
     Returns {"include-zero": (max, witness), "nonzero": (max, witness)} over
-    the given c-set, where each witness is (c, a, b).
+    the given c-set, where each witness is (c, a, b).  Only the orbit
+    representatives (see _orbit_representatives) are scanned: values are
+    constant on an orbit, so the first c in ascending order that reaches
+    each maximum is the smallest requested member of its orbit.
     """
     cs = admissible_c(F.spec, c_filter)
-    rows = _run_per_c(F, _both_conventions_at, None, cs, threads)
+    rep = _orbit_representatives(F.spec, F.values, cs)
+    rows = parallel_map(_both_conventions_at, _kernel_state(F, None),
+                        [c for c, (r, _) in rep.items() if r == c], threads)
     best = {"include-zero": (0, None), "nonzero": (0, None)}
     for (c, best_all, wit_all, best_nz, wit_nz) in rows:
         if c != 1 and best_all > best["include-zero"][0]:

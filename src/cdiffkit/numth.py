@@ -3,6 +3,7 @@ trinomial root count, quadratic solvers, and Chebyshev permutation tests."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -130,41 +131,32 @@ def trinomial_roots(spec: FieldSpec, k: int, a: int, b: int) -> TrinomialOutcome
     return TrinomialOutcome(p, k, n, a, b, g, m, p ** g, roots, alpha, beta)
 
 
-_SUBFIELD_CACHE = {}
-_POWER_TABLE_CACHE = {}
+# Bounded: each key holds a FieldSpec, and with it the field's tables.
+_CACHE_SIZE = 32
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _subfield_ranks(spec, g):
-    """Ranks of the subfield GF(p^g): fixed points of frobenius^g, ascending."""
-    key = (spec, g)
-    got = _SUBFIELD_CACHE.get(key)
-    if got is None:
-        fixed = spec.pow_all(spec.p ** g) == np.arange(spec.q)
-        got = np.nonzero(fixed)[0].astype(np.int32)
-        _SUBFIELD_CACHE[key] = got
-    return got
+    """Ranks of the subfield GF(p^g): fixed points of frobenius^g, ascending.
+    The array is read-only, since every caller shares it."""
+    fixed = spec.pow_all(spec.p ** g) == np.arange(spec.q)
+    ranks = np.nonzero(fixed)[0].astype(np.int32)
+    ranks.setflags(write=False)
+    return ranks
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _smallest_power_root(spec, e, a):
     """Smallest rank t with t^e = a (the caller guarantees existence)."""
-    key = (spec, e)
-    table = _POWER_TABLE_CACHE.get(key)
-    if table is None:
-        table = spec.pow_all(e)
-        _POWER_TABLE_CACHE[key] = table
-    hits = np.nonzero(table == a)[0]
+    hits = np.nonzero(spec.pow_all(e) == a)[0]
     if not len(hits):
         raise AssertionError(f"no {e}-th root of {a}")
     return int(hits[0])
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _nonzero_rel_trace_element(spec, g):
-    key = (spec, -g)
-    got = _SUBFIELD_CACHE.get(key)
-    if got is None:
-        got = next(x for x in range(1, spec.q) if spec.trace_rel(g, x) != 0)
-        _SUBFIELD_CACHE[key] = got
-    return got
+    return next(x for x in range(1, spec.q) if spec.trace_rel(g, x) != 0)
 
 
 def _assert_root(spec, k, a, b, z):

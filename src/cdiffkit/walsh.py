@@ -196,13 +196,21 @@ def _walsh_array(F: FunctionTable) -> np.ndarray:
 
 
 def walsh_table(F: FunctionTable) -> WalshTable:
+    """All Walsh values of F; equal entries share one CyclotomicInt."""
     arr = _walsh_array(F)
     p = F.spec.p
-    rows = tuple(
-        tuple(CyclotomicInt.from_exponent_counts(p, arr[u, v]) for v in range(F.spec.q))
-        for u in range(F.spec.q)
-    )
-    return WalshTable(F.spec, rows)
+    shared = {}
+
+    def entry(coeffs):
+        coeffs = tuple(coeffs)
+        z = shared.get(coeffs)
+        if z is None:
+            z = shared[coeffs] = CyclotomicInt(p, coeffs)
+        return z
+
+    # canonical coefficients (last one zero) are equal iff the values are
+    canon = (arr - arr[..., -1:]).tolist()
+    return WalshTable(F.spec, tuple(tuple(map(entry, row)) for row in canon))
 
 
 # ---------------------------------------------------------------------------

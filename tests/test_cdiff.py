@@ -11,6 +11,7 @@ from cdiffkit import (AConvention, build_field, c_derivative,
 from cdiffkit import cdiff
 from cdiffkit.errors import DegenerateCs, SizeGuardExceeded, WitnessMismatch
 from cdiffkit.functions import table_from_json_dict, table_to_json_dict
+from cdiffkit.theorems import deca_trinomial
 
 from oracles import brute_uniformity, ddt_counts, eval_poly, slow_field_like
 
@@ -392,3 +393,149 @@ def test_dispatch_payloads_match_generic(case, conv):
         for r in fast.results:
             include = conv.admits_zero_shift(r.c)
             assert r.value == brute_uniformity(oracle, vals, r.c, include)
+
+
+# -- the Frobenius-orbit dispatch over c against the scan of every c ---------
+
+ORBIT_FIELDS = ([(2, n) for n in range(2, 8)] + [(3, n) for n in range(2, 6)]
+                + [(5, 2), (5, 3), (7, 2)])
+ORBIT_KINDS = ("fp_polynomial", "deca", "inverse", "scaled_monomial", "perturbed")
+
+
+def _fp_polynomial(spec, draw):
+    """A polynomial with F_p coefficients (ranks below p); it commutes
+    with Frobenius."""
+    q, p = spec.q, spec.p
+    terms = draw(st.dictionaries(st.integers(0, q - 1), st.integers(1, p - 1),
+                                 min_size=1, max_size=4))
+    return from_polynomial(spec, terms)
+
+
+def _orbit_function(draw):
+    """(F, invariant): F over a field with n > 1 and q <= 243."""
+    kind = draw(st.sampled_from(ORBIT_KINDS))
+    if kind == "deca":
+        spec = build_field(3, draw(st.integers(2, 5)))
+        return deca_trinomial(spec, draw(st.sampled_from([1, 2]))), True
+    spec = build_field(*draw(st.sampled_from(ORBIT_FIELDS)))
+    q, p = spec.q, spec.p
+    if kind == "inverse":
+        return inverse_table(spec), True
+    if kind == "scaled_monomial":
+        # A^p != A, so F(x^p) = A x^(dp) differs from F(x)^p = A^p x^(dp)
+        A = draw(st.integers(p, q - 1))
+        return from_polynomial(spec, {draw(st.integers(1, q - 1)): A}), False
+    F = _fp_polynomial(spec, draw)
+    if kind == "fp_polynomial":
+        return F, True
+    # a new value at some x outside F_p breaks F(x^p) = F(x)^p there: x^p
+    # differs from x, so F(x^p) keeps its value while F(x)^p changes
+    x = draw(st.integers(p, q - 1))
+    values = F.values.copy()
+    values[x] = (values[x] + draw(st.integers(1, q - 1))) % q
+    return raw_table(spec, values), False
+
+
+@st.composite
+def orbit_cases(draw):
+    """(F, invariant, c_set); c_set is 'all', 'exclude_0_1' or an explicit
+    list, rarely closed under Frobenius."""
+    F, invariant = _orbit_function(draw)
+    c_set = draw(st.sampled_from(["all", "exclude_0_1", "list"]))
+    if c_set == "list":
+        spec = F.spec
+        c_set = draw(st.lists(st.integers(0, spec.q - 1), min_size=2,
+                              max_size=12, unique=True))
+        if draw(st.booleans()):   # part of an orbit, in any order
+            c_set = list({*c_set, spec.frobenius(c_set[0])})
+    return F, invariant, c_set
+
+
+def _scan_every_c(spec, values, cs):
+    return {c: (c, 0) for c in cs}
+
+
+def _orbit(spec, c):
+    orbit = [c]
+    while spec.frobenius(orbit[-1]) != c:
+        orbit.append(spec.frobenius(orbit[-1]))
+    return orbit
+
+
+def _check_orbit_dispatch(F, invariant, c_set, conv):
+    spec = F.spec
+    cs = cdiff.admissible_c(spec, c_set)
+    rep = cdiff._orbit_representatives(spec, F.values, cs)
+    shared = any(len(set(_orbit(spec, c)) & set(cs)) > 1 for c in cs)
+    assert (rep != {c: (c, 0) for c in cs}) == (invariant and shared)
+    fast = spectrum(F, c_set, conv, threads=1)
+    fast_dual = dual_convention_max(F, c_set)
+    assert spectrum(F, c_set, conv, threads=2).to_json_dict() == fast.to_json_dict()
+    assert dual_convention_max(F, c_set, threads=2) == fast_dual
+    with mock.patch.object(cdiff, "_orbit_representatives", _scan_every_c):
+        every = spectrum(F, c_set, conv, threads=1)
+        every_dual = dual_convention_max(F, c_set)
+    assert fast.to_json_dict() == every.to_json_dict()
+    assert fast.results == every.results
+    assert fast_dual == every_dual
+    if spec.q <= 27:
+        oracle = slow_field_like(spec)
+        vals = [int(v) for v in F.values]
+        for r in fast.results:
+            include = conv.admits_zero_shift(r.c)
+            assert r.value == brute_uniformity(oracle, vals, r.c, include)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(orbit_cases(), st.sampled_from([INC, NZ]))
+@example((deca_trinomial(build_field(3, 5), 1), True, "exclude_0_1"), INC)
+@example((deca_trinomial(build_field(3, 5), 2), True, "exclude_0_1"), NZ)
+@example((inverse_table(build_field(2, 8)), True, "all"), NZ)
+def test_orbit_dispatch_matches_every_c(case, conv):
+    _check_orbit_dispatch(*case, conv)
+
+
+def test_orbit_dispatch_needs_frobenius_and_two_cs():
+    no_log_tables = build_field(3, 3, log_table_bound=8)
+    assert no_log_tables._frob is None
+    # GF(2) and a prime field (n = 1), a field without a Frobenius table,
+    # and a single c all scan every c
+    for spec, cs in [(build_field(2, 1), [0, 1]), (build_field(7, 1), list(range(7))),
+                     (no_log_tables, list(range(27))), (build_field(3, 3), [2])]:
+        F = from_monomial(spec, 2)
+        assert (cdiff._orbit_representatives(spec, F.values, cs)
+                == {c: (c, 0) for c in cs})
+        for conv in (INC, NZ):
+            _check_orbit_dispatch(F, False, cs, conv)
+
+
+def test_orbit_representative_is_smallest_requested_member(gf27):
+    F = deca_trinomial(gf27, 1)
+    assert sorted(_orbit(gf27, 9)) == [9, 13, 16]
+    assert (cdiff._orbit_representatives(gf27, F.values, [2, 13, 16])
+            == {2: (2, 0), 13: (13, 0), 16: (13, 1)})
+
+
+def test_orbit_image_is_recounted(gf27):
+    F = deca_trinomial(gf27, 1)
+    state = cdiff._kernel_state(F, INC)
+    _, top = cdiff._uniformity_at(state, (13, True))
+    # 16 = 13^3; a single c is scanned directly
+    assert cdiff._orbit_image(state, 16, 1, top) == spectrum(F, [16], INC).results[0]
+    with pytest.raises(WitnessMismatch):
+        cdiff._orbit_image(state, 16, 1, (top[0] + 1,) + top[1:])
+
+
+def test_orbit_dispatch_scans_one_c_per_orbit():
+    # GF(3^5): c = 2 is fixed and the other 240 values of c != 0, 1 form
+    # 48 orbits of 5; a changed value at x = 5 leaves F not invariant
+    spec = build_field(3, 5)
+    F = deca_trinomial(spec, 1)
+    values = F.values.copy()
+    values[5] = (values[5] + 1) % spec.q
+    for G, scans in ((F, 49), (raw_table(spec, values), 241)):
+        for call in (lambda: spectrum(G, "exclude_0_1", INC),
+                     lambda: dual_convention_max(G, "exclude_0_1")):
+            with mock.patch.object(cdiff, "_row_maxima", wraps=cdiff._row_maxima) as scan:
+                call()
+            assert scan.call_count == scans

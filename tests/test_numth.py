@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from cdiffkit import numth
 from cdiffkit import (build_field, chebyshev_eval, chebyshev_is_permutation,
                       gcd_power_formula, solve_quadratic, trinomial_roots)
 from cdiffkit.errors import SubfieldEdgeCase
+from cdiffkit.field import is_prime
 
 from oracles import slow_field_like
 
@@ -145,3 +147,21 @@ def test_dickson_identity(p, n):
             lhs = chebyshev_eval(spec, ell, x)
             rhs = spec.add(spec.pow(z, ell), spec.pow(spec.inv(z), ell))
             assert lhs == rhs
+
+
+def test_numth_caches_are_bounded():
+    cached = (numth._subfield_ranks, numth._smallest_power_root,
+              numth._nonzero_rel_trace_element)
+    bound = numth._CACHE_SIZE
+    fields = [build_field(p, 1) for p in range(2, 400) if is_prime(p)]
+    assert len(fields) > bound
+    for spec in fields:
+        ranks = numth._subfield_ranks(spec, 1)
+        assert ranks.tolist() == list(range(spec.p))
+        with pytest.raises(ValueError):
+            ranks[0] = 1
+        assert spec.pow(numth._smallest_power_root(spec, spec.p - 1, 1), spec.p - 1) == 1
+        assert spec.trace_rel(1, numth._nonzero_rel_trace_element(spec, 1)) != 0
+    for fn in cached:
+        assert fn.cache_info().maxsize == bound
+        assert fn.cache_info().currsize <= bound

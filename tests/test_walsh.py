@@ -175,6 +175,21 @@ def test_walsh_table_invariants(gf9):
     assert len(blob["entries"]) == 9 and len(blob["entries"][3]) == 9
 
 
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 3), (7, 2)])
+def test_walsh_table_shares_equal_entries(p, n):
+    spec = build_field(p, n)
+    rng = np.random.default_rng(p * 100 + n)
+    for F in (from_monomial(spec, 2), raw_table(spec, rng.integers(0, spec.q, spec.q))):
+        W = walsh_table(F)
+        arr = _walsh_array(F)
+        objects = {}
+        for u in range(spec.q):
+            for v in range(spec.q):
+                z = W[u, v]
+                assert z == CyclotomicInt.from_exponent_counts(p, arr[u, v])
+                assert objects.setdefault(z.coeffs, z) is z
+
+
 @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (2, 4), (3, 4)])
 def test_parseval_per_component(p, n):
     spec = build_field(p, n)
