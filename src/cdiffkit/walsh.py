@@ -208,9 +208,11 @@ def walsh_table(F: FunctionTable) -> WalshTable:
             z = shared[coeffs] = CyclotomicInt(p, coeffs)
         return z
 
-    # canonical coefficients (last one zero) are equal iff the values are
-    canon = (arr - arr[..., -1:]).tolist()
-    return WalshTable(F.spec, tuple(tuple(map(entry, row)) for row in canon))
+    # canonical coefficients (last one zero) are equal iff the values are;
+    # one row of u at a time, so the q^2 p coefficients never exist as
+    # Python lists all at once
+    return WalshTable(F.spec, tuple(tuple(map(entry, (row - row[:, -1:]).tolist()))
+                                    for row in arr))
 
 
 # ---------------------------------------------------------------------------
