@@ -23,7 +23,6 @@ from .functions import FunctionTable
 from .parallel import parallel_map
 
 DDT_DENSE_BOUND = 4096   # materialize the dense q x q count matrix up to this q
-_A_CHUNK = 128           # rows per vectorized block of the derivative kernel
 
 
 class AConvention(enum.Enum):
@@ -90,20 +89,22 @@ def derivative_rows(spec: FieldSpec, values, c: int, a_list) -> np.ndarray:
     """The c-derivative kernel: row i of the result is
     x -> F(x + a_list[i]) - c*F(x) over all ranks x, for F given by values."""
     ncf = spec.neg_array(spec.scale_array(c, values))
-    if spec._add is not None:
-        shifted = values[spec._add[a_list]]
-    else:
-        shifted = values[np.stack([spec.add_row(int(a)) for a in a_list])]
-    return spec.add_arrays(shifted, ncf[np.newaxis, :])
+    return spec.add_arrays(values[spec.add_rows(a_list)], ncf[np.newaxis, :])
 
 
 def _count_blocks(spec: FieldSpec, values, c: int, rows: int):
     """Histograms of the derivative rows a < rows, a block at a time: yields
     (a_list, counts) with counts[i, b] the number of solutions x of
-    F(x + a_list[i]) - c*F(x) = b."""
+    F(x + a_list[i]) - c*F(x) = b.
+
+    A block holds at most 128 rows and at most max(q, 2^16) elements, so its
+    int64 intermediates stay in cache; the counts do not depend on the block
+    size.
+    """
     q = spec.q
-    for start in range(0, rows, _A_CHUNK):
-        a_list = np.arange(start, min(start + _A_CHUNK, rows))
+    chunk = min(128, max(1, 2 ** 16 // q))
+    for start in range(0, rows, chunk):
+        a_list = np.arange(start, min(start + chunk, rows))
         block = derivative_rows(spec, values, c, a_list)
         offsets = (np.arange(len(a_list), dtype=np.int64) * q)[:, None]
         yield a_list, np.bincount((block.astype(np.int64) + offsets).ravel(),

@@ -6,9 +6,12 @@ polynomial basis 1, x, x^2, ..., x^(n-1).  Rank 0 is the additive identity
 and rank 1 the multiplicative identity.
 
 A FieldSpec owns the modulus polynomial and the precomputed tables
-(log/antilog, pairwise addition, negation, inversion, Frobenius, trace).
-Tables are built only below configurable size bounds; every operation has
-a slow exact fallback, so larger fields still work.
+(log/antilog, negation, inversion, Frobenius, trace).  Addition is
+digit-wise and needs no q x q table: for p = 2 it is XOR on ranks, and for
+odd p each rank splits as h*m + l with m = p^ceil(n/2), so
+x + y = HI[h_x, h_y] + LO[l_x, l_y] from two digit-sum tables of at most q
+entries each.  The log/antilog tables are built below a size bound; every
+multiplicative operation has a slow exact fallback above it.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .errors import (
 )
 
 LOG_TABLE_BOUND = 1 << 20   # build exp/log tables when q <= this
-PAIR_TABLE_BOUND = 4096     # build the dense q x q addition table when q <= this
 
 
 def is_prime(p: int) -> bool:
@@ -203,8 +205,7 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, n: int, modulus=None,
-                 log_table_bound: int = LOG_TABLE_BOUND,
-                 pair_table_bound: int = PAIR_TABLE_BOUND):
+                 log_table_bound: int = LOG_TABLE_BOUND):
         if not isinstance(p, int) or not is_prime(p):
             raise NonPrimeCharacteristic(f"p = {p} is not prime")
         if not isinstance(n, int) or n < 1:
@@ -234,14 +235,18 @@ class FieldSpec:
         self._neg = self._undigitize((-self._digits) % p)
         self._neg.setflags(write=False)
 
-        self._add = None
-        if self.q <= pair_table_bound:
-            q = self.q
-            add = np.zeros((q, q), dtype=np.int32)
-            for i in range(n):
-                add += ((self._digits[:, None, i] + self._digits[None, :, i]) % p).astype(np.int32) * (p ** i)
-            add.setflags(write=False)
-            self._add = add
+        # odd p: rank r = h*m + l, and x + y = HI[h_x, h_y] + LO[l_x, l_y]
+        self._split = self._hi = self._lo = self._hi_rows = self._lo_rows = None
+        if p != 2:
+            m = p ** ((n + 1) // 2)
+            self._split = m
+            self._lo = self._digit_sum_table(m)
+            self._hi = self._digit_sum_table(self.q // m) * m
+            for t in (self._lo, self._hi):
+                t.setflags(write=False)
+            # the scalar add reads Python lists: no numpy round trip per call
+            self._lo_rows = self._lo.tolist()
+            self._hi_rows = self._hi.tolist()
 
         self._frob = None
         self._trace = None
@@ -263,6 +268,12 @@ class FieldSpec:
 
     def _undigitize(self, digs):
         return (digs.astype(np.int64) @ self._pow_p).astype(np.int32)
+
+    def _digit_sum_table(self, size):
+        """size x size table of the digit-wise sums of the ranks below size
+        (a power of p)."""
+        d = self._digits[:size]
+        return self._undigitize((d[:, None, :] + d[None, :, :]) % self.p)
 
     def _scalar_mul_poly(self, x: int, y: int) -> int:
         a = list(self._digits[x])
@@ -356,10 +367,11 @@ class FieldSpec:
 
     def add(self, x: int, y: int) -> int:
         x, y = self._check(x), self._check(y)
-        if self._add is not None:
-            return int(self._add[x, y])
-        d = (self._digits[x] + self._digits[y]) % self.p
-        return int(self._undigitize(d))
+        if self.p == 2:
+            return x ^ y
+        hx, lx = divmod(x, self._split)
+        hy, ly = divmod(y, self._split)
+        return self._hi_rows[hx][hy] + self._lo_rows[lx][ly]
 
     def neg(self, x: int) -> int:
         return int(self._neg[self._check(x)])
@@ -441,20 +453,31 @@ class FieldSpec:
     # -- vectorized operations (arrays of ranks) ------------------------------
 
     def add_arrays(self, xs, ys):
-        if self._add is not None:
-            return self._add[xs, ys]
-        dx = self._digits[xs]
-        dy = self._digits[ys]
-        return self._undigitize((dx + dy) % self.p)
+        if self.p == 2:
+            return np.bitwise_xor(xs, ys)
+        m = self._split
+        hx, lx = np.divmod(xs, m)
+        hy, ly = np.divmod(ys, m)
+        # flat indices into the tables: one gather each
+        return (np.take(self._hi, hx * (self.q // m) + hy)
+                + np.take(self._lo, lx * m + ly))
 
     def neg_array(self, xs):
         return self._neg[xs]
 
+    def add_rows(self, a_list):
+        """Row i is x + a_list[i] over all ranks x, in rank order."""
+        a = np.asarray(a_list, dtype=np.intp)
+        if self.p == 2:
+            return a[:, None] ^ np.arange(self.q)[None, :]
+        # x = h*m + l runs over h (rows of HI) and then l (rows of LO)
+        ha, la = np.divmod(a, self._split)
+        return (self._hi[ha][:, :, None]
+                + self._lo[la][:, None, :]).reshape(len(a), self.q)
+
     def add_row(self, a: int):
-        """Vector of x + a over all ranks x, i.e. one row of the addition table."""
-        if self._add is not None:
-            return self._add[a]
-        return self.add_arrays(np.arange(self.q), np.full(self.q, a, dtype=np.int32))
+        """Vector of x + a over all ranks x."""
+        return self.add_rows([a])[0]
 
     def scale_array(self, c: int, xs):
         """c * xs elementwise for a constant c."""
@@ -528,23 +551,23 @@ class FieldSpec:
         return f"FieldSpec(p={self.p}, n={self.n}, modulus={list(self.modulus)})"
 
 
-@functools.lru_cache(maxsize=None)
-def _build_cached(p, n, modulus, log_table_bound, pair_table_bound):
+@functools.lru_cache(maxsize=32)
+def _build_cached(p, n, modulus, log_table_bound):
     return FieldSpec(p, n, None if modulus is None else list(modulus),
-                     log_table_bound, pair_table_bound)
+                     log_table_bound)
 
 
 def build_field(p: int, n: int, modulus=None,
-                log_table_bound: int = LOG_TABLE_BOUND,
-                pair_table_bound: int = PAIR_TABLE_BOUND) -> FieldSpec:
+                log_table_bound: int = LOG_TABLE_BOUND) -> FieldSpec:
     """Validated field model; omit the modulus to get the canonical one.
 
     The default modulus is the lexicographically smallest primitive
     polynomial (coefficient vectors ordered as base-p integers, constant
     term least significant), so repeated builds agree across runs.
-    Results are cached; treat the returned FieldSpec as read-only.
+    The 32 most recently used fields are cached; treat the returned
+    FieldSpec as read-only.
     """
     if not isinstance(p, int) or not is_prime(p):
         raise NonPrimeCharacteristic(f"p = {p} is not prime")
     key = None if modulus is None else tuple(int(c) for c in modulus)
-    return _build_cached(p, n, key, log_table_bound, pair_table_bound)
+    return _build_cached(p, n, key, log_table_bound)

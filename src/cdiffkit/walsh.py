@@ -254,7 +254,8 @@ def _conj_power_sum(arr: np.ndarray, j: int, p: int) -> CyclotomicInt:
 
 
 def _g_array(F: FunctionTable, c: int, W: np.ndarray) -> np.ndarray:
-    """G(u, v) = W(u, v) * conj(W(u, c v)) as a (q, q, p) array."""
+    """G(u, v) = W(u, v) * conj(W(u, c v)) over the rows u that W holds, as
+    a (rows, q, p) array."""
     spec = F.spec
     cv = spec.scale_array(c, np.arange(spec.q))
     return _cyclic_mul(W, _conj_axis(W[:, cv], spec.p), spec.p)
@@ -349,8 +350,14 @@ def pcn_power_sum(F: FunctionTable, c: int) -> int:
     with a = 0 admissible).
     """
     _reject_c1(c)
-    # |W(u,v)|^2 |W(u,cv)|^2 = |G(u,v)|^2 with G(u,v) = W(u,v) conj(W(u,cv))
-    return _conj_power_sum(_g_array(F, c, _walsh_array(F)), 1, F.spec.p).as_integer()
+    # |W(u,v)|^2 |W(u,cv)|^2 = |G(u,v)|^2 with G(u,v) = W(u,v) conj(W(u,cv)),
+    # formed and reduced a block of at most max(q, 2^16) entries (u, v) at a
+    # time; each block picks its own exact dtype, and the block sums are exact
+    W = _walsh_array(F)
+    q, p = F.spec.q, F.spec.p
+    rows = max(1, 2 ** 16 // q)
+    return sum(_conj_power_sum(_g_array(F, c, W[u:u + rows]), 1, p)
+               for u in range(0, q, rows)).as_integer()
 
 
 def apcn_statistic(F: FunctionTable, c: int, size_guard: int | None = APCN_SIZE_GUARD):

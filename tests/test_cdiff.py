@@ -539,3 +539,26 @@ def test_orbit_dispatch_scans_one_c_per_orbit():
             with mock.patch.object(cdiff, "_row_maxima", wraps=cdiff._row_maxima) as scan:
                 call()
             assert scan.call_count == scans
+
+
+# -- the derivative kernel against a literal loop over x ---------------------
+
+@st.composite
+def derivative_cases(draw):
+    p, n = draw(st.sampled_from([(2, 1), (2, 3), (2, 5), (3, 1), (3, 2), (3, 3),
+                                 (5, 1), (5, 2), (7, 1), (7, 2)]))
+    q = p ** n
+    rank = st.integers(0, q - 1)
+    values = draw(st.lists(rank, min_size=q, max_size=q))
+    return build_field(p, n), values, draw(rank), draw(st.lists(rank, min_size=1, max_size=4))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(derivative_cases())
+def test_derivative_rows_matches_literal_loop(case):
+    spec, values, c, shifts = case
+    slow = slow_field_like(spec)
+    got = cdiff.derivative_rows(spec, np.array(values, dtype=np.int32), c, shifts)
+    assert got.tolist() == [
+        [slow.sub(values[slow.add(x, a)], slow.mul(c, values[x])) for x in range(spec.q)]
+        for a in shifts]

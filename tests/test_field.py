@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cdiffkit import build_field, find_default_modulus
 from cdiffkit.errors import (DegreeMismatch, DivisionByZero,
                              NonDivisorSubfieldDegree, NonPrimeCharacteristic,
                              ReducibleModulus)
-from cdiffkit.field import FieldSpec, is_irreducible
+from cdiffkit.field import FieldSpec, _build_cached, is_irreducible
 
 from oracles import SlowField, slow_field_like
 
@@ -191,8 +192,7 @@ def test_log_antilog_roundtrip(gf27):
 
 
 def test_tableless_field_agrees(gf27):
-    bare = FieldSpec(3, 3, list(gf27.modulus), log_table_bound=0,
-                     pair_table_bound=0)
+    bare = FieldSpec(3, 3, list(gf27.modulus), log_table_bound=0)
     for x in range(0, 27, 2):
         for y in range(27):
             assert bare.mul(x, y) == gf27.mul(x, y)
@@ -213,3 +213,54 @@ def test_irreducibility_large_degree_path():
     assert is_irreducible([1, 0, 1, 0, 0, 1], 2) is True   # x^5+x^2+1
     spec = build_field(2, 6)
     assert spec.q == 64
+
+
+# -- tableless addition against digit-wise addition --------------------------
+
+# n = 1 (a 1 x 1 HI table for odd p) and odd n (unequal halves of the split)
+ADD_FIELDS = [(2, 1), (2, 3), (2, 5), (3, 1), (3, 3), (3, 4),
+              (5, 1), (5, 3), (7, 1), (7, 2)]
+
+
+@st.composite
+def addition_cases(draw):
+    p, n = draw(st.sampled_from(ADD_FIELDS))
+    rank = st.integers(0, p ** n - 1)
+    pairs = draw(st.lists(st.tuples(rank, rank), min_size=1, max_size=12))
+    shifts = draw(st.lists(rank, min_size=1, max_size=3))
+    return p, n, pairs, shifts
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(addition_cases())
+@example((3, 8, [(0, 0), (6560, 6560), (1234, 5678), (80, 81)], [0, 6560, 4100]))
+@example((2, 12, [(0, 0), (4095, 4095), (1234, 3210)], [0, 4095, 2049]))
+def test_addition_matches_digitwise(case):
+    p, n, pairs, shifts = case
+    spec = build_field(p, n)
+    slow = slow_field_like(spec)
+    xs, ys = zip(*pairs)
+    assert [spec.add(x, y) for x, y in pairs] == [slow.add(x, y) for x, y in pairs]
+    assert [spec.sub(x, y) for x, y in pairs] == [slow.sub(x, y) for x, y in pairs]
+    assert (spec.add_arrays(np.array(xs, dtype=np.int32), np.array(ys)).tolist()
+            == [slow.add(x, y) for x, y in pairs])
+    rows = spec.add_rows(shifts)
+    assert rows.tolist() == [[slow.add(x, a) for x in range(spec.q)] for a in shifts]
+    assert spec.add_row(shifts[-1]).tolist() == rows[-1].tolist()
+
+
+def test_build_field_cache_is_bounded():
+    primes = [p for p in range(2, 200) if all(p % f for f in range(2, p))]
+    assert len(primes) > 32
+    for p in primes:
+        build_field(p, 1)
+    assert _build_cached.cache_info().currsize <= 32
+
+
+@pytest.mark.parametrize("p,n", [(2, 12), (3, 8)])
+def test_field_tables_stay_linear_in_q(p, n):
+    # O(q n) int32 tables hold a few hundred KB here; a q x q table would
+    # hold 64 MB (q = 4096) or 172 MB (q = 6561)
+    spec = build_field(p, n)
+    held = sum(v.nbytes for v in vars(spec).values() if isinstance(v, np.ndarray))
+    assert held < 1 << 20
