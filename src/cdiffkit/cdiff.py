@@ -23,6 +23,8 @@ from .functions import FunctionTable
 from .parallel import parallel_map
 
 DDT_DENSE_BOUND = 4096   # materialize the dense q x q count matrix up to this q
+BLOCK_ELEMENTS = 2 ** 16   # elements per block of rows: its intermediates stay in cache
+_MAX_BLOCK_ROWS = 128      # more rows per block read slower at q <= 512
 
 
 class AConvention(enum.Enum):
@@ -97,12 +99,12 @@ def _count_blocks(spec: FieldSpec, values, c: int, rows: int):
     (a_list, counts) with counts[i, b] the number of solutions x of
     F(x + a_list[i]) - c*F(x) = b.
 
-    A block holds at most 128 rows and at most max(q, 2^16) elements, so its
-    int64 intermediates stay in cache; the counts do not depend on the block
-    size.
+    A block holds at most _MAX_BLOCK_ROWS rows and at most
+    max(q, BLOCK_ELEMENTS) elements, so its int64 intermediates stay in
+    cache; the counts do not depend on the block size.
     """
     q = spec.q
-    chunk = min(128, max(1, 2 ** 16 // q))
+    chunk = min(_MAX_BLOCK_ROWS, max(1, BLOCK_ELEMENTS // q))
     for start in range(0, rows, chunk):
         a_list = np.arange(start, min(start + chunk, rows))
         block = derivative_rows(spec, values, c, a_list)

@@ -7,16 +7,18 @@ and rank 1 the multiplicative identity.
 
 A FieldSpec owns the modulus polynomial and the precomputed tables
 (log/antilog, negation, inversion, Frobenius, trace).  Addition is
-digit-wise and needs no q x q table: for p = 2 it is XOR on ranks, and for
-odd p each rank splits as h*m + l with m = p^ceil(n/2), so
-x + y = HI[h_x, h_y] + LO[l_x, l_y] from two digit-sum tables of at most q
-entries each.  The log/antilog tables are built below a size bound; every
-multiplicative operation has a slow exact fallback above it.
+digit-wise and needs no q x q table: for p = 2 it is XOR on ranks, for
+n = 1 it is addition mod p, and otherwise each rank splits as h*m + l with
+m = p^ceil(n/2), so x + y = HI[h_x, h_y] + LO[l_x, l_y] from two digit-sum
+tables.  LO has m^2 entries (q for even n, p*q for odd n) and HI at most q.
+The log/antilog tables are built below a size bound; every multiplicative
+operation has a slow exact fallback above it.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -29,6 +31,18 @@ from .errors import (
 )
 
 LOG_TABLE_BOUND = 1 << 20   # build exp/log tables when q <= this
+
+
+def _digit_sum_table(p: int, k: int):
+    """p^k x p^k table of the digit-wise sums mod p of the ranks below p^k."""
+    t = np.zeros((1, 1), dtype=np.int32)
+    d = np.arange(p, dtype=np.int32)
+    top = (d[:, None] + d[None, :]) % p
+    for _ in range(k):
+        s = len(t)
+        # rank d*s + r below p*s: the top digit of the sum is (d_x + d_y) % p
+        t = (top[:, None, :, None] * s + t[None, :, None, :]).reshape(p * s, p * s)
+    return t
 
 
 def is_prime(p: int) -> bool:
@@ -235,18 +249,15 @@ class FieldSpec:
         self._neg = self._undigitize((-self._digits) % p)
         self._neg.setflags(write=False)
 
-        # odd p: rank r = h*m + l, and x + y = HI[h_x, h_y] + LO[l_x, l_y]
-        self._split = self._hi = self._lo = self._hi_rows = self._lo_rows = None
-        if p != 2:
-            m = p ** ((n + 1) // 2)
-            self._split = m
-            self._lo = self._digit_sum_table(m)
-            self._hi = self._digit_sum_table(self.q // m) * m
+        # odd p, n > 1: rank r = h*m + l, and x + y = HI[h_x, h_y] + LO[l_x, l_y]
+        self._split = self._hi = self._lo = None
+        if p != 2 and n > 1:
+            k = (n + 1) // 2
+            self._split = m = p ** k
+            self._lo = _digit_sum_table(p, k)
+            self._hi = _digit_sum_table(p, n - k) * m
             for t in (self._lo, self._hi):
                 t.setflags(write=False)
-            # the scalar add reads Python lists: no numpy round trip per call
-            self._lo_rows = self._lo.tolist()
-            self._hi_rows = self._hi.tolist()
 
         self._frob = None
         self._trace = None
@@ -268,12 +279,6 @@ class FieldSpec:
 
     def _undigitize(self, digs):
         return (digs.astype(np.int64) @ self._pow_p).astype(np.int32)
-
-    def _digit_sum_table(self, size):
-        """size x size table of the digit-wise sums of the ranks below size
-        (a power of p)."""
-        d = self._digits[:size]
-        return self._undigitize((d[:, None, :] + d[None, :, :]) % self.p)
 
     def _scalar_mul_poly(self, x: int, y: int) -> int:
         a = list(self._digits[x])
@@ -313,14 +318,10 @@ class FieldSpec:
         q = self.q
         # the canonical modulus is primitive, so the class of x generates;
         # probe it first, then fall back to a search for custom moduli
-        candidates = []
-        if self.n > 1:
-            candidates.append(self.p)
-        else:
-            candidates.append((-self.modulus[0]) % self.p)
-        candidates.extend(r for r in range(2, q) if r not in candidates)
+        first = self.p if self.n > 1 else (-self.modulus[0]) % self.p
         factors = _prime_factors(q - 1)
-        for g in candidates:
+        rest = (r for r in range(2, q) if r != first)
+        for g in itertools.chain([first], rest):
             if g in (0, 1):
                 continue
             if all(self._scalar_pow_poly(g, (q - 1) // r) != 1 for r in factors):
@@ -369,9 +370,11 @@ class FieldSpec:
         x, y = self._check(x), self._check(y)
         if self.p == 2:
             return x ^ y
+        if self._split is None:
+            return (x + y) % self.p
         hx, lx = divmod(x, self._split)
         hy, ly = divmod(y, self._split)
-        return self._hi_rows[hx][hy] + self._lo_rows[lx][ly]
+        return int(self._hi[hx, hy] + self._lo[lx, ly])
 
     def neg(self, x: int) -> int:
         return int(self._neg[self._check(x)])
@@ -455,6 +458,8 @@ class FieldSpec:
     def add_arrays(self, xs, ys):
         if self.p == 2:
             return np.bitwise_xor(xs, ys)
+        if self._split is None:
+            return np.add(xs, ys) % self.p
         m = self._split
         hx, lx = np.divmod(xs, m)
         hy, ly = np.divmod(ys, m)
@@ -470,14 +475,12 @@ class FieldSpec:
         a = np.asarray(a_list, dtype=np.intp)
         if self.p == 2:
             return a[:, None] ^ np.arange(self.q)[None, :]
+        if self._split is None:
+            return (a[:, None] + np.arange(self.q)[None, :]) % self.p
         # x = h*m + l runs over h (rows of HI) and then l (rows of LO)
         ha, la = np.divmod(a, self._split)
         return (self._hi[ha][:, :, None]
                 + self._lo[la][:, None, :]).reshape(len(a), self.q)
-
-    def add_row(self, a: int):
-        """Vector of x + a over all ranks x."""
-        return self.add_rows([a])[0]
 
     def scale_array(self, c: int, xs):
         """c * xs elementwise for a constant c."""

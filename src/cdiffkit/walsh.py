@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdiff import _count_blocks, derivative_rows
+from .cdiff import BLOCK_ELEMENTS, _count_blocks, derivative_rows
 from .errors import NotRationalInteger, SizeGuardExceeded
 from .field import FieldSpec
 from .functions import FunctionTable
@@ -351,11 +351,12 @@ def pcn_power_sum(F: FunctionTable, c: int) -> int:
     """
     _reject_c1(c)
     # |W(u,v)|^2 |W(u,cv)|^2 = |G(u,v)|^2 with G(u,v) = W(u,v) conj(W(u,cv)),
-    # formed and reduced a block of at most max(q, 2^16) entries (u, v) at a
-    # time; each block picks its own exact dtype, and the block sums are exact
+    # formed and reduced a block of at most max(q, BLOCK_ELEMENTS) entries
+    # (u, v) at a time; each block picks its own exact dtype, and the block
+    # sums are exact
     W = _walsh_array(F)
     q, p = F.spec.q, F.spec.p
-    rows = max(1, 2 ** 16 // q)
+    rows = max(1, BLOCK_ELEMENTS // q)
     return sum(_conj_power_sum(_g_array(F, c, W[u:u + rows]), 1, p)
                for u in range(0, q, rows)).as_integer()
 
