@@ -148,7 +148,7 @@ def _shift_rows(spec: FieldSpec, values) -> int:
     q - 1.  Every other function scans all q rows.
     """
     q = spec.q
-    if spec._log is None or q <= 2:
+    if q <= 2:
         return q
     A = int(values[1])
     Fg = int(values[spec.primitive_rank])
@@ -205,11 +205,11 @@ def _orbit_representatives(spec: FieldSpec, values, cs) -> dict:
     of row a^p of the c^p-DDT, and both maxima (over all a and over
     a != 0) are constant on each Frobenius orbit of c.  Each requested c is
     then represented by the smallest requested c on its orbit.  The test
-    reads the values only, in O(q); it needs the Frobenius table, n > 1 and
-    at least two values of c.  Otherwise every c represents itself.
+    reads the values only, in O(q); it needs n > 1 and at least two values
+    of c.  Otherwise every c represents itself.
     """
     frob = spec._frob
-    if (frob is None or spec.n == 1 or len(cs) < 2
+    if (spec.n == 1 or len(cs) < 2
             or not np.array_equal(values[frob], frob[values])):
         return {c: (c, 0) for c in cs}
     requested = set(cs)

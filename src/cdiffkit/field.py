@@ -11,8 +11,8 @@ digit-wise and needs no q x q table: for p = 2 it is XOR on ranks, for
 n = 1 it is addition mod p, and otherwise each rank splits as h*m + l with
 m = p^ceil(n/2), so x + y = HI[h_x, h_y] + LO[l_x, l_y] from two digit-sum
 tables.  LO has m^2 entries (q for even n, p*q for odd n) and HI at most q.
-The log/antilog tables are built below a size bound; every multiplicative
-operation has a slow exact fallback above it.
+Multiplication, inversion, powers, Frobenius and trace read log/antilog
+tables built for every field; fields above LOG_TABLE_BOUND are refused.
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ from .errors import (
     NonDivisorSubfieldDegree,
     NonPrimeCharacteristic,
     ReducibleModulus,
+    SizeGuardExceeded,
 )
 
-LOG_TABLE_BOUND = 1 << 20   # build exp/log tables when q <= this
+LOG_TABLE_BOUND = 1 << 20   # largest q whose tables are built
 
 
 def _digit_sum_table(p: int, k: int):
@@ -63,6 +64,15 @@ def is_prime(p: int) -> bool:
 # ---------------------------------------------------------------------------
 # polynomial arithmetic over F_p (coefficient lists, constant term first)
 # ---------------------------------------------------------------------------
+
+def _int_digits(r: int, p: int):
+    """Base-p digits of r, least significant first, with no trailing zeros."""
+    out = []
+    while r:
+        r, d = divmod(r, p)
+        out.append(d)
+    return out
+
 
 def _poly_trim(a):
     while a and a[-1] == 0:
@@ -218,8 +228,7 @@ class FieldSpec:
     processes.  All arithmetic methods are pure.
     """
 
-    def __init__(self, p: int, n: int, modulus=None,
-                 log_table_bound: int = LOG_TABLE_BOUND):
+    def __init__(self, p: int, n: int, modulus=None):
         if not isinstance(p, int) or not is_prime(p):
             raise NonPrimeCharacteristic(f"p = {p} is not prime")
         if not isinstance(n, int) or n < 1:
@@ -227,6 +236,9 @@ class FieldSpec:
         self.p = p
         self.n = n
         self.q = p ** n
+        if self.q > LOG_TABLE_BOUND:
+            raise SizeGuardExceeded(
+                f"field tables need q <= {LOG_TABLE_BOUND}; q = {self.q}")
         if modulus is None:
             modulus = find_default_modulus(p, n)
         modulus = [int(c) % p for c in modulus]
@@ -237,16 +249,10 @@ class FieldSpec:
             raise ReducibleModulus(f"{modulus} factors over F_{p}")
         self.modulus = tuple(modulus)
 
-        self._digits = self._build_digits()
-        self._pow_p = np.array([p ** i for i in range(n)], dtype=np.int64)
-
-        self._exp = None
-        self._log = None
-        self.primitive_rank = None
-        if self.q <= log_table_bound:
-            self._build_log_tables()
-
-        self._neg = self._undigitize((-self._digits) % p)
+        self._build_log_tables()
+        # digit-wise: digit i of -x is -x_i mod p
+        r = np.arange(self.q)
+        self._neg = sum((-(r // p ** i) % p) * p ** i for i in range(n)).astype(np.int32)
         self._neg.setflags(write=False)
 
         # odd p, n > 1: rank r = h*m + l, and x + y = HI[h_x, h_y] + LO[l_x, l_y]
@@ -259,35 +265,17 @@ class FieldSpec:
             for t in (self._lo, self._hi):
                 t.setflags(write=False)
 
-        self._frob = None
-        self._trace = None
-        self._inv = None
-        if self._exp is not None:
-            self._build_unary_tables()
+        self._build_unary_tables()
 
     # -- construction helpers ------------------------------------------------
 
-    def _build_digits(self):
-        q, n, p = self.q, self.n, self.p
-        digits = np.zeros((q, n), dtype=np.int32)
-        r = np.arange(q)
-        for i in range(n):
-            digits[:, i] = r % p
-            r = r // p
-        digits.setflags(write=False)
-        return digits
-
-    def _undigitize(self, digs):
-        return (digs.astype(np.int64) @ self._pow_p).astype(np.int32)
-
     def _scalar_mul_poly(self, x: int, y: int) -> int:
-        a = list(self._digits[x])
-        b = list(self._digits[y])
-        prod = _poly_mod(_poly_mul(_poly_trim(a), _poly_trim(b), self.p),
-                         list(self.modulus), self.p)
+        p = self.p
+        prod = _poly_mod(_poly_mul(_int_digits(x, p), _int_digits(y, p), p),
+                         self.modulus, p)
         r = 0
         for c in reversed(prod):
-            r = r * self.p + c
+            r = r * p + c
         return r
 
     def _build_log_tables(self):
@@ -340,13 +328,12 @@ class FieldSpec:
 
     def _build_unary_tables(self):
         q, p = self.q, self.p
-        exp, log = self._exp, self._log
+        exp = self._exp
         idx = np.arange(q - 1)
         frob = np.zeros(q, dtype=np.int32)
         frob[exp[:q - 1]] = exp[(idx * p) % (q - 1)]
         inv = np.zeros(q, dtype=np.int32)
         inv[exp[:q - 1]] = exp[(q - 1 - idx) % (q - 1)]
-        trace = np.zeros(q, dtype=np.int32)
         cur = np.arange(q, dtype=np.int32)
         acc = np.zeros(q, dtype=np.int32)
         for _ in range(self.n):
@@ -386,17 +373,13 @@ class FieldSpec:
         x, y = self._check(x), self._check(y)
         if x == 0 or y == 0:
             return 0
-        if self._log is not None:
-            return int(self._exp[self._log[x] + self._log[y]])
-        return self._scalar_mul_poly(x, y)
+        return int(self._exp[self._log[x] + self._log[y]])
 
     def inv(self, x: int) -> int:
         x = self._check(x)
         if x == 0:
             raise DivisionByZero("inverse of 0")
-        if self._inv is not None:
-            return int(self._inv[x])
-        return self._scalar_pow_poly(x, self.q - 2)
+        return int(self._inv[x])
 
     def pow(self, x: int, e: int) -> int:
         x = self._check(x)
@@ -407,28 +390,13 @@ class FieldSpec:
             if e == 0:
                 return 1
             raise DivisionByZero("0 raised to a negative power")
-        e %= self.q - 1 if self.q > 2 else 1
-        if self.q == 2:
-            return 1
-        if self._log is not None:
-            return int(self._exp[(int(self._log[x]) * e) % (self.q - 1)])
-        return self._scalar_pow_poly(x, e)
+        return int(self._exp[int(self._log[x]) * e % (self.q - 1)])
 
     def frobenius(self, x: int) -> int:
-        x = self._check(x)
-        if self._frob is not None:
-            return int(self._frob[x])
-        return self.pow(x, self.p)
+        return int(self._frob[self._check(x)])
 
     def trace_abs(self, x: int) -> int:
-        x = self._check(x)
-        if self._trace is not None:
-            return int(self._trace[x])
-        acc, cur = 0, x
-        for _ in range(self.n):
-            acc = self.add(acc, cur)
-            cur = self.pow(cur, self.p)
-        return acc
+        return int(self._trace[self._check(x)])
 
     def trace_rel(self, g: int, x: int) -> int:
         """Relative trace onto GF(p^g): sum of x^(p^(g*i)), i < n/g."""
@@ -445,9 +413,7 @@ class FieldSpec:
         x = self._check(x)
         if self.p == 2 or x == 0:
             return True
-        if self._log is not None:
-            return int(self._log[x]) % 2 == 0
-        return self.pow(x, (self.q - 1) // 2) == 1
+        return int(self._log[x]) % 2 == 0
 
     def elements(self) -> range:
         """All q element ranks in increasing order."""
@@ -490,27 +456,17 @@ class FieldSpec:
             return np.zeros_like(xs)
         if c == 1:
             return xs.copy()
-        if self._log is not None:
-            out = np.zeros_like(xs)
-            nz = xs != 0
-            out[nz] = self._exp[self._log[c] + self._log[xs[nz]]]
-            return out
-        return np.array([self.mul(c, int(x)) for x in xs.ravel()],
-                        dtype=np.int32).reshape(xs.shape)
+        out = np.zeros_like(xs)
+        nz = xs != 0
+        out[nz] = self._exp[self._log[c] + self._log[xs[nz]]]
+        return out
 
     def mul_arrays(self, xs, ys):
-        xs = np.asarray(xs)
-        ys = np.asarray(ys)
-        if self._log is not None:
-            xs, ys = np.broadcast_arrays(xs, ys)
-            out = np.zeros(xs.shape, dtype=np.int32)
-            nz = (xs != 0) & (ys != 0)
-            out[nz] = self._exp[self._log[xs[nz]] + self._log[ys[nz]]]
-            return out
-        flat = [self.mul(int(x), int(y)) for x, y in
-                zip(np.broadcast_to(xs, np.broadcast_shapes(xs.shape, ys.shape)).ravel(),
-                    np.broadcast_to(ys, np.broadcast_shapes(xs.shape, ys.shape)).ravel())]
-        return np.array(flat, dtype=np.int32).reshape(np.broadcast_shapes(xs.shape, ys.shape))
+        xs, ys = np.broadcast_arrays(np.asarray(xs), np.asarray(ys))
+        out = np.zeros(xs.shape, dtype=np.int32)
+        nz = (xs != 0) & (ys != 0)
+        out[nz] = self._exp[self._log[xs[nz]] + self._log[ys[nz]]]
+        return out
 
     def pow_all(self, e: int):
         """Vector of x^e over all ranks x (0^e = 0 for e >= 1)."""
@@ -520,18 +476,14 @@ class FieldSpec:
         q = self.q
         if e == 0:
             return np.ones(q, dtype=np.int32)
-        if self._log is not None and q > 2:
-            out = np.zeros(q, dtype=np.int32)
-            idx = np.arange(1, q)
-            out[idx] = self._exp[(self._log[idx].astype(np.int64) * (e % (q - 1))) % (q - 1)]
-            return out
-        return np.array([self.pow(x, e) for x in range(q)], dtype=np.int32)
+        out = np.zeros(q, dtype=np.int32)
+        idx = np.arange(1, q)
+        out[idx] = self._exp[(self._log[idx].astype(np.int64) * (e % (q - 1))) % (q - 1)]
+        return out
 
     def trace_all(self):
         """Vector of absolute traces over all ranks."""
-        if self._trace is not None:
-            return self._trace
-        return np.array([self.trace_abs(x) for x in range(self.q)], dtype=np.int32)
+        return self._trace
 
     # -- identity / serialization ---------------------------------------------
 
@@ -555,22 +507,21 @@ class FieldSpec:
 
 
 @functools.lru_cache(maxsize=32)
-def _build_cached(p, n, modulus, log_table_bound):
-    return FieldSpec(p, n, None if modulus is None else list(modulus),
-                     log_table_bound)
+def _build_cached(p, n, modulus):
+    return FieldSpec(p, n, None if modulus is None else list(modulus))
 
 
-def build_field(p: int, n: int, modulus=None,
-                log_table_bound: int = LOG_TABLE_BOUND) -> FieldSpec:
+def build_field(p: int, n: int, modulus=None) -> FieldSpec:
     """Validated field model; omit the modulus to get the canonical one.
 
     The default modulus is the lexicographically smallest primitive
     polynomial (coefficient vectors ordered as base-p integers, constant
     term least significant), so repeated builds agree across runs.
     The 32 most recently used fields are cached; treat the returned
-    FieldSpec as read-only.
+    FieldSpec as read-only.  Raises SizeGuardExceeded for q above
+    LOG_TABLE_BOUND.
     """
     if not isinstance(p, int) or not is_prime(p):
         raise NonPrimeCharacteristic(f"p = {p} is not prime")
     key = None if modulus is None else tuple(int(c) for c in modulus)
-    return _build_cached(p, n, key, log_table_bound)
+    return _build_cached(p, n, key)

@@ -114,11 +114,7 @@ def from_polynomial(spec: FieldSpec, coeffs: dict) -> FunctionTable:
 
 def inverse_table(spec: FieldSpec) -> FunctionTable:
     """The inverse map x -> x^(q-2) with 0 -> 0."""
-    q = spec.q
-    vals = np.zeros(q, dtype=np.int32)
-    for x in range(1, q):
-        vals[x] = spec.inv(x)
-    return FunctionTable(spec, vals, {"kind": "inverse"})
+    return FunctionTable(spec, spec._inv, {"kind": "inverse"})
 
 
 def raw_table(spec: FieldSpec, values) -> FunctionTable:

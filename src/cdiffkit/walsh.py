@@ -270,26 +270,33 @@ def _transform_1d(spec: FieldSpec, arr: np.ndarray, axis: int) -> np.ndarray:
     of w) followed by a gather by t.  Its twiddle factors are rotations of
     the coefficient axis; each stage grows the largest coefficient by at
     most a factor of p, so q = p^n bounds the whole transform.
+
+    arr is overwritten: the stages and the gather alternate between arr and
+    one buffer of its size, so at most two such arrays are live.
     """
     q, p, n = spec.q, spec.p, spec.n
     arr = np.moveaxis(arr, axis, 0)
     peak = int(np.abs(arr).max()) if arr.size else 0
     if peak and peak > (2 ** 62) // (q * p):
         raise SizeGuardExceeded("transform would overflow int64 accumulators")
-    x = arr.reshape((p,) * n + arr.shape[1:])    # one axis per digit of w
+    bufs = (arr, np.empty_like(arr))
+    digit_shape = (p,) * n + arr.shape[1:]      # one axis per digit of w
     for i in range(n):
-        y = np.moveaxis(x, i, 0)
-        out = np.empty_like(y)
+        # splitting the leading axis is always a view, so out writes the buffer
+        y = np.moveaxis(bufs[i % 2].reshape(digit_shape), i, 0)
+        out = np.moveaxis(bufs[(i + 1) % 2].reshape(digit_shape), i, 0)
         for k in range(p):
             out[k] = y[0]
             for d in range(1, p):
                 out[k] += np.roll(y[d], k * d % p, axis=-1)   # zeta^(k d) y[d]
-        x = np.moveaxis(out, 0, i)
-    del y      # frees the last stage's input before the gather
     tr = spec.trace_all()
     # the polynomial basis element alpha^i has rank p^i
     t = sum(tr[spec.scale_array(p ** i, np.arange(q))] * p ** i for i in range(n))
-    return np.moveaxis(x.reshape(arr.shape)[t], 0, axis)
+    src, result = bufs[n % 2], bufs[(n + 1) % 2]
+    step = q // p
+    for s in range(0, q, step):     # q/p rows at a time: its temporary stays small
+        result[s:s + step] = src[t[s:s + step]]
+    return np.moveaxis(result, 0, axis)
 
 
 def _convolution_tensor(F: FunctionTable, c: int, j: int,
@@ -351,12 +358,12 @@ def pcn_power_sum(F: FunctionTable, c: int) -> int:
     """
     _reject_c1(c)
     # |W(u,v)|^2 |W(u,cv)|^2 = |G(u,v)|^2 with G(u,v) = W(u,v) conj(W(u,cv)),
-    # formed and reduced a block of at most max(q, BLOCK_ELEMENTS) entries
-    # (u, v) at a time; each block picks its own exact dtype, and the block
-    # sums are exact
+    # formed and reduced a block of at most max(q p, BLOCK_ELEMENTS)
+    # coefficients at a time; each block picks its own exact dtype, and the
+    # block sums are exact
     W = _walsh_array(F)
     q, p = F.spec.q, F.spec.p
-    rows = max(1, BLOCK_ELEMENTS // q)
+    rows = max(1, BLOCK_ELEMENTS // (q * p))
     return sum(_conj_power_sum(_g_array(F, c, W[u:u + rows]), 1, p)
                for u in range(0, q, rows)).as_integer()
 

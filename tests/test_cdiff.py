@@ -496,12 +496,9 @@ def test_orbit_dispatch_matches_every_c(case, conv):
 
 
 def test_orbit_dispatch_needs_frobenius_and_two_cs():
-    no_log_tables = build_field(3, 3, log_table_bound=8)
-    assert no_log_tables._frob is None
-    # GF(2) and a prime field (n = 1), a field without a Frobenius table,
-    # and a single c all scan every c
+    # GF(2) and a prime field (n = 1), and a single c all scan every c
     for spec, cs in [(build_field(2, 1), [0, 1]), (build_field(7, 1), list(range(7))),
-                     (no_log_tables, list(range(27))), (build_field(3, 3), [2])]:
+                     (build_field(3, 3), [2])]:
         F = from_monomial(spec, 2)
         assert (cdiff._orbit_representatives(spec, F.values, cs)
                 == {c: (c, 0) for c in cs})

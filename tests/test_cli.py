@@ -119,9 +119,12 @@ def test_walsh_check_command(capsys):
     assert payload["convolution"]["sides_equal"] is True
 
 
-def test_walsh_check_size_guard_exit_3(capsys):
-    code, _, err = run(capsys, "walsh-check", "--p", "3", "--n", "5",
-                       "--function", "monomial:2", "--c", "2")
+@pytest.mark.parametrize("argv", [
+    ["walsh-check", "--p", "3", "--n", "5", "--function", "monomial:2", "--c", "2"],
+    ["field-info", "--p", "2", "--n", "21"],
+], ids=lambda argv: argv[0])
+def test_walsh_check_size_guard_exit_3(capsys, argv):
+    code, _, err = run(capsys, *argv)
     assert code == 3
     assert "guard" in err
 

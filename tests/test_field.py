@@ -1,4 +1,5 @@
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from cdiffkit import build_field, find_default_modulus
 from cdiffkit.errors import (DegreeMismatch, DivisionByZero,
                              NonDivisorSubfieldDegree, NonPrimeCharacteristic,
-                             ReducibleModulus)
+                             ReducibleModulus, SizeGuardExceeded)
 from cdiffkit.field import FieldSpec, _build_cached, is_irreducible
 
 from oracles import SlowField, slow_field_like
@@ -65,12 +66,22 @@ def test_default_modulus_reproducible():
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 4), (3, 2), (3, 3), (5, 2), (7, 1)])
 def test_arith_matches_schoolbook_oracle(p, n):
     spec = build_field(p, n)
+    q = spec.q
     oracle = slow_field_like(spec)
-    for x in range(spec.q):
-        for y in range(spec.q):
+    for x in range(q):
+        for y in range(q):
             assert spec.add(x, y) == oracle.add(x, y)
             assert spec.mul(x, y) == oracle.mul(x, y)
             assert spec.sub(x, y) == oracle.sub(x, y)
+        for e in (0, 1, 2, 3, q - 2, q + 5):
+            assert spec.pow(x, e) == oracle.pow(x, e)
+        if x:
+            assert spec.inv(x) == oracle.inv(x)
+            assert spec.pow(x, -3) == oracle.pow(x, -3)
+        assert spec.frobenius(x) == oracle.pow(x, p)
+        assert spec.trace_abs(x) == oracle.trace(x)
+        assert spec.is_square(x) == (p == 2 or x == 0
+                                     or oracle.pow(x, (q - 1) // 2) == 1)
 
 
 def test_gf8_examples(gf8):
@@ -193,14 +204,13 @@ def test_log_antilog_roundtrip(gf27):
         assert int(gf27._exp[int(gf27._log[r])]) == r
 
 
-def test_tableless_field_agrees(gf27):
-    bare = FieldSpec(3, 3, list(gf27.modulus), log_table_bound=0)
-    for x in range(0, 27, 2):
-        for y in range(27):
-            assert bare.mul(x, y) == gf27.mul(x, y)
-            assert bare.add(x, y) == gf27.add(x, y)
-    assert [bare.trace_abs(x) for x in range(27)] == list(gf27.trace_all())
-    assert [bare.is_square(x) for x in range(27)] == [gf27.is_square(x) for x in range(27)]
+def test_field_above_table_bound_is_refused():
+    # refused before the modulus search and any table is built
+    for make, p, n in [(build_field, 2, 21), (FieldSpec, 3, 13)]:
+        start = time.perf_counter()
+        with pytest.raises(SizeGuardExceeded):
+            make(p, n)
+        assert time.perf_counter() - start < 1
 
 
 def test_json_roundtrip(gf9):
