@@ -135,8 +135,8 @@ def ddt_c(F: FunctionTable, c: int) -> np.ndarray:
 
 
 def _shift_rows(spec: FieldSpec, values) -> int:
-    """The kernel's dispatch point: how many leading shift rows a = 0, 1, ...
-    decide every per-c maximum and its witness.
+    """The shortcut over rows, for _sweep: how many leading shift rows
+    a = 0, 1, ... decide every per-c maximum and its witness.
 
     For F = A*x^d (A != 0, d >= 1) and a != 0, substituting x = a*y gives
     F(x + a) - c*F(x) = a^d (F(y + 1) - c*F(y)), so row a is row 1 with b
@@ -171,33 +171,10 @@ def _row_maxima(spec: FieldSpec, values, c: int, rows: int):
     return np.concatenate(maxima), np.concatenate(first_b)
 
 
-def _maximal_rows(row_max):
-    """(max over all a, the rows attaining it, max over a != 0, the rows
-    a != 0 attaining it), rows ascending."""
-    best_all = int(row_max.max())
-    best_nz = int(row_max[1:].max())
-    return (best_all, np.nonzero(row_max == best_all)[0],
-            best_nz, 1 + np.nonzero(row_max[1:] == best_nz)[0])
-
-
-def _scan_c(spec: FieldSpec, values, c: int, rows: int):
-    """The per-c maxima over the shifts a < rows.
-
-    Returns (max over those a, witness, max over those a != 0, witness),
-    each witness being the lexicographically smallest (a, b) attaining the
-    maximum.  rows = q is the generic all-shifts scan.
-    """
-    row_max, first_b = _row_maxima(spec, values, c, rows)
-    best_all, top_all, best_nz, top_nz = _maximal_rows(row_max)
-    a_all, a_nz = int(top_all[0]), int(top_nz[0])
-    return (best_all, (a_all, int(first_b[a_all])),
-            best_nz, (a_nz, int(first_b[a_nz])))
-
-
 def _orbit_representatives(spec: FieldSpec, values, cs) -> dict:
-    """The dispatch point over c: maps each requested c (cs ascending, and
-    so the keys) to (r, k), where c = r^(p^k) and r is the c whose scan
-    decides it.
+    """The shortcut over c, for _sweep: maps each requested c (cs
+    ascending, and so the keys) to (r, k), where c = r^(p^k) and r is the
+    c whose scan decides it.
 
     If F commutes with Frobenius, F(x^p) = F(x)^p for every x, then raising
     F(x + a) - c*F(x) = b to the p-th power gives
@@ -232,70 +209,68 @@ def _solutions(spec: FieldSpec, values, c: int, a: int, b: int):
     return tuple(int(x) for x in np.nonzero(d == b)[0])
 
 
-def _witness_solutions(spec: FieldSpec, values, c: int, value: int,
-                       a: int, b: int):
-    """Solution set of the witness (a, b), after recounting row a directly:
-    its maximum must be value and b the smallest b attaining it."""
-    d = derivative_rows(spec, values, c, [a])[0]
-    counts = np.bincount(d, minlength=spec.q)
-    if counts.max() != value or int(np.argmax(counts)) != b:
-        raise WitnessMismatch(
-            f"c = {c}: kernel reports {value} at (a, b) = ({a}, {b}), but row "
-            f"{a} has maximum {counts.max()} first attained at b = "
-            f"{int(np.argmax(counts))}")
-    return tuple(int(x) for x in np.nonzero(d == b)[0])
-
-
-def _admissible_max(conv: AConvention, c: int, top):
-    """(value, rows attaining it) from _maximal_rows under the convention."""
-    return top[:2] if conv.admits_zero_shift(c) else top[2:]
-
-
-def _uniformity_at(state, item):
-    """(result for c, the rows attaining c's maxima if keep, else None) for
-    item = (c, keep)."""
-    spec, values, conv, rows = state
-    c, keep = item
+def _scan(state, c: int):
+    """The scan record of one c over the shifts a < rows: for a >= 0 and
+    for a >= 1, (the maximum, the rows attaining it ascending, the smallest
+    b attaining it in the first of those rows)."""
+    spec, values, rows = state
     row_max, first_b = _row_maxima(spec, values, c, rows)
-    top = _maximal_rows(row_max)
-    value, top_rows = _admissible_max(conv, c, top)
-    a = int(top_rows[0])
-    b = int(first_b[a])
-    sols = _witness_solutions(spec, values, c, value, a, b)
-    return UniformityResult(c, value, a, b, sols, conv), (top if keep else None)
+    record = []
+    for lo in (0, 1):
+        best = int(row_max[lo:].max())
+        top = lo + np.nonzero(row_max[lo:] == best)[0]
+        record.append((best, top, int(first_b[top[0]])))
+    return tuple(record)
 
 
-def _orbit_image(state, c: int, k: int, top) -> UniformityResult:
-    """The result for c = r^(p^k) from the rows attaining r's maxima.
+def _sweep(F: FunctionTable, c_filter, threads: int):
+    """The one dispatch point of every uniformity query.
+
+    Resolves the c-set, picks the c values to scan (_orbit_representatives)
+    and the rows a < rows that decide each scan (_shift_rows), and scans
+    each representative once, in one parallel map.  Returns the map
+    {c: (r, k)} over the c-set ascending, and {r: scan record} (see _scan).
+    """
+    spec, values = F.spec, F.values
+    rep = _orbit_representatives(spec, values, admissible_c(spec, c_filter))
+    scanned = [c for c, (r, _) in rep.items() if r == c]
+    records = parallel_map(_scan, (spec, values, _shift_rows(spec, values)),
+                           scanned, threads)
+    return rep, dict(zip(scanned, records))
+
+
+def _result(spec: FieldSpec, values, conv: AConvention, c: int, k: int,
+            record) -> UniformityResult:
+    """The result for c = r^(p^k) from the scan record of r; k = 0 means c
+    was scanned itself.
 
     Row a of r has the maximum of row a^(p^k) of c, so c's witness row is
-    the smallest image of a row that attains r's maximum; its smallest b
-    is found by counting that one row.
+    the smallest image of a row attaining r's maximum: the row a scan of c
+    would find first.  That row is recounted.  Its maximum must be the
+    scanned value and, when k = 0, its smallest b the kernel's; otherwise
+    WitnessMismatch is raised.
     """
-    spec, values, conv, _ = state
-    value, top_rows = _admissible_max(conv, c, top)
+    value, rows, b = record[0 if conv.admits_zero_shift(c) else 1]
     for _ in range(k):
-        top_rows = spec._frob[top_rows]
-    a = int(top_rows.min())
-    row = derivative_rows(spec, values, c, [a])[0]
-    b = int(np.argmax(np.bincount(row, minlength=spec.q)))
-    sols = _witness_solutions(spec, values, c, value, a, b)
-    return UniformityResult(c, value, a, b, sols, conv)
-
-
-def _both_conventions_at(state, c: int):
-    spec, values, _, rows = state
-    return (c,) + _scan_c(spec, values, c, rows)
-
-
-def _kernel_state(F: FunctionTable, conv):
-    return (F.spec, F.values, conv, _shift_rows(F.spec, F.values))
+        rows = spec._frob[rows]
+    a = int(rows.min())
+    d = derivative_rows(spec, values, c, [a])[0]
+    counts = np.bincount(d, minlength=spec.q)
+    top = int(counts.argmax())
+    if counts[top] != value or (k == 0 and top != b):
+        first = f", first at b = {b}" if k == 0 else ""
+        raise WitnessMismatch(
+            f"c = {c}: the scan gives maximum {value} in row {a}{first}; a "
+            f"recount gives {counts[top]}, first at b = {top}")
+    return UniformityResult(c, value, a, top,
+                            tuple(int(x) for x in np.nonzero(d == top)[0]), conv)
 
 
 def uniformity(F: FunctionTable, c: int, conv: AConvention) -> UniformityResult:
     """Maximum difference count over the convention's admissible (a, b),
-    with the lexicographically smallest witness and its solution set."""
-    return _uniformity_at(_kernel_state(F, conv), (c, False))[0]
+    with the lexicographically smallest witness and its solution set: the
+    one result of a one-c spectrum."""
+    return spectrum(F, [c], conv).results[0]
 
 
 def admissible_c(spec: FieldSpec, c_filter) -> list:
@@ -320,26 +295,19 @@ def spectrum(F: FunctionTable, c_filter, conv: AConvention,
              threads: int = 1) -> SpectrumReport:
     """Per-c uniformity over a set of c values, plus the overall maximum.
 
-    Only the orbit representatives (see _orbit_representatives) are
-    scanned.  Every other c takes its witness row from the rows attaining
-    its representative's maximum, mapped through Frobenius: that is the
-    lexicographically smallest witness a scan of c would find.  Its
-    smallest b and solution set are counted from that one row.  With
-    threads > 1 the representatives are distributed over worker processes
-    (fork start method); results are merged in c order, so the report is
-    identical for every thread count.
+    One sweep (see _sweep) scans the orbit representatives only, over the
+    rows that decide them.  Every c's witness row comes from its
+    representative's scan record (see _result) and is recounted, so a
+    wrong value raises WitnessMismatch.  With threads > 1 the
+    representatives are distributed over worker processes (fork start
+    method); results are merged in c order, so the report is identical for
+    every thread count.
     """
     spec = F.spec
-    cs = admissible_c(spec, c_filter)
-    state = _kernel_state(F, conv)
-    rep = _orbit_representatives(spec, F.values, cs)
-    shared = {r for r, k in rep.values() if k}
-    firsts = [c for c, (r, _) in rep.items() if r == c]
-    done = dict(zip(firsts, parallel_map(_uniformity_at, state,
-                                         [(c, c in shared) for c in firsts], threads)))
-    results = tuple(done[c][0] if r == c else _orbit_image(state, c, k, done[r][1])
+    rep, records = _sweep(F, c_filter, threads)
+    results = tuple(_result(spec, F.values, conv, c, k, records[r])
                     for c, (r, k) in rep.items())
-    c_desc = c_filter if isinstance(c_filter, str) else ",".join(map(str, cs))
+    c_desc = c_filter if isinstance(c_filter, str) else ",".join(map(str, rep))
     return SpectrumReport(
         field=spec.to_json_dict(),
         origin=dict(F.origin),
@@ -354,23 +322,22 @@ def dual_convention_max(F: FunctionTable, c_filter, threads: int = 1):
     """Overall maxima under both conventions in a single sweep.
 
     Returns {"include-zero": (max, witness), "nonzero": (max, witness)} over
-    the given c-set, where each witness is (c, a, b).  Only the orbit
-    representatives (see _orbit_representatives) are scanned: values are
-    constant on an orbit, so the first c in ascending order that reaches
-    each maximum is the smallest requested member of its orbit.
+    the given c-set, where each witness is (c, a, b) and (0, None) stands
+    for an empty c-set.  The sweep (see _sweep) scans the orbit
+    representatives only; values are constant on an orbit, so the first c
+    in ascending order that reaches each maximum is the smallest requested
+    member of its orbit.  Its witness is recounted as in spectrum, so a
+    wrong value raises WitnessMismatch.
     """
-    cs = admissible_c(F.spec, c_filter)
-    rep = _orbit_representatives(F.spec, F.values, cs)
-    rows = parallel_map(_both_conventions_at, _kernel_state(F, None),
-                        [c for c, (r, _) in rep.items() if r == c], threads)
-    best = {"include-zero": (0, None), "nonzero": (0, None)}
-    for (c, best_all, wit_all, best_nz, wit_nz) in rows:
-        if c != 1 and best_all > best["include-zero"][0]:
-            best["include-zero"] = (best_all, (c,) + wit_all)
-        if c == 1 and best_nz > best["include-zero"][0]:
-            best["include-zero"] = (best_nz, (c,) + wit_nz)
-        if best_nz > best["nonzero"][0]:
-            best["nonzero"] = (best_nz, (c,) + wit_nz)
+    _, records = _sweep(F, c_filter, threads)
+    best = {}
+    for conv in AConvention:
+        if not records:
+            best[conv.value] = (0, None)
+            continue
+        r = max(records, key=lambda r: records[r][0 if conv.admits_zero_shift(r) else 1][0])
+        res = _result(F.spec, F.values, conv, r, 0, records[r])
+        best[conv.value] = (res.value, (r, res.witness_a, res.witness_b))
     return best
 
 

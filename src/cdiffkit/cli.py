@@ -16,7 +16,7 @@ from .errors import CdiffkitError, SizeGuardExceeded
 from .field import build_field
 from .functions import from_monomial, from_polynomial, inverse_table, load_table
 from .numth import gcd_power_formula, trinomial_roots
-from .theorems import CLAIM_IDS, summarize, sweep
+from .theorems import CLAIM_IDS, deca_trinomial, summarize, sweep
 from .walsh import (APCN_SIZE_GUARD, CONVOLUTION_TERM_GUARD, apcn_statistic,
                     convolution_statistic, pcn_power_sum)
 from . import reference_data
@@ -268,7 +268,6 @@ def _reproduce_rows(table_id, max_n, allow_long, threads):
                 conventions[name] = "nonzero"
         else:
             spec = build_field(3, n)
-            from .theorems import deca_trinomial
             for name, desc in data["functions"].items():
                 u = 1 if name == "minus" else spec.neg(1)
                 F = deca_trinomial(spec, u)
@@ -302,11 +301,10 @@ def _cmd_reproduce(args):
             if isinstance(comp, dict):
                 match = any(v == pub for v in comp.values())
                 comp_txt = "/".join(f"{k}={v}" for k, v in sorted(comp.items()))
-                conv = row["conventions"][name]
             else:
                 match = comp == pub
                 comp_txt = str(comp)
-                conv = row["conventions"][name]
+            conv = row["conventions"][name]
             all_match &= match
             cells.append(f"{name}: {pub} {comp_txt} {'ok' if match else 'MISMATCH'}")
             row_out["cells"][name] = {

@@ -84,7 +84,7 @@ def trinomial_roots(spec: FieldSpec, k: int, a: int, b: int) -> TrinomialOutcome
 
     if a == 0:
         root = spec.pow(b, p ** (n - k))
-        assert spec.pow(root, p ** k) == b
+        _assert_root(spec, k, a, b, root)
         return TrinomialOutcome(p, k, n, a, b, g, m, 1, (root,), None, None)
 
     # alpha_r, beta_r recursion, r = 1 .. m-1
@@ -127,7 +127,8 @@ def trinomial_roots(spec: FieldSpec, k: int, a: int, b: int) -> TrinomialOutcome
         int(r) for r in spec.add_arrays(
             np.full(len(subfield), x0, dtype=np.int32),
             spec.scale_array(tau, subfield))))
-    assert len(roots) == p ** g
+    if len(roots) != p ** g:
+        raise AssertionError(f"built {len(roots)} roots, expected p^g = {p ** g}")
     return TrinomialOutcome(p, k, n, a, b, g, m, p ** g, roots, alpha, beta)
 
 
@@ -229,7 +230,8 @@ def _sqrt(spec: FieldSpec, x: int) -> int:
     if x == 0:
         return 0
     lg = int(spec._log[x])
-    assert lg % 2 == 0
+    if lg % 2:
+        raise AssertionError(f"{x} has odd logarithm {lg}: not a square")
     return int(spec._exp[lg // 2])
 
 

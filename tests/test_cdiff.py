@@ -275,12 +275,39 @@ def test_raw_function_uniformity_oracle():
 def test_witness_check_rejects_inflated_value(gf8):
     F = from_monomial(gf8, 3)
     res = uniformity(F, 7, NZ)
-    args = (gf8, F.values, 7)
-    assert cdiff._witness_solutions(*args, res.value, 1, 1) == res.solutions
+    assert (res.witness_a, res.witness_b) == (1, 1)
+
+    def result(value, b):   # a scan record whose a != 0 maximum is in row 1
+        return cdiff._result(gf8, F.values, NZ, 7, 0, (None, (value, np.array([1]), b)))
+
+    assert result(res.value, 1) == res
     with pytest.raises(WitnessMismatch):
-        cdiff._witness_solutions(*args, res.value + 1, 1, 1)
+        result(res.value + 1, 1)
     with pytest.raises(WitnessMismatch):   # row 1 first attains its maximum at b = 1
-        cdiff._witness_solutions(*args, res.value, 1, 2)
+        result(res.value, 2)
+
+
+def test_inflated_scan_raises_in_every_entry_point(gf27):
+    # 9 is the smallest member of its Frobenius orbit {9, 13, 16}, so it is
+    # scanned, and a maximum above q makes it the first c reaching both
+    # overall maxima of dual_convention_max
+    F = deca_trinomial(gf27, 1)
+    row_maxima = cdiff._row_maxima
+
+    def inflated(spec, values, c, rows):
+        row_max, first_b = row_maxima(spec, values, c, rows)
+        if c == 9:
+            row_max = row_max.copy()
+            row_max[1] += spec.q
+        return row_max, first_b
+
+    with mock.patch.object(cdiff, "_row_maxima", inflated):
+        for call in (lambda: spectrum(F, "exclude_0_1", INC),
+                     lambda: spectrum(F, "exclude_0_1", NZ),
+                     lambda: dual_convention_max(F, "exclude_0_1"),
+                     lambda: uniformity(F, 9, NZ)):
+            with pytest.raises(WitnessMismatch):
+                call()
 
 
 # -- the power-map dispatch against the generic all-rows scan ---------------
@@ -367,8 +394,10 @@ def test_dispatch_scan_matches_generic(case):
     rows = cdiff._shift_rows(spec, F.values)
     assert rows == (2 if power_map else q)
     for c in range(q):
-        assert (cdiff._scan_c(spec, F.values, c, rows)
-                == cdiff._scan_c(spec, F.values, c, q))
+        # per maximum (a >= 0, a >= 1): the value, its first row and its b
+        fast, generic = ([(value, int(top[0]), b) for value, top, b in
+                          cdiff._scan((spec, F.values, r), c)] for r in (rows, q))
+        assert fast == generic
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -515,27 +544,30 @@ def test_orbit_representative_is_smallest_requested_member(gf27):
 
 def test_orbit_image_is_recounted(gf27):
     F = deca_trinomial(gf27, 1)
-    state = cdiff._kernel_state(F, INC)
-    _, top = cdiff._uniformity_at(state, (13, True))
+    record = cdiff._scan((gf27, F.values, gf27.q), 13)
     # 16 = 13^3; a single c is scanned directly
-    assert cdiff._orbit_image(state, 16, 1, top) == spectrum(F, [16], INC).results[0]
+    assert (cdiff._result(gf27, F.values, INC, 16, 1, record)
+            == spectrum(F, [16], INC).results[0])
+    inflated = ((record[0][0] + 1,) + record[0][1:], record[1])
     with pytest.raises(WitnessMismatch):
-        cdiff._orbit_image(state, 16, 1, (top[0] + 1,) + top[1:])
+        cdiff._result(gf27, F.values, INC, 16, 1, inflated)
 
 
 def test_orbit_dispatch_scans_one_c_per_orbit():
     # GF(3^5): c = 2 is fixed and the other 240 values of c != 0, 1 form
-    # 48 orbits of 5; a changed value at x = 5 leaves F not invariant
+    # 48 orbits of 5; a changed value at x = 5 leaves F not invariant;
+    # uniformity scans its one c
     spec = build_field(3, 5)
     F = deca_trinomial(spec, 1)
     values = F.values.copy()
     values[5] = (values[5] + 1) % spec.q
     for G, scans in ((F, 49), (raw_table(spec, values), 241)):
-        for call in (lambda: spectrum(G, "exclude_0_1", INC),
-                     lambda: dual_convention_max(G, "exclude_0_1")):
+        for call, count in ((lambda: spectrum(G, "exclude_0_1", INC), scans),
+                            (lambda: dual_convention_max(G, "exclude_0_1"), scans),
+                            (lambda: uniformity(G, 13, INC), 1)):
             with mock.patch.object(cdiff, "_row_maxima", wraps=cdiff._row_maxima) as scan:
                 call()
-            assert scan.call_count == scans
+            assert scan.call_count == count
 
 
 # -- the derivative kernel against a literal loop over x ---------------------

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,3 +167,11 @@ def test_numth_caches_are_bounded():
     for fn in cached:
         assert fn.cache_info().maxsize == bound
         assert fn.cache_info().currsize <= bound
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so no check of a result may use one
+    for path in sorted(Path(numth.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name}: assert at lines {lines}"
