@@ -50,6 +50,16 @@ class UniformityResult:
     def classification(self) -> str:
         return {1: "PcN", 2: "APcN"}.get(self.value, "higher")
 
+    def to_json_dict(self) -> dict:
+        return {
+            "c_rank": self.c,
+            "uniformity": self.value,
+            "witness_a": self.witness_a,
+            "witness_b": self.witness_b,
+            "solutions": list(self.solutions),
+            "classification": self.classification,
+        }
+
 
 @dataclass(frozen=True)
 class SpectrumReport:
@@ -67,17 +77,7 @@ class SpectrumReport:
             "a_convention": self.convention,
             "c_set": self.c_set,
             "overall_max": self.overall_max,
-            "results": [
-                {
-                    "c_rank": r.c,
-                    "uniformity": r.value,
-                    "witness_a": r.witness_a,
-                    "witness_b": r.witness_b,
-                    "solutions": list(r.solutions),
-                    "classification": r.classification,
-                }
-                for r in self.results
-            ],
+            "results": [r.to_json_dict() for r in self.results],
         }
 
     def to_csv(self) -> str:
@@ -211,15 +211,26 @@ def _solutions(spec: FieldSpec, values, c: int, a: int, b: int):
 
 def _scan(state, c: int):
     """The scan record of one c over the shifts a < rows: for a >= 0 and
-    for a >= 1, (the maximum, the rows attaining it ascending, the smallest
-    b attaining it in the first of those rows)."""
+    for a >= 1, (the maximum, rows attaining it ascending, the smallest b
+    attaining it in the first row attaining it).
+
+    _result reads only min(frob^k(rows)) for k < n, so when more than n
+    rows attain the maximum the record keeps just the row giving each of
+    those n minima: a record holds at most n rows."""
     spec, values, rows = state
     row_max, first_b = _row_maxima(spec, values, c, rows)
     record = []
     for lo in (0, 1):
         best = int(row_max[lo:].max())
         top = lo + np.nonzero(row_max[lo:] == best)[0]
-        record.append((best, top, int(first_b[top[0]])))
+        b = int(first_b[top[0]])
+        if len(top) > spec.n:
+            keep, image = np.zeros(len(top), dtype=bool), top
+            for _ in range(spec.n):
+                keep[image.argmin()] = True
+                image = spec._frob[image]
+            top = top[keep]
+        record.append((best, top, b))
     return tuple(record)
 
 

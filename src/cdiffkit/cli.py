@@ -17,8 +17,7 @@ from .field import build_field
 from .functions import from_monomial, from_polynomial, inverse_table, load_table
 from .numth import gcd_power_formula, trinomial_roots
 from .theorems import CLAIM_IDS, deca_trinomial, summarize, sweep
-from .walsh import (APCN_SIZE_GUARD, CONVOLUTION_TERM_GUARD, apcn_statistic,
-                    convolution_statistic, pcn_power_sum)
+from .walsh import apcn_statistic, convolution_statistic, pcn_power_sum
 from . import reference_data
 
 CONVENTIONS = {
@@ -104,8 +103,6 @@ def build_parser():
     s.add_argument("--function", required=True)
     s.add_argument("--c", type=int, required=True)
     s.add_argument("--delta", type=int, default=1)
-    s.add_argument("--allow-large", action="store_true",
-                   help="override the size guards")
 
     s = subs.add_parser("trinomial", help="roots of z^(p^k) - a z - b")
     _add_field_args(s)
@@ -146,15 +143,7 @@ def _cmd_uniformity(args):
     spec = _field_from_args(args)
     F = _parse_function(spec, args.function)
     conv = CONVENTIONS[args.a_convention]
-    res = uniformity(F, args.c, conv)
-    payload = {
-        "c_rank": res.c,
-        "uniformity": res.value,
-        "witness_a": res.witness_a,
-        "witness_b": res.witness_b,
-        "solutions": list(res.solutions),
-        "classification": res.classification,
-    }
+    payload = uniformity(F, args.c, conv).to_json_dict()
     print(json.dumps(_envelope(spec, dict(F.origin), conv.value, payload), indent=2))
     return 0
 
@@ -179,8 +168,6 @@ def _cmd_walsh_check(args):
     spec = _field_from_args(args)
     F = _parse_function(spec, args.function)
     c, delta = args.c, args.delta
-    apcn_guard = None if args.allow_large else APCN_SIZE_GUARD
-    term_guard = None if args.allow_large else CONVOLUTION_TERM_GUARD
     pcn = pcn_power_sum(F, c)
     pcn_bound = spec.p ** (4 * spec.n)
     payload = {
@@ -188,12 +175,10 @@ def _cmd_walsh_check(args):
         "pcn": {"sum": pcn, "bound": pcn_bound, "equality": pcn == pcn_bound,
                 "meaning": "equality iff PcN"},
     }
-    lhs, rhs = apcn_statistic(F, c, size_guard=apcn_guard)
+    lhs, rhs = apcn_statistic(F, c)
     payload["apcn"] = {"lhs": lhs, "rhs": rhs, "equality": lhs == rhs,
                        "meaning": "equality iff uniformity <= 2"}
-    count_side, walsh_side = convolution_statistic(
-        F, c, delta, term_guard=term_guard,
-        want_walsh_side=(term_guard is None or spec.q ** (2 * delta) <= term_guard))
+    count_side, walsh_side = convolution_statistic(F, c, delta)
     payload["convolution"] = {
         "delta": delta,
         "count_side": count_side,

@@ -60,7 +60,9 @@ class NotRationalInteger(CdiffkitError):
 
 
 class SizeGuardExceeded(CdiffkitError):
-    """Requested computation exceeds the configured size guard."""
+    """Requested computation exceeds a size bound of the library (field
+    tables, dense DDT, Walsh arrays, int64 transform range); raised before
+    the work is done."""
 
 
 class WitnessMismatch(CdiffkitError):

@@ -39,9 +39,7 @@ from .errors import NotRationalInteger, SizeGuardExceeded
 from .field import FieldSpec
 from .functions import FunctionTable
 
-APCN_SIZE_GUARD = 64                 # q bound for apcn_statistic
-CONVOLUTION_TERM_GUARD = 10 ** 9     # q^(2 delta) bound for the Walsh side
-DERIVATIVE_TERM_GUARD = 10 ** 9      # q^delta bound for the derivative statistic
+WALSH_ENTRY_GUARD = 2 ** 23   # bound on the q^2 p entries of one Walsh array
 
 
 class CyclotomicInt:
@@ -182,11 +180,17 @@ class WalshTable:
         }
 
 
-def _walsh_array(F: FunctionTable) -> np.ndarray:
+def _walsh_array(F: FunctionTable,
+                 size_guard: int | None = WALSH_ENTRY_GUARD) -> np.ndarray:
     """All Walsh values as an int64 array of shape (q, q, p); entry [u, v]
-    is the exponent-count vector of W_F(u, v)."""
+    is the exponent-count vector of W_F(u, v).  Every (q, q, p) array of the
+    Walsh side starts here; q^2 p > size_guard raises before any is made."""
     spec = F.spec
     q = spec.q
+    if size_guard is not None and q * q * spec.p > size_guard:
+        raise SizeGuardExceeded(
+            f"a Walsh array over GF({spec.p}^{spec.n}) holds q^2 p = "
+            f"{q * q * spec.p} entries, above the guard of {size_guard}")
     # zeta^0 at [x, F(x)]; the transform along v gives zeta^Tr(v F(x)), the
     # one along x then gives sum_x zeta^(Tr(v F(x)) + Tr(s x)) = W_F(-s, v)
     graph = np.zeros((q, q, spec.p), dtype=np.int64)
@@ -299,32 +303,30 @@ def _transform_1d(spec: FieldSpec, arr: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(result, 0, axis)
 
 
-def _convolution_tensor(F: FunctionTable, c: int, j: int,
-                        W: np.ndarray | None = None) -> CyclotomicInt:
-    """(W_F W_F^c)^{tensor (j+1)} (0, 0) =
-    sum over u_1..u_j, v_1..v_j of
-      conj(W)(sum u, sum v) * W(sum u, c sum v) * prod_i W(u_i,v_i) conj(W)(u_i,c v_i).
+def _walsh_power_sums(F: FunctionTable, c: int, top: int,
+                      size_guard: int | None = WALSH_ENTRY_GUARD) -> list:
+    """[sum_{a,b} n_F(a,b,c)^j for j = 1..top], from one transform of G.
 
-    Computed exactly as (1/q^2) * sum over characters chi of
-    conj(hat G)(chi) * hat G(chi)^j with G(u, v) = W(u, v) conj(W)(u, c v);
-    the transform collapses the q^(2j) summation to O(q n p^2) coefficient
-    operations per transformed vector.
+    The (j+1)-fold convolution tensor (W_F W_F^c)^{tensor (j+1)} (0, 0), the
+    sum over u_1..u_j, v_1..v_j of conj(W)(sum u, sum v) W(sum u, c sum v)
+    prod_i W(u_i,v_i) conj(W)(u_i,c v_i), is p^(2jn) times the j-th sum and
+    (1/q^2) * sum over characters chi of conj(hat G)(chi) * hat G(chi)^j with
+    G(u, v) = W(u, v) conj(W)(u, c v): one reduction divided by q^(2j+2).
     """
     spec = F.spec
     p, q = spec.p, spec.q
-    if W is None:
-        W = _walsh_array(F)
-    Ghat = _transform_1d(spec, _transform_1d(spec, _g_array(F, c, W), 0), 1)
-    return _exact_divide(_conj_power_sum(Ghat, j, p), q * q)
+    G = _g_array(F, c, _walsh_array(F, size_guard))
+    Ghat = _transform_1d(spec, _transform_1d(spec, G, 0), 1)
+    return [_exact(_conj_power_sum(Ghat, j, p).as_integer(), q ** (2 * j + 2))
+            for j in range(1, top + 1)]
 
 
-def _exact_divide(z: CyclotomicInt, d: int) -> CyclotomicInt:
-    out = []
-    for cf in z.coeffs:
-        if cf % d:
-            raise NotRationalInteger(f"non-exact division of {z!r} by {d}")
-        out.append(cf // d)
-    return CyclotomicInt(z.p, out)
+def _exact(n: int, d: int) -> int:
+    """n / d, which must be an integer."""
+    quotient, rem = divmod(n, d)
+    if rem:
+        raise NotRationalInteger(f"{n} is not divisible by {d}")
+    return quotient
 
 
 def phi_coefficients(delta: int) -> list:
@@ -337,6 +339,12 @@ def phi_coefficients(delta: int) -> list:
             nxt[i] -= r * a
         coeffs = nxt
     return coeffs
+
+
+def _phi(delta: int, base: int, sums) -> int:
+    """base * A_0 + sum_j A_j sums[j - 1], A = phi_coefficients(delta)."""
+    A = phi_coefficients(delta)
+    return base * A[0] + sum(a * s for a, s in zip(A[1:], sums))
 
 
 # ---------------------------------------------------------------------------
@@ -368,27 +376,21 @@ def pcn_power_sum(F: FunctionTable, c: int) -> int:
                for u in range(0, q, rows)).as_integer()
 
 
-def apcn_statistic(F: FunctionTable, c: int, size_guard: int | None = APCN_SIZE_GUARD):
+def apcn_statistic(F: FunctionTable, c: int,
+                   size_guard: int | None = WALSH_ENTRY_GUARD):
     """(lhs, rhs) of the 2-uniformity characterization; lhs >= rhs always,
     equality iff the c-differential uniformity is at most 2 (a = 0 admissible).
 
     lhs is the 6-fold Walsh convolution sum
       sum conj(W)(u1+u2, v1+v2) W(u1+u2, c(v1+v2))
           * prod_i W(u_i, v_i) conj(W)(u_i, c v_i)
-    and rhs = 3 p^(2n) * pcn_power_sum - 2 p^(6n).
+    and rhs = 3 p^(2n) * pcn_power_sum - 2 p^(6n).  size_guard bounds the
+    q^2 p entries of the Walsh arrays (see _walsh_array); None lifts it.
     """
     _reject_c1(c)
-    spec = F.spec
-    if size_guard is not None and spec.q > size_guard:
-        raise SizeGuardExceeded(
-            f"apcn_statistic guarded to q <= {size_guard}; pass size_guard=None "
-            "to override")
-    W = _walsh_array(F)
-    lhs = _convolution_tensor(F, c, 2, W).as_integer()
-    pcn = _convolution_tensor(F, c, 1, W).as_integer()
-    n = spec.n
-    rhs = 3 * spec.p ** (2 * n) * pcn - 2 * spec.p ** (2 * (3 * n))
-    return lhs, rhs
+    q = F.spec.q
+    s1, s2 = _walsh_power_sums(F, c, 2, size_guard)
+    return q ** 4 * s2, 3 * q ** 4 * s1 - 2 * q ** 6
 
 
 def counts_power_sum(F: FunctionTable, c: int, j: int) -> int:
@@ -403,48 +405,29 @@ def counts_power_sum(F: FunctionTable, c: int, j: int) -> int:
     return total
 
 
-def convolution_statistic(F: FunctionTable, c: int, delta: int,
-                          term_guard: int | None = CONVOLUTION_TERM_GUARD,
-                          want_walsh_side: bool = True):
+def convolution_statistic(F: FunctionTable, c: int, delta: int):
     """(count_side, walsh_side) for phi(x) = (x-1)...(x-delta).
 
     count_side = p^(2n) A_0 + sum_j A_j sum_{a,b} n_F(a,b,c)^j; nonnegative,
     zero iff the c-differential uniformity is at most delta (a = 0
     admissible).  walsh_side evaluates the identical quantity through the
-    Walsh convolution tensors and is None when q^(2 delta) exceeds the term
-    guard; whenever both sides are computed they are equal integers.
+    Walsh convolution tensors (see _walsh_power_sums) and is None when the
+    Walsh arrays would exceed WALSH_ENTRY_GUARD; whenever both sides are
+    computed they are equal integers.
     """
     _reject_c1(c)
     if delta < 1:
         raise ValueError("delta must be >= 1")
     spec = F.spec
-    q, n = spec.q, spec.n
-    A = phi_coefficients(delta)
-    count_side = spec.p ** (2 * n) * A[0]
-    for j in range(1, delta + 1):
-        count_side += A[j] * counts_power_sum(F, c, j)
-
-    walsh_side = None
-    if want_walsh_side:
-        if term_guard is not None and q ** (2 * delta) > term_guard:
-            raise SizeGuardExceeded(
-                f"walsh side guarded to q^(2 delta) <= {term_guard}; "
-                "pass want_walsh_side=False for the count side only, or "
-                "term_guard=None to override")
-        W = _walsh_array(F)
-        walsh_side = spec.p ** (2 * n) * A[0]
-        for j in range(1, delta + 1):
-            tensor = _convolution_tensor(F, c, j, W).as_integer()
-            scaled, rem = divmod(A[j] * tensor, spec.p ** (j * 2 * n))
-            if rem:
-                raise NotRationalInteger(
-                    f"tensor for j={j} not divisible by p^(2jn)")
-            walsh_side += scaled
-    return count_side, walsh_side
+    base = spec.q ** 2
+    count_side = _phi(delta, base, [counts_power_sum(F, c, j)
+                                    for j in range(1, delta + 1)])
+    if base * spec.p > WALSH_ENTRY_GUARD:   # the entries of one Walsh array
+        return count_side, None
+    return count_side, _phi(delta, base, _walsh_power_sums(F, c, delta))
 
 
-def derivative_walsh_statistic(F: FunctionTable, c: int, a: int, delta: int,
-                               term_guard: int | None = DERIVATIVE_TERM_GUARD) -> int:
+def derivative_walsh_statistic(F: FunctionTable, c: int, a: int, delta: int) -> int:
     """phi-statistic of one fixed c-derivative D = x -> F(x+a) - cF(x),
     evaluated from the u = 0 row of D's Walsh transform:
 
@@ -452,27 +435,19 @@ def derivative_walsh_statistic(F: FunctionTable, c: int, a: int, delta: int,
           sum_{v_1..v_j} conj(W_D)(0, sum v_i) prod_i W_D(0, v_i)
 
     Nonnegative; zero iff no value of D is taken more than delta times.
+    Only (q, p) arrays are formed.
     """
     _reject_c1(c)
     if delta < 1:
         raise ValueError("delta must be >= 1")
     spec = F.spec
-    q, p, n = spec.q, spec.p, spec.n
-    if term_guard is not None and q ** delta > term_guard:
-        raise SizeGuardExceeded(
-            f"derivative statistic guarded to q^delta <= {term_guard}")
+    q, p = spec.q, spec.p
     dvals = derivative_rows(spec, F.values, c, [a])[0]
     # g[v] = W_D(0, v) = sum_y #{x : D(x) = y} zeta^(Tr(v y)), the transform
-    # of D's value histogram; then hat g(t) = sum_v zeta^(Tr(t v)) g(v)
+    # of D's value histogram; then hat g(t) = sum_v zeta^(Tr(t v)) g(v), and
+    # its reduction with j over q^(j+1) is sum_y #{x : D(x) = y}^(j+1)
     hist = np.zeros((q, p), dtype=np.int64)
     hist[:, 0] = np.bincount(dvals, minlength=q)
     ghat = _transform_1d(spec, _transform_1d(spec, hist, 0), 0)
-    A = phi_coefficients(delta)
-    total = p ** n * A[0]
-    for j in range(1, delta + 1):
-        s_int = _exact_divide(_conj_power_sum(ghat, j, p), q).as_integer()
-        scaled, rem = divmod(A[j] * s_int, p ** (j * n))
-        if rem:
-            raise NotRationalInteger("derivative sum not divisible by p^(jn)")
-        total += scaled
-    return total
+    return _phi(delta, q, [_exact(_conj_power_sum(ghat, j, p).as_integer(),
+                                  q ** (j + 1)) for j in range(1, delta + 1)])

@@ -553,6 +553,29 @@ def test_orbit_image_is_recounted(gf27):
         cdiff._result(gf27, F.values, INC, 16, 1, inflated)
 
 
+@pytest.mark.parametrize("p,n,coeffs", [(3, 3, {1: 1, 0: 2}), (3, 4, {1: 1, 0: 2}),
+                                        (2, 5, {3: 1, 1: 1})])
+def test_scan_records_hold_at_most_n_rows(p, n, coeffs):
+    # x + 2 attains every maximum in every row, and both functions commute
+    # with Frobenius, so orbit images read the bounded records; each
+    # witness is still the lexicographically smallest one in the dense DDT
+    spec = build_field(p, n)
+    F = from_polynomial(spec, coeffs)
+    rep, records = cdiff._sweep(F, "all", 1)
+    assert any(r != c for c, (r, _) in rep.items())
+    for record in records.values():
+        for _, rows, _ in record:
+            assert 1 <= len(rows) <= n
+    for conv in (INC, NZ):
+        for res in spectrum(F, "all", conv).results:
+            ddt = ddt_c(F, res.c)
+            lo = 0 if conv.admits_zero_shift(res.c) else 1
+            row_max = ddt[lo:].max(axis=1)
+            a = lo + int(np.argmax(row_max == res.value))
+            assert row_max.max() == res.value
+            assert (res.witness_a, res.witness_b) == (a, int(ddt[a].argmax()))
+
+
 def test_orbit_dispatch_scans_one_c_per_orbit():
     # GF(3^5): c = 2 is fixed and the other 240 values of c != 0, 1 form
     # 48 orbits of 5; a changed value at x = 5 leaves F not invariant;

@@ -120,7 +120,7 @@ def test_walsh_check_command(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["walsh-check", "--p", "3", "--n", "5", "--function", "monomial:2", "--c", "2"],
+    ["walsh-check", "--p", "2", "--n", "12", "--function", "monomial:2", "--c", "2"],
     ["field-info", "--p", "2", "--n", "21"],
 ], ids=lambda argv: argv[0])
 def test_walsh_check_size_guard_exit_3(capsys, argv):

@@ -1,5 +1,8 @@
 import functools
+import importlib
 import inspect
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +14,8 @@ from cdiffkit import (AConvention, CyclotomicInt, apcn_statistic, build_field,
                       from_monomial, from_polynomial, pcn_power_sum, raw_table,
                       uniformity, walsh_table, walsh_value)
 from cdiffkit.errors import NotRationalInteger, SizeGuardExceeded
-from cdiffkit.walsh import (_conj_power_sum, _convolution_tensor,
-                            _transform_1d, _walsh_array, counts_power_sum,
+from cdiffkit.walsh import (_conj_power_sum, _transform_1d, _walsh_array,
+                            _walsh_power_sums, counts_power_sum,
                             phi_coefficients)
 
 from oracles import (brute_convolution_tensor, brute_derivative_statistic,
@@ -20,6 +23,7 @@ from oracles import (brute_convolution_tensor, brute_derivative_statistic,
                      slow_field_like)
 
 INC = AConvention.INCLUDE_A_ZERO
+walsh_module = importlib.import_module("cdiffkit.walsh")
 
 
 # -- cyclotomic arithmetic ---------------------------------------------------
@@ -259,14 +263,17 @@ def test_tensor_matches_brute_force():
             F = from_monomial(spec, desc["d"])
         oracle = slow_field_like(spec)
         vals = [F[x] for x in range(spec.q)]
-        for j in ((1, 2, 3) if spec.q == 4 else (1, 2)):
-            assert (_convolution_tensor(F, c, j).as_integer()
+        js = (1, 2, 3) if spec.q == 4 else (1, 2)
+        sums = _walsh_power_sums(F, c, len(js))
+        for j in js:
+            # the (j+1)-fold tensor is q^(2j) times the j-th sum
+            assert (spec.q ** (2 * j) * sums[j - 1]
                     == brute_convolution_tensor(oracle, vals, c, j))
 
 
 def test_count_walsh_duality():
-    # sum over a, b of n_F(a,b,c)^j equals p^(-2jn) times the (j+1)-fold
-    # convolution tensor, exactly, for j in {1, 2}
+    # sum over a, b of n_F(a,b,c)^j equals its Walsh-side evaluation (the
+    # (j+1)-fold convolution tensor over p^(2jn)), exactly, for j in {1, 2}
     rng = np.random.default_rng(23)
     for (p, n) in [(2, 2), (3, 1), (2, 3), (3, 2), (2, 4)]:
         spec = build_field(p, n)
@@ -275,10 +282,9 @@ def test_count_walsh_duality():
             for c in (0, 2):
                 if c == 1:
                     continue
+                sums = _walsh_power_sums(F, c, 2)
                 for j in (1, 2):
-                    tensor = _convolution_tensor(F, c, j).as_integer()
-                    counts = counts_power_sum(F, c, j)
-                    assert tensor == counts * spec.p ** (2 * j * n)
+                    assert sums[j - 1] == counts_power_sum(F, c, j)
 
 
 def test_apcn_square_gf9_equality(gf9):
@@ -297,11 +303,43 @@ def test_apcn_gold_gf8_strict(gf8):
 
 
 def test_apcn_size_guard():
-    spec = build_field(3, 4)
+    # GF(3^4): q^2 p = 19683 entries, within the default bound
+    F = from_monomial(build_field(3, 4), 2)
     with pytest.raises(SizeGuardExceeded):
-        apcn_statistic(from_monomial(spec, 2), 2)
-    lhs, rhs = apcn_statistic(from_monomial(spec, 2), 2, size_guard=None)
+        apcn_statistic(F, 2, size_guard=19682)
+    lhs, rhs = apcn_statistic(F, 2, size_guard=None)
     assert lhs == rhs
+    assert apcn_statistic(F, 2) == (lhs, rhs)
+
+
+def test_walsh_guard_refuses_before_allocating():
+    # GF(2^12): q^2 p = 2^25 entries, above WALSH_ENTRY_GUARD = 2^23; one
+    # (q, q, p) int64 array would take 256 MB.  The count side needs none.
+    spec = build_field(2, 12)
+    F = from_monomial(spec, 3)
+    count_side, walsh_side = convolution_statistic(F, 2, 1)
+    assert walsh_side is None
+    assert (count_side == 0) == (uniformity(F, 2, INC).value == 1)
+    for call in (walsh_table, lambda F: pcn_power_sum(F, 2),
+                 lambda F: apcn_statistic(F, 2)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeGuardExceeded):
+                call(F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+
+def test_g_is_transformed_once(gf16):
+    # two transforms build W, two more transform G, whatever the degree
+    F = from_monomial(gf16, 5)
+    for call in (lambda: apcn_statistic(F, 2), lambda: convolution_statistic(F, 2, 3)):
+        with mock.patch.object(walsh_module, "_transform_1d",
+                               wraps=walsh_module._transform_1d) as transform:
+            call()
+        assert transform.call_count == 4
 
 
 def test_phi_coefficients():
@@ -328,11 +366,11 @@ def test_convolution_statistic_gold_gf8(gf8):
 
 def test_convolution_walsh_guard(gf16):
     F = from_monomial(gf16, 5)
-    with pytest.raises(SizeGuardExceeded):
-        convolution_statistic(F, 2, 3, term_guard=1000)
-    cs, ws = convolution_statistic(F, 2, 3, term_guard=1000,
-                                   want_walsh_side=False)
-    assert ws is None and cs >= 0
+    cs, ws = convolution_statistic(F, 2, 3)
+    assert cs == ws
+    with mock.patch.object(walsh_module, "WALSH_ENTRY_GUARD", 16 * 16 * 2 - 1):
+        assert convolution_statistic(F, 2, 3) == (cs, None)
+    assert cs >= 0
 
 
 def test_derivative_statistic_affine_zero(gf9):
@@ -369,6 +407,16 @@ def test_derivative_statistic_matches_multiplicity_oracle():
                             oracle, list(map(int, vals)), c, a, delta)
                         assert got == want
                         assert got >= 0
+
+
+def test_derivative_statistic_gf1024_delta3():
+    # only (q, p) arrays: q^delta = 2^30 character-sum terms cost nothing extra
+    spec = build_field(2, 10)
+    F = from_monomial(spec, 7)
+    oracle = slow_field_like(spec)
+    for c, a in ((0, 1), (2, 5), (spec.q - 1, 0)):
+        assert (derivative_walsh_statistic(F, c, a, 3)
+                == brute_derivative_statistic(oracle, list(map(int, F.values)), c, a, 3))
 
 
 def test_derivative_statistic_all_a_vs_uniformity(gf9):
