@@ -8,23 +8,33 @@ Two admissible ranges for the shift a are supported and must be chosen
 explicitly (AConvention): INCLUDE_A_ZERO admits a = 0 whenever c != 1
 (the a = 0 row measures how far F is from a permutation), NONZERO_ONLY
 never does.  Every report records the convention that produced it.
+
+Every uniformity query goes through one sweep (_sweep) and one symmetry
+dispatch (_symmetry), which applies two proved identities: rows a and λa
+share their maximum for λ in the multiplicative stabilizer Λ of F, and c
+shares its maxima with 1/c (and with c^p when F commutes with Frobenius).
+So the sweep scans row 0 and one row per coset aΛ, for one c per orbit,
+and rebuilds every other c's witness from its representative's record.
 """
 
 from __future__ import annotations
 
 import enum
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateCs, SizeGuardExceeded, WitnessMismatch
-from .field import FieldSpec
+from .field import FieldSpec, _prime_factors
 from .functions import FunctionTable
 from .parallel import parallel_map
 
 DDT_DENSE_BOUND = 4096   # materialize the dense q x q count matrix up to this q
 BLOCK_ELEMENTS = 2 ** 16   # elements per block of rows: its intermediates stay in cache
 _MAX_BLOCK_ROWS = 128      # more rows per block read slower at q <= 512
+
+_logger = logging.getLogger("cdiffkit")
 
 
 class AConvention(enum.Enum):
@@ -94,10 +104,10 @@ def derivative_rows(spec: FieldSpec, values, c: int, a_list) -> np.ndarray:
     return spec.add_arrays(values[spec.add_rows(a_list)], ncf[np.newaxis, :])
 
 
-def _count_blocks(spec: FieldSpec, values, c: int, rows: int):
-    """Histograms of the derivative rows a < rows, a block at a time: yields
-    (a_list, counts) with counts[i, b] the number of solutions x of
-    F(x + a_list[i]) - c*F(x) = b.
+def _count_blocks(spec: FieldSpec, values, c: int, rows):
+    """Histograms of the derivative rows a in rows (an array of shifts), a
+    block at a time: yields (a_list, counts) with counts[i, b] the number of
+    solutions x of F(x + a_list[i]) - c*F(x) = b.
 
     A block holds at most _MAX_BLOCK_ROWS rows and at most
     max(q, BLOCK_ELEMENTS) elements, so its int64 intermediates stay in
@@ -105,8 +115,8 @@ def _count_blocks(spec: FieldSpec, values, c: int, rows: int):
     """
     q = spec.q
     chunk = min(_MAX_BLOCK_ROWS, max(1, BLOCK_ELEMENTS // q))
-    for start in range(0, rows, chunk):
-        a_list = np.arange(start, min(start + chunk, rows))
+    for start in range(0, len(rows), chunk):
+        a_list = rows[start:start + chunk]
         block = derivative_rows(spec, values, c, a_list)
         offsets = (np.arange(len(a_list), dtype=np.int64) * q)[:, None]
         yield a_list, np.bincount((block.astype(np.int64) + offsets).ravel(),
@@ -129,40 +139,14 @@ def ddt_c(F: FunctionTable, c: int) -> np.ndarray:
             f"dense DDT needs q <= {DDT_DENSE_BOUND}; q = {q}. "
             "Use uniformity()/spectrum(), which stream per-a histograms.")
     out = np.zeros((q, q), dtype=np.int32)
-    for a_list, counts in _count_blocks(spec, F.values, c, q):
+    for a_list, counts in _count_blocks(spec, F.values, c, np.arange(q)):
         out[a_list] = counts
     return out
 
 
-def _shift_rows(spec: FieldSpec, values) -> int:
-    """The shortcut over rows, for _sweep: how many leading shift rows
-    a = 0, 1, ... decide every per-c maximum and its witness.
-
-    For F = A*x^d (A != 0, d >= 1) and a != 0, substituting x = a*y gives
-    F(x + a) - c*F(x) = a^d (F(y + 1) - c*F(y)), so row a is row 1 with b
-    relabelled by b -> b / a^d: every nonzero row has row 1's maximum, and
-    the lexicographically smallest witness over a != 0 lies in row 1.  Rows
-    0 and 1 then suffice.  The test reads the values only, in O(q) (the
-    origin descriptor of a loaded table is not evidence): A = F(1) and
-    d = log(F(g)/A) for the primitive element g, a reduced d of 0 being
-    q - 1.  Every other function scans all q rows.
-    """
-    q = spec.q
-    if q <= 2:
-        return q
-    A = int(values[1])
-    Fg = int(values[spec.primitive_rank])
-    if A == 0 or Fg == 0:
-        return q
-    d = (int(spec._log[Fg]) - int(spec._log[A])) % (q - 1) or q - 1
-    if np.array_equal(values, spec.scale_array(A, spec.pow_all(d))):
-        return 2
-    return q
-
-
-def _row_maxima(spec: FieldSpec, values, c: int, rows: int):
-    """One pass over the shifts a < rows for a fixed c: the maximum of each
-    row's histogram over b, and the smallest b attaining it."""
+def _row_maxima(spec: FieldSpec, values, c: int, rows):
+    """One pass over the shifts a in rows for a fixed c: the maximum of
+    each row's histogram over b, and the smallest b attaining it."""
     maxima, first_b = [], []
     for _, counts in _count_blocks(spec, values, c, rows):
         b = counts.argmax(axis=1)
@@ -171,37 +155,72 @@ def _row_maxima(spec: FieldSpec, values, c: int, rows: int):
     return np.concatenate(maxima), np.concatenate(first_b)
 
 
-def _orbit_representatives(spec: FieldSpec, values, cs) -> dict:
-    """The shortcut over c, for _sweep: maps each requested c (cs
-    ascending, and so the keys) to (r, k), where c = r^(p^k) and r is the
-    c whose scan decides it.
+def _symmetry(spec: FieldSpec, values, cs):
+    """The one symmetry dispatch, for _sweep: which rows and which c values
+    decide every maximum over the requested cs (ascending).  Returns
+    (rows, coset_min, rep):
 
-    If F commutes with Frobenius, F(x^p) = F(x)^p for every x, then raising
-    F(x + a) - c*F(x) = b to the p-th power gives
-    n_F(a, b, c) = n_F(a^p, b^p, c^p): row a of the c-DDT has the maximum
-    of row a^p of the c^p-DDT, and both maxima (over all a and over
-    a != 0) are constant on each Frobenius orbit of c.  Each requested c is
-    then represented by the smallest requested c on its orbit.  The test
-    reads the values only, in O(q); it needs n > 1 and at least two values
-    of c.  Otherwise every c represents itself.
+    * rows, ascending: 0 and the smallest rank of each coset aΛ, where Λ is
+      the stabilizer {λ != 0 : F(λx) = μ_λ F(x) for every x}.  Putting
+      x = λy gives F(x + λa) - c*F(x) = μ_λ (F(y + a) - c*F(y)), so row λa
+      is row a relabelled by b -> μ_λ b, for every c: the rows of a coset
+      share their maximum, and the smallest row attaining a maximum is a
+      coset minimum.
+    * coset_min[a]: the smallest rank of aΛ (coset_min[0] = 0).
+    * rep: c -> (r, k, neg) with c = (r^(p^k))^(-1 if neg else 1), where r
+      is the smallest requested c on c's orbit under c -> 1/c, and under
+      Frobenius c -> c^p when F(x^p) = F(x)^p for every x.  Putting
+      y = x + a in F(x + a) - c*F(x) = b gives n_F(a, b, c) =
+      n_F(-a, -b/c, 1/c) for every F and c != 0, and raising the equation
+      to the p-th power gives n_F(a, b, c) = n_F(a^p, b^p, c^p) when F
+      commutes with Frobenius: row a of r has the maximum of row
+      ±a^(p^k) of c, and a = 0 maps to a = 0.  c = 0 represents itself.
+
+    Λ is cyclic, so it is found in O(q) per test: for each prime r of
+    q - 1, λ = g^((q-1)/r^k) lies in Λ for k = 1, 2, ... up to the r-part
+    of |Λ|.  A test takes μ = F(λx0)/F(x0) at the first x0 with F(x0) != 0
+    and compares the whole table.  Power maps A*x^d have Λ = GF(q)^* and
+    scan rows 0 and 1; F = 0 has Λ = GF(q)^* too.  The Frobenius test,
+    values[frob] == frob[values], needs n > 1 and at least two cs.  Every
+    test reads the values only, never the origin descriptor.
     """
-    frob = spec._frob
-    if (spec.n == 1 or len(cs) < 2
-            or not np.array_equal(values[frob], frob[values])):
-        return {c: (c, 0) for c in cs}
-    requested = set(cs)
-    rep = {}
+    q, frob, inv = spec.q, spec._frob, spec._inv
+    order = q - 1
+    nonzero = np.flatnonzero(values)
+    if len(nonzero):
+        x, x0 = np.arange(q), int(nonzero[0])
+        inv0 = int(inv[values[x0]])
+
+        def stabilizes(lam):
+            mu = spec.mul(int(values[spec.mul(lam, x0)]), inv0)
+            return np.array_equal(values[spec.scale_array(lam, x)],
+                                  spec.scale_array(mu, values))
+
+        order = 1
+        for r in _prime_factors(q - 1):
+            s = r
+            while (q - 1) % s == 0 and stabilizes(int(spec._exp[(q - 1) // s])):
+                order, s = order * r, s * r
+    # Λ = <g^m> with m = (q-1)/|Λ| cosets; g^j lies in coset j mod m
+    m = (q - 1) // order
+    coset_min = spec._exp[:q - 1].reshape(order, m).min(axis=0)[spec._log % m]
+    coset_min[0] = 0
+    rows = np.flatnonzero(coset_min == np.arange(q))
+
+    frobenius = (spec.n > 1 and len(cs) > 1
+                 and np.array_equal(values[frob], frob[values]))
+    # frob[0] = inv[0] = 0, so c = 0 represents itself
+    requested, rep = set(cs), {}
     for c in cs:
         if c in rep:
             continue
-        x, k = c, 0
-        while True:
-            if x in requested:
-                rep[x] = (c, k)
-            x, k = int(frob[x]), k + 1
-            if x == c:
-                break
-    return {c: rep[c] for c in cs}
+        y = c
+        for k in range(spec.n if frobenius else 1):
+            for neg, image in ((False, y), (True, int(inv[y]))):
+                if image in requested and image not in rep:
+                    rep[image] = (c, k, neg)
+            y = int(frob[y])
+    return rows, coset_min, {c: rep[c] for c in cs}
 
 
 def _solutions(spec: FieldSpec, values, c: int, a: int, b: int):
@@ -210,24 +229,25 @@ def _solutions(spec: FieldSpec, values, c: int, a: int, b: int):
 
 
 def _scan(state, c: int):
-    """The scan record of one c over the shifts a < rows: for a >= 0 and
-    for a >= 1, (the maximum, rows attaining it ascending, the smallest b
-    attaining it in the first row attaining it).
+    """The scan record of one c over the dispatch rows (see _symmetry): for
+    a >= 0 and for a >= 1, (the maximum, the scanned rows attaining it
+    ascending, the smallest b attaining it in the first row attaining it).
 
-    _result reads only min(frob^k(rows)) for k < n, so when more than n
-    rows attain the maximum the record keeps just the row giving each of
-    those n minima: a record holds at most n rows."""
-    spec, values, rows = state
+    _result reads only min(coset_min(±frob^k(rows))) for k < n, so when
+    more than 2n rows attain the maximum the record keeps just the row
+    giving each of those 2n minima: a record holds at most 2n rows."""
+    spec, values, rows, coset_min = state
     row_max, first_b = _row_maxima(spec, values, c, rows)
     record = []
-    for lo in (0, 1):
+    for lo in (0, 1):   # rows[0] is a = 0
         best = int(row_max[lo:].max())
-        top = lo + np.nonzero(row_max[lo:] == best)[0]
-        b = int(first_b[top[0]])
-        if len(top) > spec.n:
+        hit = lo + np.flatnonzero(row_max[lo:] == best)
+        top, b = rows[hit], int(first_b[hit[0]])
+        if len(top) > 2 * spec.n:
             keep, image = np.zeros(len(top), dtype=bool), top
             for _ in range(spec.n):
-                keep[image.argmin()] = True
+                keep[coset_min[image].argmin()] = True
+                keep[coset_min[spec._neg[image]].argmin()] = True
                 image = spec._frob[image]
             top = top[keep]
         record.append((best, top, b))
@@ -237,39 +257,52 @@ def _scan(state, c: int):
 def _sweep(F: FunctionTable, c_filter, threads: int):
     """The one dispatch point of every uniformity query.
 
-    Resolves the c-set, picks the c values to scan (_orbit_representatives)
-    and the rows a < rows that decide each scan (_shift_rows), and scans
-    each representative once, in one parallel map.  Returns the map
-    {c: (r, k)} over the c-set ascending, and {r: scan record} (see _scan).
+    Resolves the c-set, asks _symmetry for the rows that decide each scan
+    and the c values to scan, and scans each representative once, in one
+    parallel map.  Logs one DEBUG record on the "cdiffkit" logger with
+    |Λ|, the rows scanned and the c values requested and scanned.  Returns
+    the sweep state (spec, values, rows, coset_min), the map
+    {c: (r, k, neg)} over the c-set ascending, and {r: scan record} (see
+    _scan).
     """
     spec, values = F.spec, F.values
-    rep = _orbit_representatives(spec, values, admissible_c(spec, c_filter))
-    scanned = [c for c, (r, _) in rep.items() if r == c]
-    records = parallel_map(_scan, (spec, values, _shift_rows(spec, values)),
-                           scanned, threads)
-    return rep, dict(zip(scanned, records))
+    cs = admissible_c(spec, c_filter)
+    rows, coset_min, rep = _symmetry(spec, values, cs)
+    scanned = [c for c, (r, _, _) in rep.items() if r == c]
+    _logger.debug("sweep over GF(%d^%d): |stabilizer| %d, rows scanned %d of %d, "
+                  "c requested %d, c scanned %d", spec.p, spec.n,
+                  (spec.q - 1) // (len(rows) - 1), len(rows), spec.q,
+                  len(cs), len(scanned))
+    state = (spec, values, rows, coset_min)
+    records = parallel_map(_scan, state, scanned, threads)
+    return state, rep, dict(zip(scanned, records))
 
 
-def _result(spec: FieldSpec, values, conv: AConvention, c: int, k: int,
+def _result(state, conv: AConvention, c: int, k: int, neg: bool,
             record) -> UniformityResult:
-    """The result for c = r^(p^k) from the scan record of r; k = 0 means c
-    was scanned itself.
+    """The result for c = (r^(p^k))^(-1 if neg else 1) from the scan record
+    of r (see _symmetry); k = 0 and neg False mean c was scanned itself.
 
-    Row a of r has the maximum of row a^(p^k) of c, so c's witness row is
-    the smallest image of a row attaining r's maximum: the row a scan of c
-    would find first.  That row is recounted.  Its maximum must be the
-    scanned value and, when k = 0, its smallest b the kernel's; otherwise
+    Row a of r has the maximum of row ±a^(p^k) of c, and a coset aΛ maps
+    to a coset, so c's witness row is the smallest coset minimum of the
+    images of the rows attaining r's maximum: the row a scan of c would
+    find first.  That row is recounted.  Its maximum must be the scanned
+    value and, when c was scanned, its smallest b the kernel's; otherwise
     WitnessMismatch is raised.
     """
+    spec, values, _, coset_min = state
     value, rows, b = record[0 if conv.admits_zero_shift(c) else 1]
     for _ in range(k):
         rows = spec._frob[rows]
-    a = int(rows.min())
+    if neg:
+        rows = spec._neg[rows]
+    a = int(coset_min[rows].min())
     d = derivative_rows(spec, values, c, [a])[0]
     counts = np.bincount(d, minlength=spec.q)
     top = int(counts.argmax())
-    if counts[top] != value or (k == 0 and top != b):
-        first = f", first at b = {b}" if k == 0 else ""
+    scanned = k == 0 and not neg
+    if counts[top] != value or (scanned and top != b):
+        first = f", first at b = {b}" if scanned else ""
         raise WitnessMismatch(
             f"c = {c}: the scan gives maximum {value} in row {a}{first}; a "
             f"recount gives {counts[top]}, first at b = {top}")
@@ -306,8 +339,9 @@ def spectrum(F: FunctionTable, c_filter, conv: AConvention,
              threads: int = 1) -> SpectrumReport:
     """Per-c uniformity over a set of c values, plus the overall maximum.
 
-    One sweep (see _sweep) scans the orbit representatives only, over the
-    rows that decide them.  Every c's witness row comes from its
+    One sweep (see _sweep) scans one c per orbit under c -> 1/c (and
+    Frobenius, when F commutes with it), over row 0 and one row per
+    stabilizer coset.  Every c's witness row comes from its
     representative's scan record (see _result) and is recounted, so a
     wrong value raises WitnessMismatch.  With threads > 1 the
     representatives are distributed over worker processes (fork start
@@ -315,9 +349,9 @@ def spectrum(F: FunctionTable, c_filter, conv: AConvention,
     every thread count.
     """
     spec = F.spec
-    rep, records = _sweep(F, c_filter, threads)
-    results = tuple(_result(spec, F.values, conv, c, k, records[r])
-                    for c, (r, k) in rep.items())
+    state, rep, records = _sweep(F, c_filter, threads)
+    results = tuple(_result(state, conv, c, k, neg, records[r])
+                    for c, (r, k, neg) in rep.items())
     c_desc = c_filter if isinstance(c_filter, str) else ",".join(map(str, rep))
     return SpectrumReport(
         field=spec.to_json_dict(),
@@ -334,20 +368,21 @@ def dual_convention_max(F: FunctionTable, c_filter, threads: int = 1):
 
     Returns {"include-zero": (max, witness), "nonzero": (max, witness)} over
     the given c-set, where each witness is (c, a, b) and (0, None) stands
-    for an empty c-set.  The sweep (see _sweep) scans the orbit
-    representatives only; values are constant on an orbit, so the first c
-    in ascending order that reaches each maximum is the smallest requested
-    member of its orbit.  Its witness is recounted as in spectrum, so a
-    wrong value raises WitnessMismatch.
+    for an empty c-set.  The sweep (see _sweep) scans one c per orbit under
+    c -> 1/c (and Frobenius, when F commutes with it); values are constant
+    on an orbit, so the first c in ascending order that reaches each
+    maximum is the smallest requested member of its orbit, a scanned c.
+    Its witness is recounted as in spectrum, so a wrong value raises
+    WitnessMismatch.
     """
-    _, records = _sweep(F, c_filter, threads)
+    state, _, records = _sweep(F, c_filter, threads)
     best = {}
     for conv in AConvention:
         if not records:
             best[conv.value] = (0, None)
             continue
         r = max(records, key=lambda r: records[r][0 if conv.admits_zero_shift(r) else 1][0])
-        res = _result(F.spec, F.values, conv, r, 0, records[r])
+        res = _result(state, conv, r, 0, False, records[r])
         best[conv.value] = (res.value, (r, res.witness_a, res.witness_b))
     return best
 

@@ -315,9 +315,19 @@ def _walsh_power_sums(F: FunctionTable, c: int, top: int,
     """
     spec = F.spec
     p, q = spec.p, spec.q
-    G = _g_array(F, c, _walsh_array(F, size_guard))
+    # G is formed, and its transform reduced, a block of at most
+    # max(q p, BLOCK_ELEMENTS) coefficients at a time, as in pcn_power_sum:
+    # W and G are the only full arrays, and each reduced block picks its own
+    # exact dtype
+    rows = max(1, BLOCK_ELEMENTS // (q * p))
+    W = _walsh_array(F, size_guard)
+    G = np.empty_like(W)
+    for u in range(0, q, rows):
+        G[u:u + rows] = _g_array(F, c, W[u:u + rows])
+    del W
     Ghat = _transform_1d(spec, _transform_1d(spec, G, 0), 1)
-    return [_exact(_conj_power_sum(Ghat, j, p).as_integer(), q ** (2 * j + 2))
+    return [_exact(sum(_conj_power_sum(Ghat[u:u + rows], j, p)
+                       for u in range(0, q, rows)).as_integer(), q ** (2 * j + 2))
             for j in range(1, top + 1)]
 
 
@@ -397,7 +407,7 @@ def counts_power_sum(F: FunctionTable, c: int, j: int) -> int:
     """sum over all a, b of n_F(a, b, c)^j with
     n_F(a, b, c) = #{x : F(x+a) - cF(x) = F(b+a) - cF(b)}."""
     total = 0
-    for _, mult in _count_blocks(F.spec, F.values, c, F.spec.q):
+    for _, mult in _count_blocks(F.spec, F.values, c, np.arange(F.spec.q)):
         # sum over b of mult[d[b]]^j  ==  sum over hit values y of mult[y]^(j+1)
         # (exactly, in Python integers, from the histogram of multiplicities)
         freq = np.bincount(mult.ravel())

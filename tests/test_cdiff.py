@@ -1,3 +1,5 @@
+import logging
+import math
 from unittest import mock
 
 import numpy as np
@@ -276,9 +278,10 @@ def test_witness_check_rejects_inflated_value(gf8):
     F = from_monomial(gf8, 3)
     res = uniformity(F, 7, NZ)
     assert (res.witness_a, res.witness_b) == (1, 1)
+    state, _, _ = cdiff._sweep(F, [7], 1)
 
     def result(value, b):   # a scan record whose a != 0 maximum is in row 1
-        return cdiff._result(gf8, F.values, NZ, 7, 0, (None, (value, np.array([1]), b)))
+        return cdiff._result(state, NZ, 7, 0, False, (None, (value, np.array([1]), b)))
 
     assert result(res.value, 1) == res
     with pytest.raises(WitnessMismatch):
@@ -288,9 +291,9 @@ def test_witness_check_rejects_inflated_value(gf8):
 
 
 def test_inflated_scan_raises_in_every_entry_point(gf27):
-    # 9 is the smallest member of its Frobenius orbit {9, 13, 16}, so it is
-    # scanned, and a maximum above q makes it the first c reaching both
-    # overall maxima of dual_convention_max
+    # 9 is the smallest member of its orbit {9, 13, 16, 20, 22, 25} under
+    # Frobenius and c -> 1/c, so it is scanned, and a maximum above q makes
+    # it the first c reaching both overall maxima of dual_convention_max
     F = deca_trinomial(gf27, 1)
     row_maxima = cdiff._row_maxima
 
@@ -310,7 +313,74 @@ def test_inflated_scan_raises_in_every_entry_point(gf27):
                 call()
 
 
-# -- the power-map dispatch against the generic all-rows scan ---------------
+# -- the symmetry dispatch against the scan of every row and every c ---------
+
+def _every_row_and_c(spec, values, cs):
+    every = np.arange(spec.q)
+    return every, every, {c: (c, 0, False) for c in cs}
+
+
+def _stabilizer_rows(spec, values):
+    """Row 0 and the smallest rank of each coset of {λ : F(λx) = μ F(x) for
+    every x, for some μ != 0}, trying every λ and every μ."""
+    q = spec.q
+    x = np.arange(q)
+    times = spec.mul_arrays(x[:, None], x[None, :])   # times[u, v] = u*v
+    scaled = times[1:, values]                        # row μ - 1: μ F(x)
+    stab = [lam for lam in range(1, q)
+            if (scaled == values[times[lam]]).all(axis=1).any()]
+    return [0] + sorted(set(times[1:, stab].min(axis=1).tolist()))
+
+
+def _orbit(spec, c, frobenius=True):
+    """c's orbit under c -> 1/c, and under Frobenius when asked."""
+    orbit, todo = {c}, [c]
+    while todo:
+        y = todo.pop()
+        images = [spec.inv(y)] if y else []
+        if frobenius:
+            images.append(spec.frobenius(y))
+        for image in images:
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
+
+
+def _check_dispatch(F, invariant, c_set, conv):
+    """The dispatch rows are the stabilizer's, each representative is the
+    smallest requested member of its orbit (Frobenius only when invariant)
+    and maps onto its c, and every payload equals the scan of every row and
+    every c, at threads 1 and 2 and, for q <= 27, the brute-force oracle."""
+    spec = F.spec
+    cs = cdiff.admissible_c(spec, c_set)
+    rows, coset_min, rep = cdiff._symmetry(spec, F.values, cs)
+    assert rows.tolist() == _stabilizer_rows(spec, F.values)
+    assert coset_min[rows].tolist() == rows.tolist()
+    for c, (r, k, neg) in rep.items():
+        assert r == min(_orbit(spec, c, invariant) & set(cs))
+        for _ in range(k):
+            r = spec.frobenius(r)
+        assert (spec.inv(r) if neg else r) == c
+    fast = spectrum(F, c_set, conv, threads=1)
+    fast_dual = dual_convention_max(F, c_set)
+    assert spectrum(F, c_set, conv, threads=2).to_json_dict() == fast.to_json_dict()
+    assert dual_convention_max(F, c_set, threads=2) == fast_dual
+    with mock.patch.object(cdiff, "_symmetry", _every_row_and_c):
+        every = spectrum(F, c_set, conv, threads=1)
+        every_dual = dual_convention_max(F, c_set)
+    assert fast.to_json_dict() == every.to_json_dict()
+    assert fast.results == every.results
+    assert fast_dual == every_dual
+    if spec.q <= 27:
+        oracle = slow_field_like(spec)
+        vals = [int(v) for v in F.values]
+        for r in fast.results:
+            include = conv.admits_zero_shift(r.c)
+            assert r.value == brute_uniformity(oracle, vals, r.c, include)
+
+
+# -- power maps: the stabilizer is GF(q)^*, so rows 0 and 1 decide ----------
 
 DISPATCH_FIELDS = ([(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 6)]
                    + [(5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3)])
@@ -347,10 +417,6 @@ def dispatch_cases(draw):
     return table_from_json_dict(blob), False
 
 
-def _generic_shift_rows(spec, values):
-    return spec.q
-
-
 def _perturbed_monomial(spec, d, x):
     blob = table_to_json_dict(from_monomial(spec, d))
     blob["values"][x] = (blob["values"][x] + 1) % spec.q
@@ -377,8 +443,8 @@ def _with_examples(test):
 
 
 def _with_examples_both_conventions(test):
-    # the perturbed table runs the generic scan on every path; at q = 343
-    # the scan test above covers it
+    # the perturbed table (x^2 with F(0) = 1, so Λ = {1, -1}) scans half the
+    # rows; at q = 343 the scan test above covers it
     for case in DISPATCH_EXAMPLES[:6]:
         for conv in (INC, NZ):
             test = example(case, conv)(test)
@@ -391,12 +457,16 @@ def _with_examples_both_conventions(test):
 def test_dispatch_scan_matches_generic(case):
     F, power_map = case
     spec, q = F.spec, F.spec.q
-    rows = cdiff._shift_rows(spec, F.values)
-    assert rows == (2 if power_map else q)
+    rows, coset_min, _ = cdiff._symmetry(spec, F.values, [])
+    if power_map:
+        assert rows.tolist() == [0, 1]
+    assert rows.tolist() == _stabilizer_rows(spec, F.values)
+    every = np.arange(q)
     for c in range(q):
         # per maximum (a >= 0, a >= 1): the value, its first row and its b
         fast, generic = ([(value, int(top[0]), b) for value, top, b in
-                          cdiff._scan((spec, F.values, r), c)] for r in (rows, q))
+                          cdiff._scan((spec, F.values) + state, c)]
+                         for state in ((rows, coset_min), (every, every)))
         assert fast == generic
 
 
@@ -410,7 +480,7 @@ def test_dispatch_payloads_match_generic(case, conv):
     fast_dual = dual_convention_max(F, "all")
     assert spectrum(F, "all", conv, threads=2).to_json_dict() == fast.to_json_dict()
     assert dual_convention_max(F, "all", threads=2) == fast_dual
-    with mock.patch.object(cdiff, "_shift_rows", _generic_shift_rows):
+    with mock.patch.object(cdiff, "_symmetry", _every_row_and_c):
         generic = spectrum(F, "all", conv, threads=1)
         generic_dual = dual_convention_max(F, "all")
     assert fast.to_json_dict() == generic.to_json_dict()
@@ -424,7 +494,7 @@ def test_dispatch_payloads_match_generic(case, conv):
             assert r.value == brute_uniformity(oracle, vals, r.c, include)
 
 
-# -- the Frobenius-orbit dispatch over c against the scan of every c ---------
+# -- orbits over c: Frobenius for invariant F, c -> 1/c for every F ----------
 
 ORBIT_FIELDS = ([(2, n) for n in range(2, 8)] + [(3, n) for n in range(2, 6)]
                 + [(5, 2), (5, 3), (7, 2)])
@@ -465,54 +535,29 @@ def _orbit_function(draw):
     return raw_table(spec, values), False
 
 
+def _c_set(draw, spec):
+    """'all', 'exclude_0_1' or an explicit list: rarely closed under
+    Frobenius, sometimes holding a c and its 1/c, sometimes no c with its
+    1/c (self-inverse c aside)."""
+    c_set = draw(st.sampled_from(["all", "exclude_0_1", "list", "one_sided"]))
+    if c_set in ("all", "exclude_0_1"):
+        return c_set
+    cs = draw(st.lists(st.integers(0, spec.q - 1), min_size=2, max_size=12, unique=True))
+    if c_set == "one_sided":
+        return [c for c in cs if c == 0 or c <= spec.inv(c) or spec.inv(c) not in cs]
+    extra = draw(st.sampled_from(["none", "frobenius", "inverse"]))
+    if extra == "frobenius":   # part of an orbit, in any order
+        cs = list({*cs, spec.frobenius(cs[0])})
+    elif extra == "inverse" and cs[0]:
+        cs = list({*cs, spec.inv(cs[0])})
+    return cs
+
+
 @st.composite
 def orbit_cases(draw):
-    """(F, invariant, c_set); c_set is 'all', 'exclude_0_1' or an explicit
-    list, rarely closed under Frobenius."""
+    """(F, invariant, c_set)."""
     F, invariant = _orbit_function(draw)
-    c_set = draw(st.sampled_from(["all", "exclude_0_1", "list"]))
-    if c_set == "list":
-        spec = F.spec
-        c_set = draw(st.lists(st.integers(0, spec.q - 1), min_size=2,
-                              max_size=12, unique=True))
-        if draw(st.booleans()):   # part of an orbit, in any order
-            c_set = list({*c_set, spec.frobenius(c_set[0])})
-    return F, invariant, c_set
-
-
-def _scan_every_c(spec, values, cs):
-    return {c: (c, 0) for c in cs}
-
-
-def _orbit(spec, c):
-    orbit = [c]
-    while spec.frobenius(orbit[-1]) != c:
-        orbit.append(spec.frobenius(orbit[-1]))
-    return orbit
-
-
-def _check_orbit_dispatch(F, invariant, c_set, conv):
-    spec = F.spec
-    cs = cdiff.admissible_c(spec, c_set)
-    rep = cdiff._orbit_representatives(spec, F.values, cs)
-    shared = any(len(set(_orbit(spec, c)) & set(cs)) > 1 for c in cs)
-    assert (rep != {c: (c, 0) for c in cs}) == (invariant and shared)
-    fast = spectrum(F, c_set, conv, threads=1)
-    fast_dual = dual_convention_max(F, c_set)
-    assert spectrum(F, c_set, conv, threads=2).to_json_dict() == fast.to_json_dict()
-    assert dual_convention_max(F, c_set, threads=2) == fast_dual
-    with mock.patch.object(cdiff, "_orbit_representatives", _scan_every_c):
-        every = spectrum(F, c_set, conv, threads=1)
-        every_dual = dual_convention_max(F, c_set)
-    assert fast.to_json_dict() == every.to_json_dict()
-    assert fast.results == every.results
-    assert fast_dual == every_dual
-    if spec.q <= 27:
-        oracle = slow_field_like(spec)
-        vals = [int(v) for v in F.values]
-        for r in fast.results:
-            include = conv.admits_zero_shift(r.c)
-            assert r.value == brute_uniformity(oracle, vals, r.c, include)
+    return F, invariant, _c_set(draw, F.spec)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -521,51 +566,61 @@ def _check_orbit_dispatch(F, invariant, c_set, conv):
 @example((deca_trinomial(build_field(3, 5), 2), True, "exclude_0_1"), NZ)
 @example((inverse_table(build_field(2, 8)), True, "all"), NZ)
 def test_orbit_dispatch_matches_every_c(case, conv):
-    _check_orbit_dispatch(*case, conv)
+    _check_dispatch(*case, conv)
 
 
 def test_orbit_dispatch_needs_frobenius_and_two_cs():
-    # GF(2) and a prime field (n = 1), and a single c all scan every c
+    # GF(2) and a prime field (n = 1), and a single c take no Frobenius
+    # step; c -> 1/c still pairs the c values of GF(7)
     for spec, cs in [(build_field(2, 1), [0, 1]), (build_field(7, 1), list(range(7))),
                      (build_field(3, 3), [2])]:
         F = from_monomial(spec, 2)
-        assert (cdiff._orbit_representatives(spec, F.values, cs)
-                == {c: (c, 0) for c in cs})
+        rep = cdiff._symmetry(spec, F.values, cs)[2]
+        assert all(k == 0 for _, k, _ in rep.values())
+        assert (rep == {c: (c, 0, False) for c in cs}) == (spec.q != 7)
         for conv in (INC, NZ):
-            _check_orbit_dispatch(F, False, cs, conv)
+            _check_dispatch(F, False, cs, conv)
 
 
 def test_orbit_representative_is_smallest_requested_member(gf27):
     F = deca_trinomial(gf27, 1)
-    assert sorted(_orbit(gf27, 9)) == [9, 13, 16]
-    assert (cdiff._orbit_representatives(gf27, F.values, [2, 13, 16])
-            == {2: (2, 0), 13: (13, 0), 16: (13, 1)})
+    assert sorted(_orbit(gf27, 9)) == [9, 13, 16, 20, 22, 25]
+    assert (cdiff._symmetry(gf27, F.values, [2, 13, 16])[2]
+            == {2: (2, 0, False), 13: (13, 0, False), 16: (13, 1, False)})
+    # 20 = 1/16 and 22 = 1/13 = 1/16^9
+    assert (cdiff._symmetry(gf27, F.values, [2, 16, 20, 22])[2]
+            == {2: (2, 0, False), 16: (16, 0, False), 20: (16, 0, True),
+                22: (16, 2, True)})
 
 
 def test_orbit_image_is_recounted(gf27):
     F = deca_trinomial(gf27, 1)
-    record = cdiff._scan((gf27, F.values, gf27.q), 13)
-    # 16 = 13^3; a single c is scanned directly
-    assert (cdiff._result(gf27, F.values, INC, 16, 1, record)
-            == spectrum(F, [16], INC).results[0])
-    inflated = ((record[0][0] + 1,) + record[0][1:], record[1])
-    with pytest.raises(WitnessMismatch):
-        cdiff._result(gf27, F.values, INC, 16, 1, inflated)
+    rows, coset_min, _ = cdiff._symmetry(gf27, F.values, [13])
+    state = (gf27, F.values, rows, coset_min)
+    record = cdiff._scan(state, 13)
+    # 16 = 13^3 and 22 = 1/13; a single c is scanned directly
+    for c, k, neg in ((16, 1, False), (22, 0, True)):
+        assert (cdiff._result(state, INC, c, k, neg, record)
+                == spectrum(F, [c], INC).results[0])
+        inflated = ((record[0][0] + 1,) + record[0][1:], record[1])
+        with pytest.raises(WitnessMismatch):
+            cdiff._result(state, INC, c, k, neg, inflated)
 
 
 @pytest.mark.parametrize("p,n,coeffs", [(3, 3, {1: 1, 0: 2}), (3, 4, {1: 1, 0: 2}),
                                         (2, 5, {3: 1, 1: 1})])
 def test_scan_records_hold_at_most_n_rows(p, n, coeffs):
     # x + 2 attains every maximum in every row, and both functions commute
-    # with Frobenius, so orbit images read the bounded records; each
-    # witness is still the lexicographically smallest one in the dense DDT
+    # with Frobenius, so orbit images read the bounded records: at most 2n
+    # rows, one per element of <Frobenius, c -> 1/c>; each witness is still
+    # the lexicographically smallest one in the dense DDT
     spec = build_field(p, n)
     F = from_polynomial(spec, coeffs)
-    rep, records = cdiff._sweep(F, "all", 1)
-    assert any(r != c for c, (r, _) in rep.items())
+    _, rep, records = cdiff._sweep(F, "all", 1)
+    assert any(r != c for c, (r, _, _) in rep.items())
     for record in records.values():
         for _, rows, _ in record:
-            assert 1 <= len(rows) <= n
+            assert 1 <= len(rows) <= 2 * n
     for conv in (INC, NZ):
         for res in spectrum(F, "all", conv).results:
             ddt = ddt_c(F, res.c)
@@ -577,20 +632,85 @@ def test_scan_records_hold_at_most_n_rows(p, n, coeffs):
 
 
 def test_orbit_dispatch_scans_one_c_per_orbit():
-    # GF(3^5): c = 2 is fixed and the other 240 values of c != 0, 1 form
-    # 48 orbits of 5; a changed value at x = 5 leaves F not invariant;
+    # GF(3^5): c = 2 = -1 is fixed and the other 240 values of c != 0, 1
+    # form 48 Frobenius orbits of 5, paired by c -> 1/c; a changed value at
+    # x = 5 leaves F not invariant, and c -> 1/c still pairs its 240 values;
     # uniformity scans its one c
     spec = build_field(3, 5)
     F = deca_trinomial(spec, 1)
     values = F.values.copy()
     values[5] = (values[5] + 1) % spec.q
-    for G, scans in ((F, 49), (raw_table(spec, values), 241)):
+    for G, scans in ((F, 25), (raw_table(spec, values), 121)):
         for call, count in ((lambda: spectrum(G, "exclude_0_1", INC), scans),
                             (lambda: dual_convention_max(G, "exclude_0_1"), scans),
                             (lambda: uniformity(G, 13, INC), 1)):
             with mock.patch.object(cdiff, "_row_maxima", wraps=cdiff._row_maxima) as scan:
                 call()
             assert scan.call_count == count
+
+
+def test_sweep_logs_what_it_scanned(caplog):
+    # the deca trinomial over GF(3^5) is even: Λ = {1, -1}, so row 0 and 121
+    # coset rows; 25 c values as above
+    F = deca_trinomial(build_field(3, 5), 1)
+    with caplog.at_level(logging.DEBUG, logger="cdiffkit"):
+        dual_convention_max(F, "exclude_0_1")
+    [record] = [r for r in caplog.records if r.name == "cdiffkit"]
+    assert record.levelno == logging.DEBUG
+    assert record.getMessage() == ("sweep over GF(3^5): |stabilizer| 2, rows scanned "
+                                   "122 of 243, c requested 241, c scanned 25")
+
+
+# -- stabilizers of order 1, 2, 3, 4 and q - 1 against every row and c -------
+
+SYMMETRY_FIELDS = [(2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2), (13, 1)]
+SYMMETRY_KINDS = ("random", "inverse", "scaled_monomial", "even", "binomial")
+
+
+@st.composite
+def symmetry_cases(draw):
+    """(F, invariant, c_set, g): |Λ| is a multiple of g."""
+    kind = draw(st.sampled_from(SYMMETRY_KINDS))
+    fields = SYMMETRY_FIELDS
+    if kind == "binomial":
+        fields = [(p, n) for p, n in fields if (p ** n - 1) % 3 == 0 or (p ** n - 1) % 4 == 0]
+    spec = build_field(*draw(st.sampled_from(fields)))
+    q = spec.q
+    g = 1
+    if kind == "random":
+        F = raw_table(spec, draw(st.lists(st.integers(0, q - 1), min_size=q, max_size=q)))
+    elif kind == "inverse":
+        F, g = inverse_table(spec), q - 1
+    elif kind == "scaled_monomial":
+        A, d = draw(st.integers(1, q - 1)), draw(st.integers(1, q - 1))
+        F, g = from_polynomial(spec, {d: A}), q - 1
+    elif kind == "even":
+        # F(-x) = F(x): -1 lies in Λ
+        v = np.array(draw(st.lists(st.integers(0, q - 1), min_size=q, max_size=q)))
+        x = np.arange(q)
+        F, g = raw_table(spec, v[np.minimum(x, spec.neg_array(x))]), 2 if spec.p > 2 else 1
+    else:
+        # x^d1 + x^d2 with gcd(d1 - d2, q - 1) = g: every λ with λ^g = 1
+        # gives F(λx) = λ^d2 F(x)
+        g = draw(st.sampled_from([g for g in (3, 4) if (q - 1) % g == 0]))
+        steps = [t for t in range(1, (q - 2) // g + 1) if math.gcd(g * t, q - 1) == g]
+        t = draw(st.sampled_from(steps))
+        d2 = draw(st.integers(1, q - 1 - g * t))
+        F = from_polynomial(spec, {d2 + g * t: 1, d2: 1})
+    invariant = all(F[spec.frobenius(x)] == spec.frobenius(F[x]) for x in range(q))
+    return F, invariant, _c_set(draw, spec), g
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(symmetry_cases(), st.sampled_from([INC, NZ]))
+@example((from_polynomial(build_field(2, 4), {4: 1, 1: 1}), True, "all", 3), INC)
+@example((from_polynomial(build_field(7, 2), {5: 1, 1: 1}), True, "all", 4), NZ)
+@example((from_polynomial(build_field(7, 2), {7: 1, 4: 1}), True, [2, 3, 9, 30], 3), INC)
+def test_symmetry_dispatch_matches_every_row_and_c(case, conv):
+    F, invariant, c_set, g = case
+    rows = cdiff._symmetry(F.spec, F.values, [])[0]
+    assert (F.spec.q - 1) // (len(rows) - 1) % g == 0
+    _check_dispatch(F, invariant, c_set, conv)
 
 
 # -- the derivative kernel against a literal loop over x ---------------------
