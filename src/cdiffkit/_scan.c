@@ -1,0 +1,70 @@
+/* The fused row scan behind cdiff._row_maxima.
+ *
+ * For a fixed c and each shift a = rows[i], forms d(x) = F(x + a) - c*F(x)
+ * over every rank x, histograms d over b, and stores the row's maximum in
+ * maxima[i] and the smallest b attaining it in first_b[i].  The caller
+ * checks every rank beforehand and sizes every buffer, so the loops index
+ * without checks.
+ *
+ * work holds 5q int32 entries: v, w, vl, wl (q each, below) and the
+ * histogram.  io holds 3 n_rows int64 entries: the rows, then the maxima,
+ * then the first b.
+ *
+ * Addition follows FieldSpec:
+ *   p = 2:       x + y = x ^ y; v = F and w = -cF.
+ *   n = 1 (m 0): x + y = (x + y) mod p; v = F and w = -cF.
+ *   otherwise:   rank r = h*m + l and x + y = HI[h_x, h_y] + LO[l_x, l_y],
+ *                with HI (q/m x q/m, entries multiples of m) and LO (m x m)
+ *                flattened.  F and -cF come pre-split and pre-scaled into
+ *                flat table offsets: v = (F / m) * (q/m), vl = (F % m) * m,
+ *                w = -cF / m and wl = -cF % m, so that
+ *                F(y) - cF(x) = HI[v[y] + w[x]] + LO[vl[y] + wl[x]].
+ */
+
+#include <stdint.h>
+#include <string.h>
+
+void cdiff_row_maxima(int64_t q, int64_t p, int64_t m, int32_t *work,
+                      const int32_t *hi, const int32_t *lo,
+                      int64_t *io, int64_t n_rows)
+{
+    const int32_t *v = work, *w = work + q, *vl = work + 2 * q, *wl = work + 3 * q;
+    int32_t *hist = work + 4 * q;
+    const int64_t *rows = io;
+    int64_t *maxima = io + n_rows, *first_b = io + 2 * n_rows;
+    for (int64_t i = 0; i < n_rows; i++) {
+        int64_t a = rows[i];
+        memset(hist, 0, (size_t)q * sizeof *hist);
+        if (p == 2) {
+            for (int64_t x = 0; x < q; x++)
+                hist[v[x ^ a] ^ w[x]]++;
+        } else if (m == 0) {
+            int64_t y = a;
+            for (int64_t x = 0; x < q; x++) {
+                int32_t s = v[y] + w[x];
+                hist[s >= p ? s - p : s]++;
+                y = y + 1 == p ? 0 : y + 1;
+            }
+        } else {
+            /* x = h*m + l, and x + a = HI[h_a, h] + LO[l_a, l] */
+            int64_t mh = q / m;
+            const int32_t *hrow = hi + (a / m) * mh, *lrow = lo + (a % m) * m;
+            for (int64_t h = 0; h < mh; h++) {
+                const int32_t *wx = w + h * m, *wlx = wl + h * m;
+                int32_t yh = hrow[h];
+                for (int64_t l = 0; l < m; l++) {
+                    int32_t y = yh + lrow[l];
+                    hist[hi[v[y] + wx[l]] + lo[vl[y] + wlx[l]]]++;
+                }
+            }
+        }
+        int32_t best = 0;
+        for (int64_t b = 0; b < q; b++)
+            best = hist[b] > best ? hist[b] : best;
+        int64_t b = 0;
+        while (hist[b] != best)
+            b++;
+        maxima[i] = best;
+        first_b[i] = b;
+    }
+}

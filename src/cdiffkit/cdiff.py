@@ -19,9 +19,17 @@ and rebuilds every other c's witness from its representative's record.
 
 from __future__ import annotations
 
+import ctypes
 import enum
+import functools
 import logging
+import os
+import subprocess
+import sysconfig
+import tempfile
+import zlib
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -33,6 +41,13 @@ from .parallel import parallel_map
 DDT_DENSE_BOUND = 4096   # materialize the dense q x q count matrix up to this q
 BLOCK_ELEMENTS = 2 ** 16   # elements per block of rows: its intermediates stay in cache
 _MAX_BLOCK_ROWS = 128      # more rows per block read slower at q <= 512
+
+# the compiled row scan (see _kernel)
+_KERNEL_SOURCE = Path(__file__).with_name("_scan.c")
+_KERNEL_DIR = Path(__file__).with_name("__pycache__")
+_COMPILE = ("cc", "-O3", "-shared", "-fPIC")
+_COMPILE_TIMEOUT_S = 120
+_UNUSED = np.zeros(1, dtype=np.int32)   # the tables the p = 2 and n = 1 scans skip
 
 _logger = logging.getLogger("cdiffkit")
 
@@ -144,9 +159,93 @@ def ddt_c(F: FunctionTable, c: int) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _kernel():
+    """The compiled row scan (cdiff_row_maxima in _scan.c) as a ctypes
+    function, or None when it cannot be built or loaded.
+
+    The library is compiled on first use with `cc -O3 -shared -fPIC` into
+    the package's __pycache__, named by a CRC-32 of the source, the command
+    and the platform, so later processes load it without compiling.  The
+    compiler writes a temporary file that is renamed into place, so a
+    concurrent build never loads a partial library.  A missing compiler, a
+    failed or timed-out compile and an unwritable directory all give None,
+    and _row_maxima runs its numpy body.  Resolved once per process:
+    _sweep calls it before forking its workers, which inherit the result.
+    """
+    try:
+        # a checksum tells builds apart; hashlib would load OpenSSL (3.5 MB RSS)
+        key = zlib.crc32(b"\0".join([_KERNEL_SOURCE.read_bytes(), " ".join(_COMPILE).encode(),
+                                      sysconfig.get_platform().encode()]))
+        path = _KERNEL_DIR / f"_scan-{key:08x}.so"
+        if not path.exists():
+            _KERNEL_DIR.mkdir(exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=_KERNEL_DIR)
+            os.close(fd)
+            try:
+                subprocess.run([*_COMPILE, str(_KERNEL_SOURCE), "-o", tmp],
+                               check=True, capture_output=True,
+                               timeout=_COMPILE_TIMEOUT_S)
+                os.chmod(tmp, 0o755)   # mkstemp made it private to this user
+                os.replace(tmp, path)
+            finally:
+                Path(tmp).unlink(missing_ok=True)
+        fn = ctypes.CDLL(str(path)).cdiff_row_maxima
+    except (OSError, subprocess.SubprocessError):
+        return None
+    i64 = ctypes.c_int64
+    i32s = np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS")
+    i64s = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+    fn.argtypes = [i64, i64, i64, i32s, i32s, i32s, i64s, i64]
+    fn.restype = None
+    return fn
+
+
+def _check_ranks(name: str, arr: np.ndarray, q: int):
+    if arr.ndim != 1 or arr.dtype.kind not in "iu" or (
+            arr.size and (arr.min() < 0 or arr.max() >= q)):
+        raise ValueError(f"{name} must be a 1-d array of ranks in [0, {q})")
+
+
+def _compiled_row_maxima(kernel, spec: FieldSpec, values, c: int, rows):
+    """_row_maxima through the compiled scan.  The C loop indexes without
+    checks, so values (q ranks) and rows (ranks) are checked here first."""
+    q = spec.q
+    values, rows = np.asarray(values), np.asarray(rows)
+    if values.shape != (q,):
+        raise ValueError(f"values must hold q = {q} ranks, not shape {values.shape}")
+    _check_ranks("values", values, q)
+    _check_ranks("rows", rows, q)
+    # four buffers, not ten arrays: each pointer argument costs about 3 µs,
+    # as much as a two-row scan itself
+    work = np.empty((5, q), dtype=np.int32)
+    v, w, vl, wl, _ = work   # the last row is the histogram
+    ncf = spec.neg_array(spec.scale_array(c, values))
+    m = spec._split or 0
+    if m:
+        # offsets into the flat HI and LO tables (see _scan.c)
+        np.divmod(values, m, out=(v, vl))
+        np.divmod(ncf, m, out=(w, wl))
+        v *= q // m
+        vl *= m
+        hi, lo = spec._hi.ravel(), spec._lo.ravel()
+    else:
+        v[:], w[:] = values, ncf
+        hi = lo = _UNUSED
+    io = np.empty((3, len(rows)), dtype=np.int64)
+    io[0] = rows
+    kernel(q, spec.p, m, work.ravel(), hi, lo, io.ravel(), len(rows))
+    return io[1], io[2]
+
+
 def _row_maxima(spec: FieldSpec, values, c: int, rows):
     """One pass over the shifts a in rows for a fixed c: the maximum of
-    each row's histogram over b, and the smallest b attaining it."""
+    each row's histogram over b, and the smallest b attaining it.  Runs the
+    compiled scan when _kernel loaded it; this numpy body is the fallback
+    and the reference the tests compare it with."""
+    kernel = _kernel()
+    if kernel is not None:
+        return _compiled_row_maxima(kernel, spec, values, c, rows)
     maxima, first_b = [], []
     for _, counts in _count_blocks(spec, values, c, rows):
         b = counts.argmax(axis=1)
@@ -260,7 +359,8 @@ def _sweep(F: FunctionTable, c_filter, threads: int):
     Resolves the c-set, asks _symmetry for the rows that decide each scan
     and the c values to scan, and scans each representative once, in one
     parallel map.  Logs one DEBUG record on the "cdiffkit" logger with
-    |Λ|, the rows scanned and the c values requested and scanned.  Returns
+    |Λ|, the rows scanned, the c values requested and scanned, and the
+    kernel path (C or numpy, see _kernel).  Returns
     the sweep state (spec, values, rows, coset_min), the map
     {c: (r, k, neg)} over the c-set ascending, and {r: scan record} (see
     _scan).
@@ -269,10 +369,11 @@ def _sweep(F: FunctionTable, c_filter, threads: int):
     cs = admissible_c(spec, c_filter)
     rows, coset_min, rep = _symmetry(spec, values, cs)
     scanned = [c for c, (r, _, _) in rep.items() if r == c]
+    kernel = "numpy" if _kernel() is None else "C"   # resolved before the workers fork
     _logger.debug("sweep over GF(%d^%d): |stabilizer| %d, rows scanned %d of %d, "
-                  "c requested %d, c scanned %d", spec.p, spec.n,
+                  "c requested %d, c scanned %d, kernel %s", spec.p, spec.n,
                   (spec.q - 1) // (len(rows) - 1), len(rows), spec.q,
-                  len(cs), len(scanned))
+                  len(cs), len(scanned), kernel)
     state = (spec, values, rows, coset_min)
     records = parallel_map(_scan, state, scanned, threads)
     return state, rep, dict(zip(scanned, records))

@@ -249,7 +249,6 @@ class FieldSpec:
             raise ReducibleModulus(f"{modulus} factors over F_{p}")
         self.modulus = tuple(modulus)
 
-        self._build_log_tables()
         # digit-wise: digit i of -x is -x_i mod p
         r = np.arange(self.q)
         self._neg = sum((-(r // p ** i) % p) * p ** i for i in range(n)).astype(np.int32)
@@ -265,6 +264,7 @@ class FieldSpec:
             for t in (self._lo, self._hi):
                 t.setflags(write=False)
 
+        self._build_log_tables()   # after the addition tables, which it uses
         self._build_unary_tables()
 
     # -- construction helpers ------------------------------------------------
@@ -286,14 +286,13 @@ class FieldSpec:
             self.primitive_rank = 1
             return
         gen = self._find_generator()
-        exp = np.zeros(2 * (q - 1), dtype=np.int32)
-        cur = 1
-        for i in range(q - 1):
-            exp[i] = cur
-            cur = self._scalar_mul_poly(cur, gen)
-        if cur != 1 or len(set(exp[:q - 1].tolist())) != q - 1:
+        mulg = self._mul_map(gen).tolist()
+        walk = [1]
+        for _ in range(q - 1):
+            walk.append(mulg[walk[-1]])
+        if walk[-1] != 1 or len(set(walk)) != q - 1:
             raise AssertionError("generator walk failed")
-        exp[q - 1:] = exp[:q - 1]
+        exp = np.array(walk[:-1] * 2, dtype=np.int32)
         log = np.zeros(q, dtype=np.int32)
         log[exp[:q - 1]] = np.arange(q - 1)
         exp.setflags(write=False)
@@ -301,6 +300,23 @@ class FieldSpec:
         self._exp = exp
         self._log = log
         self.primitive_rank = gen
+
+    def _mul_map(self, g: int):
+        """The map r -> g*r over all q ranks.
+
+        It is F_p-linear in the digits of r: for r' < p^i and a digit d,
+        g*(d p^i + r') = d (g x^i) + g r'.  So the map over the ranks below
+        p^(i+1) is the digit-wise sum of the p multiples of g x^i with the
+        map below p^i, built a digit at a time in O(q) memory."""
+        p, n = self.p, self.n
+        weights = p ** np.arange(n)
+        out = np.zeros(1, dtype=np.int64)
+        for i in range(n):
+            gx = _int_digits(self._scalar_mul_poly(g, p ** i), p)
+            gx = np.array(gx + [0] * (n - len(gx)))
+            multiples = (np.arange(p)[:, None] * gx) % p @ weights
+            out = self.add_arrays(multiples[:, None], out[None, :]).ravel()
+        return out
 
     def _find_generator(self):
         q = self.q

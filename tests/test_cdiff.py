@@ -1,5 +1,7 @@
 import logging
 import math
+import shutil
+import subprocess
 from unittest import mock
 
 import numpy as np
@@ -290,7 +292,28 @@ def test_witness_check_rejects_inflated_value(gf8):
         result(res.value, 2)
 
 
+def _require_compiled_scan():
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler: the compiled scan cannot be built")
+    assert cdiff._kernel() is not None, "cc is present, but the compiled scan did not load"
+
+
+def _numpy_scan():
+    """Run the numpy body of _row_maxima, as when the compiled scan is missing."""
+    return mock.patch.object(cdiff, "_kernel", return_value=None)
+
+
 def test_inflated_scan_raises_in_every_entry_point(gf27):
+    _require_compiled_scan()
+    _check_inflated_scan_raises(gf27)
+
+
+def test_inflated_numpy_scan_raises_in_every_entry_point(gf27):
+    with _numpy_scan():
+        _check_inflated_scan_raises(gf27)
+
+
+def _check_inflated_scan_raises(gf27):
     # 9 is the smallest member of its orbit {9, 13, 16, 20, 22, 25} under
     # Frobenius and c -> 1/c, so it is scanned, and a maximum above q makes
     # it the first c reaching both overall maxima of dual_convention_max
@@ -650,6 +673,16 @@ def test_orbit_dispatch_scans_one_c_per_orbit():
 
 
 def test_sweep_logs_what_it_scanned(caplog):
+    _require_compiled_scan()
+    _check_sweep_record(caplog, "C")
+
+
+def test_sweep_logs_the_numpy_kernel(caplog):
+    with _numpy_scan():
+        _check_sweep_record(caplog, "numpy")
+
+
+def _check_sweep_record(caplog, kernel):
     # the deca trinomial over GF(3^5) is even: Λ = {1, -1}, so row 0 and 121
     # coset rows; 25 c values as above
     F = deca_trinomial(build_field(3, 5), 1)
@@ -658,7 +691,8 @@ def test_sweep_logs_what_it_scanned(caplog):
     [record] = [r for r in caplog.records if r.name == "cdiffkit"]
     assert record.levelno == logging.DEBUG
     assert record.getMessage() == ("sweep over GF(3^5): |stabilizer| 2, rows scanned "
-                                   "122 of 243, c requested 241, c scanned 25")
+                                   "122 of 243, c requested 241, c scanned 25, "
+                                   f"kernel {kernel}")
 
 
 # -- stabilizers of order 1, 2, 3, 4 and q - 1 against every row and c -------
@@ -734,3 +768,103 @@ def test_derivative_rows_matches_literal_loop(case):
     assert got.tolist() == [
         [slow.sub(values[slow.add(x, a)], slow.mul(c, values[x])) for x in range(spec.q)]
         for a in shifts]
+
+
+# -- the compiled row scan against the numpy body -----------------------------
+
+SCAN_FIELDS = [(2, 1), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2),
+               (5, 3), (7, 1), (7, 2), (7, 3)]
+
+
+@st.composite
+def scan_cases(draw):
+    """(spec, values, c, rows): p in {2, 3, 5, 7} with n = 1, even n and odd
+    n; a random table, a random list of rows and c in {0, 1, random}."""
+    spec = build_field(*draw(st.sampled_from(SCAN_FIELDS)))
+    rank = st.integers(0, spec.q - 1)
+    values = np.array(draw(st.lists(rank, min_size=spec.q, max_size=spec.q)), dtype=np.int32)
+    rows = np.array(draw(st.lists(rank, min_size=1, max_size=spec.q, unique=True)))
+    return spec, values, draw(st.sampled_from([0, 1]) | rank), rows
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(scan_cases())
+def test_compiled_row_maxima_matches_numpy(case):
+    _require_compiled_scan()
+    spec, values, c, rows = case
+    compiled = cdiff._row_maxima(spec, values, c, rows)
+    with _numpy_scan():
+        reference = cdiff._row_maxima(spec, values, c, rows)
+    for got, want in zip(compiled, reference):
+        assert got.tolist() == want.tolist()
+
+
+def _payloads(F, c_set, conv):
+    return [(spectrum(F, c_set, conv, threads).to_json_dict(),
+             dual_convention_max(F, c_set, threads)) for threads in (1, 2)]
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(symmetry_cases(), st.sampled_from([INC, NZ]))
+@example((deca_trinomial(build_field(3, 5), 1), True, "exclude_0_1", 2), INC)
+@example((inverse_table(build_field(2, 8)), True, "all", 255), NZ)
+def test_compiled_payloads_match_numpy(case, conv):
+    _require_compiled_scan()
+    F, _, c_set, _ = case
+    compiled = _payloads(F, c_set, conv)
+    with _numpy_scan():
+        assert _payloads(F, c_set, conv) == compiled
+
+
+@pytest.mark.parametrize("failure", [
+    FileNotFoundError("cc"),
+    subprocess.CalledProcessError(1, "cc"),
+    subprocess.TimeoutExpired("cc", 120),
+])
+def test_failed_compile_falls_back_to_numpy(tmp_path, caplog, failure):
+    F = deca_trinomial(build_field(3, 3), 1)
+    cdiff._kernel.cache_clear()
+    try:
+        with mock.patch.object(cdiff, "_KERNEL_DIR", tmp_path), \
+                mock.patch.object(cdiff.subprocess, "run", side_effect=failure):
+            assert cdiff._kernel() is None
+            with caplog.at_level(logging.DEBUG, logger="cdiffkit"):
+                fallback = _payloads(F, "all", INC)
+    finally:
+        cdiff._kernel.cache_clear()
+    assert list(tmp_path.iterdir()) == []   # the temporary output is removed
+    messages = [r.getMessage() for r in caplog.records if r.name == "cdiffkit"]
+    assert messages and all(m.endswith("kernel numpy") for m in messages)
+    _require_compiled_scan()
+    assert fallback == _payloads(F, "all", INC)
+
+
+def test_compiled_scan_builds_into_an_empty_directory(tmp_path):
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler: the compiled scan cannot be built")
+    spec, values = build_field(3, 3), deca_trinomial(build_field(3, 3), 1).values
+    cdiff._kernel.cache_clear()
+    try:
+        with mock.patch.object(cdiff, "_KERNEL_DIR", tmp_path / "cache"):
+            kernel = cdiff._kernel()
+            assert kernel is not None
+            built = cdiff._row_maxima(spec, values, 2, np.arange(27))
+    finally:
+        cdiff._kernel.cache_clear()
+    [library] = (tmp_path / "cache").iterdir()
+    assert library.name.startswith("_scan-") and library.suffix == ".so"
+    with _numpy_scan():
+        reference = cdiff._row_maxima(spec, values, 2, np.arange(27))
+    assert [a.tolist() for a in built] == [a.tolist() for a in reference]
+
+
+def test_compiled_scan_checks_ranks_before_the_call(gf27):
+    kernel = mock.Mock()
+    good = np.zeros(27, dtype=np.int32)
+    bad = [(good, [27]), (good, [-1]), (good, [[0]]), (good, [0.5]),
+           (np.full(27, 27), [0]), (np.full(27, -1), [0]), (np.zeros(26, dtype=np.int32), [0])]
+    with mock.patch.object(cdiff, "_kernel", return_value=kernel):
+        for values, rows in bad:
+            with pytest.raises(ValueError):
+                cdiff._row_maxima(gf27, values, 1, np.array(rows))
+    kernel.assert_not_called()
