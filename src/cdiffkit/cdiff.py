@@ -166,7 +166,8 @@ def _kernel():
 
     The library is compiled on first use with `cc -O3 -shared -fPIC` into
     the package's __pycache__, named by a CRC-32 of the source, the command
-    and the platform, so later processes load it without compiling.  The
+    and the platform, so later processes load it without compiling; a fresh
+    build removes the libraries built from other sources.  The
     compiler writes a temporary file that is renamed into place, so a
     concurrent build never loads a partial library.  A missing compiler, a
     failed or timed-out compile and an unwritable directory all give None,
@@ -190,6 +191,10 @@ def _kernel():
                 os.replace(tmp, path)
             finally:
                 Path(tmp).unlink(missing_ok=True)
+            # libraries built from older sources; a loaded one stays mapped
+            for stale in _KERNEL_DIR.glob("_scan-*.so"):
+                if stale != path:
+                    stale.unlink(missing_ok=True)
         fn = ctypes.CDLL(str(path)).cdiff_row_maxima
     except (OSError, subprocess.SubprocessError):
         return None

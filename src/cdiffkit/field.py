@@ -200,25 +200,23 @@ def find_default_modulus(p: int, n: int):
     the same modulus.
     """
     for mod in _monic_polys(p, n):
-        if not is_irreducible(mod, p):
-            continue
-        if _x_is_primitive(mod, p, n):
+        if is_irreducible(mod, p) and _is_generator(_x_rank(mod, p), mod, p):
             return mod
     raise AssertionError(f"no primitive polynomial of degree {n} over F_{p}")
 
 
-def _x_is_primitive(mod, p, n):
-    """Does the class of x generate the multiplicative group of F_p[x]/(mod)?"""
-    q = p ** n
-    x = _poly_mod([0, 1] if n > 1 else [(-mod[0]) % p], mod, p)
-    if q == 2:
-        return x == [1]
-    if x in ([], [1]):
-        return False
-    if _poly_powmod(x, q - 1, mod, p) != [1]:
-        return False
-    return all(_poly_powmod(x, (q - 1) // r, mod, p) != [1]
-               for r in _prime_factors(q - 1))
+def _x_rank(mod, p):
+    """Rank of the class of x in F_p[x]/(mod)."""
+    return p if len(mod) > 2 else (-mod[0]) % p
+
+
+def _is_generator(g: int, mod, p: int) -> bool:
+    """Does the element of rank g generate the multiplicative group of
+    F_p[x]/(mod), mod irreducible?  g != 0 and g^((q-1)/r) != 1 for every
+    prime r of q - 1."""
+    q = p ** (len(mod) - 1)
+    return g != 0 and all(_poly_powmod(_int_digits(g, p), (q - 1) // r, mod, p) != [1]
+                          for r in _prime_factors(q - 1))
 
 
 class FieldSpec:
@@ -319,28 +317,14 @@ class FieldSpec:
         return out
 
     def _find_generator(self):
-        q = self.q
         # the canonical modulus is primitive, so the class of x generates;
         # probe it first, then fall back to a search for custom moduli
-        first = self.p if self.n > 1 else (-self.modulus[0]) % self.p
-        factors = _prime_factors(q - 1)
-        rest = (r for r in range(2, q) if r != first)
+        first = _x_rank(self.modulus, self.p)
+        rest = (r for r in range(2, self.q) if r != first)
         for g in itertools.chain([first], rest):
-            if g in (0, 1):
-                continue
-            if all(self._scalar_pow_poly(g, (q - 1) // r) != 1 for r in factors):
+            if _is_generator(g, self.modulus, self.p):
                 return g
         raise AssertionError("no generator found")
-
-    def _scalar_pow_poly(self, x, e):
-        r = 1
-        b = x
-        while e:
-            if e & 1:
-                r = self._scalar_mul_poly(r, b)
-            b = self._scalar_mul_poly(b, b)
-            e >>= 1
-        return r
 
     def _build_unary_tables(self):
         q, p = self.q, self.p

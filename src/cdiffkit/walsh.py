@@ -191,12 +191,15 @@ def _walsh_array(F: FunctionTable,
         raise SizeGuardExceeded(
             f"a Walsh array over GF({spec.p}^{spec.n}) holds q^2 p = "
             f"{q * q * spec.p} entries, above the guard of {size_guard}")
-    # zeta^0 at [x, F(x)]; the transform along v gives zeta^Tr(v F(x)), the
-    # one along x then gives sum_x zeta^(Tr(v F(x)) + Tr(s x)) = W_F(-s, v)
-    graph = np.zeros((q, q, spec.p), dtype=np.int64)
-    graph[np.arange(q), F.values, 0] = 1
-    graph = _transform_1d(spec, graph, 1)
-    return _transform_1d(spec, graph, 0)[spec.neg_array(np.arange(q))]
+    # zeta^Tr(v F(x)) at [x, v]; the transform along x then gives
+    # sum_x zeta^(Tr(v F(x)) + Tr(s x)) = W_F(-s, v)
+    tr = spec.trace_all()
+    W = np.zeros((q, q, spec.p), dtype=np.int64)
+    x = np.arange(q)
+    for v in range(q):
+        W[x, v, tr[spec.scale_array(v, F.values)]] = 1
+    W = _transform_1d(spec, W, 0)   # rebound: the input is freed before the gather
+    return W[spec.neg_array(x)]
 
 
 def walsh_table(F: FunctionTable) -> WalshTable:
@@ -239,30 +242,41 @@ def _cyclic_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def _conj_power_sum(arr: np.ndarray, j: int, p: int) -> CyclotomicInt:
-    """sum over the entries z of a (..., p) array of conj(z) * z^j, exactly."""
+    """sum over the entries z of a (..., p) array of conj(z) * z^j, exactly,
+    a block of at most max(one row of arr, BLOCK_ELEMENTS) coefficients at a
+    time."""
     # Shifting each entry by its smallest coefficient keeps the element
     # (1 + zeta + ... + zeta^(p-1) = 0) and leaves coefficients >= 0.  With L
-    # the largest L1 norm of a shifted entry, every coefficient of every
-    # partial product conj(z) z^i (i <= j) and of every partial sum is at most
-    # L^(j+1) * entries in absolute value, so int64 is exact below 2^63;
-    # otherwise the same code runs on Python integers (object dtype).
-    z = arr.reshape(-1, p)
-    z = z - z.min(axis=1, keepdims=True)
-    L = int(z.sum(axis=1).max())
-    if L ** (j + 1) * len(z) >= 2 ** 63:
-        z = z.astype(object)
-    term = _conj_axis(z, p)
-    for _ in range(j):
-        term = _cyclic_mul(term, z, p)
-    return CyclotomicInt(p, term.sum(axis=0))
+    # the largest L1 norm of a shifted entry of a block, every coefficient of
+    # every partial product conj(z) z^i (i <= j) and of every partial sum is
+    # at most L^(j+1) * entries in absolute value, so int64 is exact below
+    # 2^63; otherwise the block runs on Python integers (object dtype).
+    rows = max(1, BLOCK_ELEMENTS // arr[0].size)
+    total = [0] * p
+    for u in range(0, len(arr), rows):
+        z = arr[u:u + rows].reshape(-1, p)
+        z = z - z.min(axis=1, keepdims=True)
+        L = int(z.sum(axis=1).max())
+        if L ** (j + 1) * len(z) >= 2 ** 63:
+            z = z.astype(object)
+        term = _conj_axis(z, p)
+        for _ in range(j):
+            term = _cyclic_mul(term, z, p)
+        total = [t + int(s) for t, s in zip(total, term.sum(axis=0))]
+    return CyclotomicInt(p, total)
 
 
 def _g_array(F: FunctionTable, c: int, W: np.ndarray) -> np.ndarray:
-    """G(u, v) = W(u, v) * conj(W(u, c v)) over the rows u that W holds, as
-    a (rows, q, p) array."""
+    """G(u, v) = W(u, v) * conj(W(u, c v)), written over the (q, q, p) array
+    W a block of rows at a time, since row u of G reads only row u of W."""
     spec = F.spec
-    cv = spec.scale_array(c, np.arange(spec.q))
-    return _cyclic_mul(W, _conj_axis(W[:, cv], spec.p), spec.p)
+    q, p = spec.q, spec.p
+    cv = spec.scale_array(c, np.arange(q))
+    rows = max(1, BLOCK_ELEMENTS // (q * p))
+    for u in range(0, q, rows):
+        block = W[u:u + rows]
+        block[...] = _cyclic_mul(block, _conj_axis(block[:, cv], p), p)
+    return W
 
 
 def _transform_1d(spec: FieldSpec, arr: np.ndarray, axis: int) -> np.ndarray:
@@ -315,19 +329,11 @@ def _walsh_power_sums(F: FunctionTable, c: int, top: int,
     """
     spec = F.spec
     p, q = spec.p, spec.q
-    # G is formed, and its transform reduced, a block of at most
-    # max(q p, BLOCK_ELEMENTS) coefficients at a time, as in pcn_power_sum:
-    # W and G are the only full arrays, and each reduced block picks its own
-    # exact dtype
-    rows = max(1, BLOCK_ELEMENTS // (q * p))
-    W = _walsh_array(F, size_guard)
-    G = np.empty_like(W)
-    for u in range(0, q, rows):
-        G[u:u + rows] = _g_array(F, c, W[u:u + rows])
-    del W
-    Ghat = _transform_1d(spec, _transform_1d(spec, G, 0), 1)
-    return [_exact(sum(_conj_power_sum(Ghat[u:u + rows], j, p)
-                       for u in range(0, q, rows)).as_integer(), q ** (2 * j + 2))
+    # W becomes G in place and each transform reuses its input, so at most
+    # two (q, q, p) arrays are live
+    Ghat = _transform_1d(spec, _transform_1d(
+        spec, _g_array(F, c, _walsh_array(F, size_guard)), 0), 1)
+    return [_exact(_conj_power_sum(Ghat, j, p).as_integer(), q ** (2 * j + 2))
             for j in range(1, top + 1)]
 
 
@@ -375,15 +381,8 @@ def pcn_power_sum(F: FunctionTable, c: int) -> int:
     with a = 0 admissible).
     """
     _reject_c1(c)
-    # |W(u,v)|^2 |W(u,cv)|^2 = |G(u,v)|^2 with G(u,v) = W(u,v) conj(W(u,cv)),
-    # formed and reduced a block of at most max(q p, BLOCK_ELEMENTS)
-    # coefficients at a time; each block picks its own exact dtype, and the
-    # block sums are exact
-    W = _walsh_array(F)
-    q, p = F.spec.q, F.spec.p
-    rows = max(1, BLOCK_ELEMENTS // (q * p))
-    return sum(_conj_power_sum(_g_array(F, c, W[u:u + rows]), 1, p)
-               for u in range(0, q, rows)).as_integer()
+    # |W(u,v)|^2 |W(u,cv)|^2 = |G(u,v)|^2 with G(u,v) = W(u,v) conj(W(u,cv))
+    return _conj_power_sum(_g_array(F, c, _walsh_array(F)), 1, F.spec.p).as_integer()
 
 
 def apcn_statistic(F: FunctionTable, c: int,

@@ -843,16 +843,23 @@ def test_compiled_scan_builds_into_an_empty_directory(tmp_path):
     if shutil.which("cc") is None:
         pytest.skip("no C compiler: the compiled scan cannot be built")
     spec, values = build_field(3, 3), deca_trinomial(build_field(3, 3), 1).values
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    # a library built from an older source goes; anything else stays
+    (cache / "_scan-00000000.so").write_bytes(b"stale")
+    (cache / "notes.txt").write_text("unrelated")
     cdiff._kernel.cache_clear()
     try:
-        with mock.patch.object(cdiff, "_KERNEL_DIR", tmp_path / "cache"):
+        with mock.patch.object(cdiff, "_KERNEL_DIR", cache):
             kernel = cdiff._kernel()
             assert kernel is not None
             built = cdiff._row_maxima(spec, values, 2, np.arange(27))
     finally:
         cdiff._kernel.cache_clear()
-    [library] = (tmp_path / "cache").iterdir()
+    library, notes = sorted(cache.iterdir())
     assert library.name.startswith("_scan-") and library.suffix == ".so"
+    assert library.name != "_scan-00000000.so"
+    assert notes.read_text() == "unrelated"
     with _numpy_scan():
         reference = cdiff._row_maxima(spec, values, 2, np.arange(27))
     assert [a.tolist() for a in built] == [a.tolist() for a in reference]

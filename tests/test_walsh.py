@@ -81,22 +81,29 @@ def test_canonical_form_p5(a):
     assert z + rel == z
 
 
-@pytest.mark.parametrize("scale", [50, 2 ** 40])
+@pytest.mark.parametrize("scale", [50, 2 ** 40, "blocks"])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_conj_power_sum_matches_scalar_arithmetic(p, scale):
     # coefficients near 2^40 push L^(j+1) * entries past 2^63, so the sum runs
-    # on object dtype; int64 arithmetic would wrap and disagree
+    # on object dtype; int64 arithmetic would wrap and disagree.  "blocks"
+    # spans two blocks of 3 rows of 2 entries: the first near 2^40 (object
+    # dtype), the second small (int64)
     rng = np.random.default_rng(p)
-    arr = scale - rng.integers(0, 2 * scale, size=(6, p), dtype=np.int64)
+    if scale == "blocks":
+        arr = np.concatenate([2 ** 40 - rng.integers(0, 2 ** 41, size=(3, 2, p)),
+                              50 - rng.integers(0, 100, size=(3, 2, p))])
+    else:
+        arr = scale - rng.integers(0, 2 * scale, size=(6, p), dtype=np.int64)
     for j in (1, 2, 3):
         want = CyclotomicInt.integer(p, 0)
-        for row in arr:
+        for row in arr.reshape(-1, p):
             z = CyclotomicInt(p, row)
             term = z.conj()
             for _ in range(j):
                 term = term * z
             want = want + term
-        assert _conj_power_sum(arr, j, p) == want
+        with mock.patch.object(walsh_module, "BLOCK_ELEMENTS", 6 * p):
+            assert _conj_power_sum(arr, j, p) == want
 
 
 # -- walsh transform ----------------------------------------------------------
@@ -135,8 +142,11 @@ def test_walsh_matches_oracle():
                         == CyclotomicInt(p, brute_walsh(oracle, vals, u, v)))
 
 
+# the last two take custom moduli under which x is not primitive: the trace
+# one-hot of the Walsh array must follow the modulus
 TRANSFORM_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2),
-                    (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)]
+                    (3, 3), (5, 1), (5, 2), (7, 1), (7, 2),
+                    (3, 2, (1, 0, 1)), (2, 4, (1, 1, 1, 1, 1))]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -144,6 +154,8 @@ TRANSFORM_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2),
        st.integers(1, 48), st.integers(1, 3))
 @example((2, 2), 0, 3, 2)
 @example((2, 5), 1, 7, 3)
+@example(TRANSFORM_FIELDS[-2], 2, 5, 2)
+@example(TRANSFORM_FIELDS[-1], 3, 7, 1)
 def test_transform_matches_character_sums(pn, seed, d, k):
     spec = build_field(*pn)
     q, p = spec.q, spec.p
@@ -333,13 +345,13 @@ def test_walsh_guard_refuses_before_allocating():
 
 
 def test_g_is_transformed_once(gf16):
-    # two transforms build W, two more transform G, whatever the degree
+    # one transform builds W, two more transform G, whatever the degree
     F = from_monomial(gf16, 5)
     for call in (lambda: apcn_statistic(F, 2), lambda: convolution_statistic(F, 2, 3)):
         with mock.patch.object(walsh_module, "_transform_1d",
                                wraps=walsh_module._transform_1d) as transform:
             call()
-        assert transform.call_count == 4
+        assert transform.call_count == 3
 
 
 def test_phi_coefficients():
