@@ -140,6 +140,7 @@ def _count_blocks(spec: FieldSpec, values, c: int, rows):
 
 def c_derivative(F: FunctionTable, c: int, a: int) -> FunctionTable:
     """Table of x -> F(x + a) - c*F(x)."""
+    F.spec._check(a)
     return FunctionTable(F.spec, derivative_rows(F.spec, F.values, c, [a])[0],
                          {"kind": "raw"})
 
@@ -504,6 +505,7 @@ def cross_solution_check(F: FunctionTable, a: int, b1: int, b2: int,
     if c1 == c2 or c1 == 0 or c2 == 0:
         raise DegenerateCs("need two distinct nonzero c values")
     spec = F.spec
+    spec._check(a)
     sols = _solutions(spec, F.values, c1, a, b1)
     ratio = spec.mul(spec.sub(b1, b2), spec.inv(spec.sub(c2, c1)))
     out = []

@@ -241,29 +241,46 @@ def _cyclic_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _conj_power_sum(arr: np.ndarray, j: int, p: int) -> CyclotomicInt:
-    """sum over the entries z of a (..., p) array of conj(z) * z^j, exactly,
-    a block of at most max(one row of arr, BLOCK_ELEMENTS) coefficients at a
+def _conj_norm_sum(arr: np.ndarray, p: int) -> CyclotomicInt:
+    """sum over the entries z of a (..., p) array of conj(z) * z, exactly, a
+    block of at most max(one row of arr, BLOCK_ELEMENTS) coefficients at a
     time."""
     # Shifting each entry by its smallest coefficient keeps the element
     # (1 + zeta + ... + zeta^(p-1) = 0) and leaves coefficients >= 0.  With L
     # the largest L1 norm of a shifted entry of a block, every coefficient of
-    # every partial product conj(z) z^i (i <= j) and of every partial sum is
-    # at most L^(j+1) * entries in absolute value, so int64 is exact below
-    # 2^63; otherwise the block runs on Python integers (object dtype).
+    # every product conj(z) z and of every partial sum is at most
+    # L^2 * entries, so int64 is exact below 2^63; otherwise the block runs on
+    # Python integers (object dtype).
     rows = max(1, BLOCK_ELEMENTS // arr[0].size)
     total = [0] * p
     for u in range(0, len(arr), rows):
         z = arr[u:u + rows].reshape(-1, p)
         z = z - z.min(axis=1, keepdims=True)
         L = int(z.sum(axis=1).max())
-        if L ** (j + 1) * len(z) >= 2 ** 63:
+        if L ** 2 * len(z) >= 2 ** 63:
             z = z.astype(object)
-        term = _conj_axis(z, p)
-        for _ in range(j):
-            term = _cyclic_mul(term, z, p)
+        term = _cyclic_mul(_conj_axis(z, p), z, p)
         total = [t + int(s) for t, s in zip(total, term.sum(axis=0))]
     return CyclotomicInt(p, total)
+
+
+def _count_frequencies(arr: np.ndarray, scale: int) -> np.ndarray:
+    """Histogram of the counts z / scale over the entries z of a (..., p)
+    array, each of which must be a non-negative multiple of scale in Z."""
+    # z is a rational integer iff coefficients 1..p-1 agree; its value is
+    # then coefficient 0 minus coefficient p-1
+    value = arr[..., 0] - arr[..., -1]
+    if ((arr[..., 1:] != arr[..., -1:]).any() or (value < 0).any()
+            or (value % scale).any()):
+        raise NotRationalInteger(
+            f"an entry is not a non-negative rational multiple of {scale}")
+    return np.bincount(value.ravel() // scale)
+
+
+def _power_sums(freq, top: int) -> list:
+    """[sum_m freq[m] * m^(j+1) for j = 1..top], in Python integers."""
+    hits = [(m, int(f)) for m, f in enumerate(freq) if f]
+    return [sum(f * m ** (j + 1) for m, f in hits) for j in range(1, top + 1)]
 
 
 def _g_array(F: FunctionTable, c: int, W: np.ndarray) -> np.ndarray:
@@ -325,24 +342,16 @@ def _walsh_power_sums(F: FunctionTable, c: int, top: int,
     sum over u_1..u_j, v_1..v_j of conj(W)(sum u, sum v) W(sum u, c sum v)
     prod_i W(u_i,v_i) conj(W)(u_i,c v_i), is p^(2jn) times the j-th sum and
     (1/q^2) * sum over characters chi of conj(hat G)(chi) * hat G(chi)^j with
-    G(u, v) = W(u, v) conj(W)(u, c v): one reduction divided by q^(2j+2).
+    G(u, v) = W(u, v) conj(W)(u, c v).  Expanding G gives
+    hat G(s, t) = q^2 n_F(s, -t, c), a rational integer, so every j comes
+    from one histogram of the checked counts hat G / q^2.
     """
-    spec = F.spec
-    p, q = spec.p, spec.q
+    q = F.spec.q
     # W becomes G in place and each transform reuses its input, so at most
     # two (q, q, p) arrays are live
-    Ghat = _transform_1d(spec, _transform_1d(
-        spec, _g_array(F, c, _walsh_array(F, size_guard)), 0), 1)
-    return [_exact(_conj_power_sum(Ghat, j, p).as_integer(), q ** (2 * j + 2))
-            for j in range(1, top + 1)]
-
-
-def _exact(n: int, d: int) -> int:
-    """n / d, which must be an integer."""
-    quotient, rem = divmod(n, d)
-    if rem:
-        raise NotRationalInteger(f"{n} is not divisible by {d}")
-    return quotient
+    Ghat = _transform_1d(F.spec, _transform_1d(
+        F.spec, _g_array(F, c, _walsh_array(F, size_guard)), 0), 1)
+    return _power_sums(_count_frequencies(Ghat, q * q), top)
 
 
 def phi_coefficients(delta: int) -> list:
@@ -382,7 +391,7 @@ def pcn_power_sum(F: FunctionTable, c: int) -> int:
     """
     _reject_c1(c)
     # |W(u,v)|^2 |W(u,cv)|^2 = |G(u,v)|^2 with G(u,v) = W(u,v) conj(W(u,cv))
-    return _conj_power_sum(_g_array(F, c, _walsh_array(F)), 1, F.spec.p).as_integer()
+    return _conj_norm_sum(_g_array(F, c, _walsh_array(F)), F.spec.p).as_integer()
 
 
 def apcn_statistic(F: FunctionTable, c: int,
@@ -402,16 +411,15 @@ def apcn_statistic(F: FunctionTable, c: int,
     return q ** 4 * s2, 3 * q ** 4 * s1 - 2 * q ** 6
 
 
-def counts_power_sum(F: FunctionTable, c: int, j: int) -> int:
-    """sum over all a, b of n_F(a, b, c)^j with
-    n_F(a, b, c) = #{x : F(x+a) - cF(x) = F(b+a) - cF(b)}."""
-    total = 0
-    for _, mult in _count_blocks(F.spec, F.values, c, np.arange(F.spec.q)):
+def counts_power_sums(F: FunctionTable, c: int, top: int) -> list:
+    """[sum over all a, b of n_F(a, b, c)^j for j = 1..top] with
+    n_F(a, b, c) = #{x : F(x+a) - cF(x) = F(b+a) - cF(b)}, from one pass."""
+    q = F.spec.q
+    freq = np.zeros(q + 1, dtype=np.int64)
+    for _, mult in _count_blocks(F.spec, F.values, c, np.arange(q)):
         # sum over b of mult[d[b]]^j  ==  sum over hit values y of mult[y]^(j+1)
-        # (exactly, in Python integers, from the histogram of multiplicities)
-        freq = np.bincount(mult.ravel())
-        total += sum(int(f) * m ** (j + 1) for m, f in enumerate(freq) if f)
-    return total
+        freq += np.bincount(mult.ravel(), minlength=q + 1)
+    return _power_sums(freq, top)
 
 
 def convolution_statistic(F: FunctionTable, c: int, delta: int):
@@ -429,8 +437,7 @@ def convolution_statistic(F: FunctionTable, c: int, delta: int):
         raise ValueError("delta must be >= 1")
     spec = F.spec
     base = spec.q ** 2
-    count_side = _phi(delta, base, [counts_power_sum(F, c, j)
-                                    for j in range(1, delta + 1)])
+    count_side = _phi(delta, base, counts_power_sums(F, c, delta))
     if base * spec.p > WALSH_ENTRY_GUARD:   # the entries of one Walsh array
         return count_side, None
     return count_side, _phi(delta, base, _walsh_power_sums(F, c, delta))
@@ -450,13 +457,13 @@ def derivative_walsh_statistic(F: FunctionTable, c: int, a: int, delta: int) -> 
     if delta < 1:
         raise ValueError("delta must be >= 1")
     spec = F.spec
+    spec._check(a)
     q, p = spec.q, spec.p
     dvals = derivative_rows(spec, F.values, c, [a])[0]
     # g[v] = W_D(0, v) = sum_y #{x : D(x) = y} zeta^(Tr(v y)), the transform
-    # of D's value histogram; then hat g(t) = sum_v zeta^(Tr(t v)) g(v), and
-    # its reduction with j over q^(j+1) is sum_y #{x : D(x) = y}^(j+1)
+    # of D's value histogram; then hat g(t) = sum_v zeta^(Tr(t v)) g(v)
+    # = q #{x : D(x) = -t}
     hist = np.zeros((q, p), dtype=np.int64)
     hist[:, 0] = np.bincount(dvals, minlength=q)
     ghat = _transform_1d(spec, _transform_1d(spec, hist, 0), 0)
-    return _phi(delta, q, [_exact(_conj_power_sum(ghat, j, p).as_integer(),
-                                  q ** (j + 1)) for j in range(1, delta + 1)])
+    return _phi(delta, q, _power_sums(_count_frequencies(ghat, q), delta))

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cdiffkit import (AConvention, build_field, c_derivative,
-                      cross_solution_check, ddt_c, dual_convention_max,
+                      cross_solution_check, ddt_c, derivative_walsh_statistic,
+                      dual_convention_max,
                       from_monomial, from_polynomial, inverse_table, raw_table,
                       spectrum, uniformity)
 from cdiffkit import cdiff
@@ -243,6 +244,21 @@ def test_cross_solution_empty_vacuous(gf8):
     empties = np.argwhere(table == 0)
     a, b1 = int(empties[0][0]), int(empties[0][1])
     assert cross_solution_check(F, a, b1, 0, 3, 5) == []
+
+
+@pytest.mark.parametrize("pn", [(7, 1), (2, 3), (3, 2)])
+@pytest.mark.parametrize("shift", ["q", "q+1", "-1"])
+def test_shift_out_of_range_rejected(pn, shift):
+    # a rank outside [0, q) neither wraps mod q nor escapes as an IndexError
+    spec = build_field(*pn)
+    q = spec.q
+    a = {"q": q, "q+1": q + 1, "-1": -1}[shift]
+    F = from_monomial(spec, 2)
+    for call in (lambda: c_derivative(F, 2, a),
+                 lambda: derivative_walsh_statistic(F, 2, a, 1),
+                 lambda: cross_solution_check(F, a, 1, 2, 2, 3)):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_spectrum_report_serialization(gf9):

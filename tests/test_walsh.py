@@ -10,13 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdiffkit import (AConvention, CyclotomicInt, apcn_statistic, build_field,
-                      convolution_statistic, derivative_walsh_statistic,
+                      convolution_statistic, ddt_c, derivative_walsh_statistic,
                       from_monomial, from_polynomial, pcn_power_sum, raw_table,
                       uniformity, walsh_table, walsh_value)
 from cdiffkit.errors import NotRationalInteger, SizeGuardExceeded
-from cdiffkit.walsh import (_conj_power_sum, _transform_1d, _walsh_array,
-                            _walsh_power_sums, counts_power_sum,
-                            phi_coefficients)
+from cdiffkit.walsh import (_conj_norm_sum, _count_frequencies, _g_array,
+                            _transform_1d, _walsh_array, _walsh_power_sums,
+                            counts_power_sums, phi_coefficients)
 
 from oracles import (brute_convolution_tensor, brute_derivative_statistic,
                      brute_pcn_sum, brute_walsh, brute_walsh_table,
@@ -84,7 +84,7 @@ def test_canonical_form_p5(a):
 @pytest.mark.parametrize("scale", [50, 2 ** 40, "blocks"])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_conj_power_sum_matches_scalar_arithmetic(p, scale):
-    # coefficients near 2^40 push L^(j+1) * entries past 2^63, so the sum runs
+    # coefficients near 2^40 push L^2 * entries past 2^63, so the sum runs
     # on object dtype; int64 arithmetic would wrap and disagree.  "blocks"
     # spans two blocks of 3 rows of 2 entries: the first near 2^40 (object
     # dtype), the second small (int64)
@@ -94,16 +94,12 @@ def test_conj_power_sum_matches_scalar_arithmetic(p, scale):
                               50 - rng.integers(0, 100, size=(3, 2, p))])
     else:
         arr = scale - rng.integers(0, 2 * scale, size=(6, p), dtype=np.int64)
-    for j in (1, 2, 3):
-        want = CyclotomicInt.integer(p, 0)
-        for row in arr.reshape(-1, p):
-            z = CyclotomicInt(p, row)
-            term = z.conj()
-            for _ in range(j):
-                term = term * z
-            want = want + term
-        with mock.patch.object(walsh_module, "BLOCK_ELEMENTS", 6 * p):
-            assert _conj_power_sum(arr, j, p) == want
+    want = CyclotomicInt.integer(p, 0)
+    for row in arr.reshape(-1, p):
+        z = CyclotomicInt(p, row)
+        want = want + z.conj() * z
+    with mock.patch.object(walsh_module, "BLOCK_ELEMENTS", 6 * p):
+        assert _conj_norm_sum(arr, p) == want
 
 
 # -- walsh transform ----------------------------------------------------------
@@ -174,6 +170,46 @@ def test_transform_matches_character_sums(pn, seed, d, k):
     assert np.array_equal(_transform_1d(spec, arr.copy(), 0), want)
     assert np.array_equal(_transform_1d(spec, arr.swapaxes(0, 1).copy(), 1),
                           want.swapaxes(0, 1))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(TRANSFORM_FIELDS), st.integers(0, 2 ** 32 - 1),
+       st.integers(0, 2 ** 16))
+@example(TRANSFORM_FIELDS[-2], 2, 5)
+@example(TRANSFORM_FIELDS[-1], 3, 7)
+def test_transformed_g_is_q2_times_ddt(pn, seed, drawn):
+    # hat G(s, t) = q^2 n_F(s, -t, c): a rational integer, so its canonical
+    # coefficients (last one zero) are q^2 n_F(s, -t, c), 0, ..., 0
+    spec = build_field(*pn)
+    q = spec.q
+    F = raw_table(spec, np.random.default_rng(seed).integers(0, q, q))
+    neg = spec.neg_array(np.arange(q))
+    for c in (0, 1, drawn % q):
+        Ghat = _transform_1d(spec, _transform_1d(
+            spec, _g_array(F, c, _walsh_array(F)), 0), 1)
+        want = np.zeros_like(Ghat)
+        want[..., 0] = q * q * ddt_c(F, c)[:, neg]
+        assert np.array_equal(Ghat - Ghat[..., -1:], want)
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 1), (7, 1)])
+def test_count_frequencies_rejects_non_counts(p, n):
+    spec = build_field(p, n)
+    q = spec.q
+    F = from_monomial(spec, 2)
+    Ghat = _transform_1d(spec, _transform_1d(
+        spec, _g_array(F, 2, _walsh_array(F)), 0), 1)
+    assert np.array_equal(_count_frequencies(Ghat, q * q),
+                          np.bincount(ddt_c(F, 2).ravel()))
+    # entry [1, 2]: coefficient 0 off by one (not a multiple of q^2), then
+    # made -q^2, then coefficient 1 off by one (not rational; p >= 3)
+    value = int(Ghat[1, 2, 0] - Ghat[1, 2, -1])
+    mutants = [(0, 1), (0, -value - q * q)] + [(1, 1)] * (p >= 3)
+    for k, step in mutants:
+        bad = Ghat.copy()
+        bad[1, 2, k] += step
+        with pytest.raises(NotRationalInteger):
+            _count_frequencies(bad, q * q)
 
 
 def test_walsh_module_not_shadowed():
@@ -251,7 +287,7 @@ def test_pcn_above_q256_matches_counts(p, n):
               raw_table(spec, rng.integers(0, q, q))):
         for c in (0, 2, q - 1):
             s = pcn_power_sum(F, c)
-            assert s == q ** 2 * counts_power_sum(F, c, 1)
+            assert s == q ** 2 * counts_power_sums(F, c, 1)[0]
             assert s >= p ** (4 * n)
             assert (s == p ** (4 * n)) == (uniformity(F, c, INC).value == 1)
 
@@ -285,7 +321,7 @@ def test_tensor_matches_brute_force():
 
 def test_count_walsh_duality():
     # sum over a, b of n_F(a,b,c)^j equals its Walsh-side evaluation (the
-    # (j+1)-fold convolution tensor over p^(2jn)), exactly, for j in {1, 2}
+    # (j+1)-fold convolution tensor over p^(2jn)), exactly, for j in {1, 2, 3}
     rng = np.random.default_rng(23)
     for (p, n) in [(2, 2), (3, 1), (2, 3), (3, 2), (2, 4)]:
         spec = build_field(p, n)
@@ -294,9 +330,10 @@ def test_count_walsh_duality():
             for c in (0, 2):
                 if c == 1:
                     continue
-                sums = _walsh_power_sums(F, c, 2)
-                for j in (1, 2):
-                    assert sums[j - 1] == counts_power_sum(F, c, j)
+                sums = _walsh_power_sums(F, c, 3)
+                counts = counts_power_sums(F, c, 3)
+                for j in (1, 2, 3):
+                    assert sums[j - 1] == counts[j - 1]
 
 
 def test_apcn_square_gf9_equality(gf9):
@@ -352,6 +389,15 @@ def test_g_is_transformed_once(gf16):
                                wraps=walsh_module._transform_1d) as transform:
             call()
         assert transform.call_count == 3
+
+
+def test_count_side_is_one_pass(gf16):
+    # every power sum of the count side comes from one derivative sweep
+    F = from_monomial(gf16, 5)
+    with mock.patch.object(walsh_module, "_count_blocks",
+                           wraps=walsh_module._count_blocks) as blocks:
+        convolution_statistic(F, 2, 3)
+    assert blocks.call_count == 1
 
 
 def test_phi_coefficients():
