@@ -324,7 +324,7 @@ def main(argv=None) -> int:
     except SizeGuardExceeded as exc:
         print(f"size guard exceeded: {exc}", file=sys.stderr)
         return 3
-    except (CdiffkitError, ValueError) as exc:
+    except (CdiffkitError, ValueError, OSError) as exc:   # OSError: table:PATH
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -278,11 +278,6 @@ class FieldSpec:
 
     def _build_log_tables(self):
         q = self.q
-        if q == 2:
-            self._exp = np.array([1, 1], dtype=np.int32)
-            self._log = np.array([0, 0], dtype=np.int32)
-            self.primitive_rank = 1
-            return
         gen = self._find_generator()
         mulg = self._mul_map(gen).tolist()
         walk = [1]
@@ -320,7 +315,7 @@ class FieldSpec:
         # the canonical modulus is primitive, so the class of x generates;
         # probe it first, then fall back to a search for custom moduli
         first = _x_rank(self.modulus, self.p)
-        rest = (r for r in range(2, self.q) if r != first)
+        rest = (r for r in range(1, self.q) if r != first)   # 1 generates GF(2)
         for g in itertools.chain([first], rest):
             if _is_generator(g, self.modulus, self.p):
                 return g

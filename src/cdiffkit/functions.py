@@ -136,14 +136,24 @@ def table_to_json_dict(table: FunctionTable) -> dict:
     }
 
 
+def _json_int(value, what: str) -> int:
+    """value, which must be an integer: int() would pass 1.5 and true."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise SchemaViolation(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def table_from_json_dict(blob: dict, spec: FieldSpec | None = None) -> FunctionTable:
+    if not isinstance(blob, dict):
+        raise SchemaViolation(f"a table is a JSON object, got {type(blob).__name__}")
     for key in ("field", "origin", "values"):
         if key not in blob:
             raise SchemaViolation(f"missing top-level key {key!r}")
     fblob = blob["field"]
     try:
-        file_spec = build_field(int(fblob["p"]), int(fblob["n"]),
-                                [int(c) for c in fblob["modulus"]])
+        file_spec = build_field(_json_int(fblob["p"], "p"), _json_int(fblob["n"], "n"),
+                                [_json_int(c, "modulus coefficient")
+                                 for c in fblob["modulus"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaViolation(f"malformed field block: {exc}") from exc
     if spec is not None and spec != file_spec:
@@ -154,7 +164,7 @@ def table_from_json_dict(blob: dict, spec: FieldSpec | None = None) -> FunctionT
     if not isinstance(values, list) or len(values) != spec.q:
         raise SchemaViolation(
             f"values must be a list of exactly q = {spec.q} ranks")
-    values = [int(v) for v in values]
+    values = [_json_int(v, "value rank") for v in values]
     if any(v < 0 or v >= spec.q for v in values):
         raise RankOutOfRange("value rank outside [0, q)")
     origin = blob["origin"]
@@ -163,9 +173,16 @@ def table_from_json_dict(blob: dict, spec: FieldSpec | None = None) -> FunctionT
         raise SchemaViolation(f"bad origin descriptor: {origin!r}")
     origin = dict(origin)
     if origin["kind"] == "polynomial":
-        origin["coeffs"] = {int(e): int(c) for e, c in origin["coeffs"].items()}
+        coeffs = origin.get("coeffs")
+        if not isinstance(coeffs, dict):
+            raise SchemaViolation(f"polynomial origin without coeffs: {origin!r}")
+        try:
+            origin["coeffs"] = {int(e): _json_int(c, "coefficient")
+                                for e, c in coeffs.items()}
+        except ValueError as exc:
+            raise SchemaViolation(f"malformed coeffs exponent: {exc}") from exc
     if origin["kind"] == "monomial":
-        origin["d"] = int(origin["d"])
+        origin["d"] = _json_int(origin.get("d"), "monomial exponent d")
     return FunctionTable(spec, np.array(values, dtype=np.int32), origin)
 
 

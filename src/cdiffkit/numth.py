@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormulaMismatch, SubfieldEdgeCase
-from .field import FieldSpec
+from .errors import FormulaMismatch, NonPrimeCharacteristic, SubfieldEdgeCase
+from .field import FieldSpec, is_prime
 
 
 def gcd_power_formula(p: int, k: int, n: int) -> int:
@@ -20,6 +20,8 @@ def gcd_power_formula(p: int, k: int, n: int) -> int:
     p = 2:  (2^gcd(2k,n) - 1) / (2^gcd(k,n) - 1)
     p > 2:  2 when n/gcd(n,k) is odd, else p^gcd(k,n) + 1.
     """
+    if not isinstance(p, int) or not is_prime(p):
+        raise NonPrimeCharacteristic(f"p = {p} is not prime")
     if k < 1 or n < 1:
         raise ValueError("k and n must be >= 1")
     g = math.gcd(k, n)

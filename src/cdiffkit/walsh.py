@@ -5,7 +5,8 @@ makes "equality iff PcN/APcN/delta-uniform" a statement about integers
 rather than floating-point tolerances.
 
 The headline identities, all proved by expanding difference counts into
-character sums (m = n throughout; q = p^n):
+character sums (m = n throughout; q = p^n), with the count
+n_F(a, b, c) = #{x : F(x+a) - cF(x) = b}:
 
 * pcn_power_sum:     sum_{u,v} |W(u,v)|^2 |W(u,cv)|^2  >=  p^(4n),
                      equality iff every admissible c-derivative (a = 0
@@ -13,7 +14,7 @@ character sums (m = n throughout; q = p^n):
 * apcn_statistic:    the 6-fold convolution sum against
                      3 p^(2n) (pcn sum) - 2 p^(6n), equality iff the
                      uniformity is at most 2.
-* convolution_statistic: for any delta, sum_{a,b} phi(n_F(a,b,c)) with
+* convolution_statistic: for any delta, sum_{a,b} n_F phi(n_F) with
                      phi(x) = (x-1)...(x-delta) is nonnegative and zero iff
                      the uniformity is at most delta; its Walsh-side twin
                      evaluates the same number through convolution tensors
@@ -26,6 +27,8 @@ reorganization (a group Fourier transform over (F_q, +)^2 whose twiddle
 factors are powers of zeta_p, i.e. coefficient rotations), which brings the
 literal q^(2 delta) summation down to the cost of the transform: the DFT
 over (Z_p)^n, O(q n p^2) coefficient operations per transformed vector.
+The trace form enters once, where the Walsh array is written; later
+transforms are plain DFTs whose labels only histograms read.
 """
 
 from __future__ import annotations
@@ -186,20 +189,22 @@ def _walsh_array(F: FunctionTable,
     is the exponent-count vector of W_F(u, v).  Every (q, q, p) array of the
     Walsh side starts here; q^2 p > size_guard raises before any is made."""
     spec = F.spec
-    q = spec.q
-    if size_guard is not None and q * q * spec.p > size_guard:
+    q, p = spec.q, spec.p
+    if size_guard is not None and q * q * p > size_guard:
         raise SizeGuardExceeded(
-            f"a Walsh array over GF({spec.p}^{spec.n}) holds q^2 p = "
-            f"{q * q * spec.p} entries, above the guard of {size_guard}")
-    # zeta^Tr(v F(x)) at [x, v]; the transform along x then gives
-    # sum_x zeta^(Tr(v F(x)) + Tr(s x)) = W_F(-s, v)
+            f"a Walsh array over GF({p}^{spec.n}) holds q^2 p = "
+            f"{q * q * p} entries, above the guard of {size_guard}")
+    # the one place the trace form enters: the one-hot of zeta^Tr(v F(x))
+    # goes to row y = t(-x), where digit i of t(z) is Tr(z alpha^i) (alpha^i
+    # has rank p^i); <u, y> = Tr(-u x), so the transform puts W_F(u, v) at
+    # row u
     tr = spec.trace_all()
-    W = np.zeros((q, q, spec.p), dtype=np.int64)
-    x = np.arange(q)
+    neg = spec.neg_array(np.arange(q))
+    y = sum(tr[spec.scale_array(p ** i, neg)] * p ** i for i in range(spec.n))
+    W = np.zeros((q, q, p), dtype=np.int64)
     for v in range(q):
-        W[x, v, tr[spec.scale_array(v, F.values)]] = 1
-    W = _transform_1d(spec, W, 0)   # rebound: the input is freed before the gather
-    return W[spec.neg_array(x)]
+        W[y, v, tr[spec.scale_array(v, F.values)]] = 1
+    return _dft(W, p)
 
 
 def walsh_table(F: FunctionTable) -> WalshTable:
@@ -296,47 +301,39 @@ def _g_array(F: FunctionTable, c: int, W: np.ndarray) -> np.ndarray:
     return W
 
 
-def _transform_1d(spec: FieldSpec, arr: np.ndarray, axis: int) -> np.ndarray:
-    """Character transform along one group axis:
-    out[s, ...] = sum_w zeta^(Tr(s w)) arr[w, ...], exact in int64.
+def _dft(arr: np.ndarray, p: int) -> np.ndarray:
+    """The DFT over (Z_p)^m along the leading axis, len(arr) = p^m:
+    out[k, ...] = sum_w zeta^<k, w> arr[w, ...], exact in int64, with k and
+    w read as vectors of base-p digits.
 
-    Tr(s w) = <t(s), digits(w)> mod p with digit i of t(s) = Tr(s alpha^i),
-    so this is the DFT over (Z_p)^n (n p-point stages, one per base-p digit
-    of w) followed by a gather by t.  Its twiddle factors are rotations of
-    the coefficient axis; each stage grows the largest coefficient by at
-    most a factor of p, so q = p^n bounds the whole transform.
+    One p-point stage per digit; the twiddle factors are rotations of the
+    coefficient axis, and each stage grows the largest coefficient by at most
+    a factor of p, so p^m bounds the whole transform.
 
-    arr is overwritten: the stages and the gather alternate between arr and
-    one buffer of its size, so at most two such arrays are live.
+    arr is overwritten: the stages alternate between arr and one buffer of
+    its size, so at most two such arrays are live.
     """
-    q, p, n = spec.q, spec.p, spec.n
-    arr = np.moveaxis(arr, axis, 0)
     peak = int(np.abs(arr).max()) if arr.size else 0
-    if peak and peak > (2 ** 62) // (q * p):
+    if peak and peak > (2 ** 62) // (len(arr) * p):
         raise SizeGuardExceeded("transform would overflow int64 accumulators")
     bufs = (arr, np.empty_like(arr))
-    digit_shape = (p,) * n + arr.shape[1:]      # one axis per digit of w
-    for i in range(n):
+    stride = 1      # p^i, the place value of the digit of this stage
+    while stride < len(arr):
         # splitting the leading axis is always a view, so out writes the buffer
-        y = np.moveaxis(bufs[i % 2].reshape(digit_shape), i, 0)
-        out = np.moveaxis(bufs[(i + 1) % 2].reshape(digit_shape), i, 0)
+        y = bufs[0].reshape(-1, p, stride, *arr.shape[1:])
+        out = bufs[1].reshape(y.shape)
         for k in range(p):
-            out[k] = y[0]
+            out[:, k] = y[:, 0]
             for d in range(1, p):
-                out[k] += np.roll(y[d], k * d % p, axis=-1)   # zeta^(k d) y[d]
-    tr = spec.trace_all()
-    # the polynomial basis element alpha^i has rank p^i
-    t = sum(tr[spec.scale_array(p ** i, np.arange(q))] * p ** i for i in range(n))
-    src, result = bufs[n % 2], bufs[(n + 1) % 2]
-    step = q // p
-    for s in range(0, q, step):     # q/p rows at a time: its temporary stays small
-        result[s:s + step] = src[t[s:s + step]]
-    return np.moveaxis(result, 0, axis)
+                out[:, k] += np.roll(y[:, d], k * d % p, axis=-1)   # zeta^(k d) y[d]
+        bufs = bufs[::-1]
+        stride *= p
+    return bufs[0]
 
 
 def _walsh_power_sums(F: FunctionTable, c: int, top: int,
                       size_guard: int | None = WALSH_ENTRY_GUARD) -> list:
-    """[sum_{a,b} n_F(a,b,c)^j for j = 1..top], from one transform of G.
+    """[sum_{a,b} n_F(a,b,c)^(j+1) for j = 1..top], from one transform of G.
 
     The (j+1)-fold convolution tensor (W_F W_F^c)^{tensor (j+1)} (0, 0), the
     sum over u_1..u_j, v_1..v_j of conj(W)(sum u, sum v) W(sum u, c sum v)
@@ -346,12 +343,13 @@ def _walsh_power_sums(F: FunctionTable, c: int, top: int,
     hat G(s, t) = q^2 n_F(s, -t, c), a rational integer, so every j comes
     from one histogram of the checked counts hat G / q^2.
     """
-    q = F.spec.q
-    # W becomes G in place and each transform reuses its input, so at most
-    # two (q, q, p) arrays are live
-    Ghat = _transform_1d(F.spec, _transform_1d(
-        F.spec, _g_array(F, c, _walsh_array(F, size_guard)), 0), 1)
-    return _power_sums(_count_frequencies(Ghat, q * q), top)
+    q, p = F.spec.q, F.spec.p
+    # the digits of u q + v are those of (u, v): one transform of the (q^2, p)
+    # view puts hat G(s, t) at (t(s), t(t)), labels the histogram never
+    # reads.  W becomes G in place and the transform reuses its input, so at
+    # most two (q, q, p) arrays are live
+    G = _g_array(F, c, _walsh_array(F, size_guard))
+    return _power_sums(_count_frequencies(_dft(G.reshape(q * q, p), p), q * q), top)
 
 
 def phi_coefficients(delta: int) -> list:
@@ -412,12 +410,11 @@ def apcn_statistic(F: FunctionTable, c: int,
 
 
 def counts_power_sums(F: FunctionTable, c: int, top: int) -> list:
-    """[sum over all a, b of n_F(a, b, c)^j for j = 1..top] with
-    n_F(a, b, c) = #{x : F(x+a) - cF(x) = F(b+a) - cF(b)}, from one pass."""
+    """[sum_{a,b} n_F(a,b,c)^(j+1) for j = 1..top], from one pass."""
     q = F.spec.q
     freq = np.zeros(q + 1, dtype=np.int64)
     for _, mult in _count_blocks(F.spec, F.values, c, np.arange(q)):
-        # sum over b of mult[d[b]]^j  ==  sum over hit values y of mult[y]^(j+1)
+        # mult[i, b] = n_F(a_i, b, c); freq[m] counts the (a, b) with n_F = m
         freq += np.bincount(mult.ravel(), minlength=q + 1)
     return _power_sums(freq, top)
 
@@ -425,12 +422,13 @@ def counts_power_sums(F: FunctionTable, c: int, top: int) -> list:
 def convolution_statistic(F: FunctionTable, c: int, delta: int):
     """(count_side, walsh_side) for phi(x) = (x-1)...(x-delta).
 
-    count_side = p^(2n) A_0 + sum_j A_j sum_{a,b} n_F(a,b,c)^j; nonnegative,
-    zero iff the c-differential uniformity is at most delta (a = 0
-    admissible).  walsh_side evaluates the identical quantity through the
-    Walsh convolution tensors (see _walsh_power_sums) and is None when the
-    Walsh arrays would exceed WALSH_ENTRY_GUARD; whenever both sides are
-    computed they are equal integers.
+    count_side = p^(2n) A_0 + sum_j A_j sum_{a,b} n_F(a,b,c)^(j+1), which is
+    sum_{a,b} n_F phi(n_F) since sum_{a,b} n_F = p^(2n); nonnegative, zero
+    iff the c-differential uniformity is at most delta (a = 0 admissible).
+    walsh_side evaluates the identical quantity through the Walsh
+    convolution tensors (see _walsh_power_sums) and is None when the Walsh
+    arrays would exceed WALSH_ENTRY_GUARD; whenever both sides are computed
+    they are equal integers.
     """
     _reject_c1(c)
     if delta < 1:
@@ -460,10 +458,10 @@ def derivative_walsh_statistic(F: FunctionTable, c: int, a: int, delta: int) -> 
     spec._check(a)
     q, p = spec.q, spec.p
     dvals = derivative_rows(spec, F.values, c, [a])[0]
-    # g[v] = W_D(0, v) = sum_y #{x : D(x) = y} zeta^(Tr(v y)), the transform
-    # of D's value histogram; then hat g(t) = sum_v zeta^(Tr(t v)) g(v)
-    # = q #{x : D(x) = -t}
+    # the transform of D's value histogram is g[k] = sum_y #{x : D(x) = y}
+    # zeta^<k, y>, and transforming again gives q #{x : D(x) = y} at the
+    # digits of -y
     hist = np.zeros((q, p), dtype=np.int64)
     hist[:, 0] = np.bincount(dvals, minlength=q)
-    ghat = _transform_1d(spec, _transform_1d(spec, hist, 0), 0)
+    ghat = _dft(_dft(hist, p), p)
     return _phi(delta, q, _power_sums(_count_frequencies(ghat, q), delta))

@@ -1,9 +1,12 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from cdiffkit import build_field, from_monomial, save_table
-from cdiffkit.cli import main
+from cdiffkit.cli import _COMMANDS, build_parser, main
 
 
 def run(capsys, *argv):
@@ -100,6 +103,14 @@ def test_function_spec_inverse_and_table(tmp_path, capsys):
     assert json.loads(out)["payload"]["uniformity"] == 1
 
 
+def test_unreadable_table_exits_2(tmp_path, capsys):
+    code, _, err = run(capsys, "uniformity", "--p", "2", "--n", "4",
+                       "--function", f"table:{tmp_path / 'missing.json'}",
+                       "--c", "0", "--a-convention", "include-zero")
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_bad_function_spec_exits_2(capsys):
     code, _, err = run(capsys, "uniformity", "--p", "2", "--n", "3",
                        "--function", "nonsense", "--c", "1",
@@ -142,6 +153,13 @@ def test_gcd_lemma_command(capsys):
     code, out, _ = run(capsys, "gcd-lemma", "--p", "3", "--k", "1", "--n", "4")
     assert code == 0
     assert json.loads(out)["gcd"] == 4
+
+
+@pytest.mark.parametrize("p", ["4", "1", "9"])
+def test_gcd_lemma_non_prime_exits_2(capsys, p):
+    code, out, err = run(capsys, "gcd-lemma", "--p", p, "--k", "1", "--n", "1")
+    assert (code, out) == (2, "")
+    assert "not prime" in err
 
 
 def test_verify_summary_and_strict(capsys):
@@ -197,3 +215,28 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--p", "2"])
     assert exc.value.code == 2
+
+
+def _readme_examples():
+    """The `cdiffkit ...` lines of README "Command line", continuations
+    joined, each with its [optional] parts and without them."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    examples = []
+    for line in filter(None, map(str.strip, block.replace("\\\n", " ").splitlines())):
+        assert line.startswith("cdiffkit "), line
+        for variant in (re.sub(r"[\[\]]", "", line), re.sub(r"\[[^]]*\]", "", line)):
+            if shlex.split(variant)[1:] not in examples:
+                examples.append(shlex.split(variant)[1:])
+    return examples
+
+
+def test_readme_examples_parse(capsys):
+    # guards the README against flag drift; the quick commands also run
+    examples = _readme_examples()
+    assert {argv[0] for argv in examples} == set(_COMMANDS)
+    for argv in examples:
+        build_parser().parse_args(argv)
+        if argv[0] in ("field-info", "uniformity", "walsh-check", "trinomial",
+                       "gcd-lemma"):
+            assert run(capsys, *argv)[0] == 0, argv

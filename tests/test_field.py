@@ -204,6 +204,16 @@ def test_log_antilog_roundtrip(gf27):
         assert int(gf27._exp[int(gf27._log[r])]) == r
 
 
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 3), (3, 2), (7, 1)])
+def test_field_tables_read_only(p, n):
+    # build_field hands every caller the same cached FieldSpec
+    tables = {name: t for name, t in vars(build_field(p, n)).items()
+              if isinstance(t, np.ndarray)}
+    assert {"_exp", "_log", "_neg", "_frob", "_inv", "_trace"} <= set(tables)
+    for name, t in tables.items():
+        assert not t.flags.writeable, name
+
+
 def test_field_above_table_bound_is_refused():
     # refused before the modulus search and any table is built
     for make, p, n in [(build_field, 2, 21), (FieldSpec, 3, 13)]:

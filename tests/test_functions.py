@@ -125,6 +125,25 @@ def test_io_field_mismatch(tmp_path, gf8, gf9):
     assert load_table(path, spec=gf8) is not None
 
 
+# each used to load (1.5 and true as rank 1) or raise a bare error
+CORRUPT_TABLES = {
+    "float value": lambda b: {**b, "values": b["values"][:3] + [1.5] + b["values"][4:]},
+    "bool value": lambda b: {**b, "values": b["values"][:3] + [True] + b["values"][4:]},
+    "polynomial without coeffs": lambda b: {**b, "origin": {"kind": "polynomial"}},
+    "monomial without d": lambda b: {**b, "origin": {"kind": "monomial"}},
+    "not an object": lambda b: 5,
+}
+
+
+@pytest.mark.parametrize("how", list(CORRUPT_TABLES))
+def test_io_corrupt_table_rejected(tmp_path, gf8, how):
+    blob = CORRUPT_TABLES[how](table_to_json_dict(from_monomial(gf8, 3)))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    with pytest.raises(SchemaViolation):
+        load_table(path)
+
+
 def test_io_missing_key():
     with pytest.raises(SchemaViolation):
         table_from_json_dict({"origin": {"kind": "raw"}, "values": []})

@@ -8,7 +8,7 @@ import pytest
 from cdiffkit import numth
 from cdiffkit import (build_field, chebyshev_eval, chebyshev_is_permutation,
                       gcd_power_formula, solve_quadratic, trinomial_roots)
-from cdiffkit.errors import SubfieldEdgeCase
+from cdiffkit.errors import NonPrimeCharacteristic, SubfieldEdgeCase
 from cdiffkit.field import is_prime
 
 from oracles import slow_field_like
@@ -18,6 +18,13 @@ def test_gcd_examples():
     assert gcd_power_formula(2, 2, 4) == 5
     assert gcd_power_formula(3, 1, 3) == 2
     assert gcd_power_formula(3, 1, 4) == 4
+
+
+@pytest.mark.parametrize("p", [4, 1, 9])
+def test_gcd_rejects_non_prime_p(p):
+    # p = 4 would reach the closed-form cross-check and blame the library
+    with pytest.raises(NonPrimeCharacteristic):
+        gcd_power_formula(p, 1, 1)
 
 
 def test_gcd_full_sweep():

@@ -15,7 +15,7 @@ from cdiffkit import (AConvention, CyclotomicInt, apcn_statistic, build_field,
                       uniformity, walsh_table, walsh_value)
 from cdiffkit.errors import NotRationalInteger, SizeGuardExceeded
 from cdiffkit.walsh import (_conj_norm_sum, _count_frequencies, _g_array,
-                            _transform_1d, _walsh_array, _walsh_power_sums,
+                            _dft, _walsh_array, _walsh_power_sums,
                             counts_power_sums, phi_coefficients)
 
 from oracles import (brute_convolution_tensor, brute_derivative_statistic,
@@ -161,15 +161,16 @@ def test_transform_matches_character_sums(pn, seed, d, k):
     for F in (raw_table(spec, rng.integers(0, q, q)), from_monomial(spec, d)):
         want = brute_walsh_table(oracle, [F[x] for x in range(q)])
         assert np.array_equal(_walsh_array(F), np.array(want))
-    # out[s] = sum_w zeta^Tr(s w) arr[w]; multiplying by zeta^e rotates by e
+    # out[s] = sum_w zeta^<s, w> arr[w] over base-p digit vectors s, w;
+    # multiplying by zeta^e rotates by e
     arr = rng.integers(-1000, 1000, size=(q, k, p), dtype=np.int64)
-    tr_sw = [[oracle.trace(oracle.mul(s, w)) for w in range(q)] for s in range(q)]
-    want = np.array([sum(np.roll(arr[w], tr_sw[s][w], axis=-1) for w in range(q))
+    digits = [[r // p ** i % p for i in range(spec.n)] for r in range(q)]
+    dot = [[sum(a * b for a, b in zip(digits[s], digits[w])) for w in range(q)]
+           for s in range(q)]
+    want = np.array([sum(np.roll(arr[w], dot[s][w], axis=-1) for w in range(q))
                      for s in range(q)])
     # the transform overwrites its input
-    assert np.array_equal(_transform_1d(spec, arr.copy(), 0), want)
-    assert np.array_equal(_transform_1d(spec, arr.swapaxes(0, 1).copy(), 1),
-                          want.swapaxes(0, 1))
+    assert np.array_equal(_dft(arr.copy(), p), want)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -179,14 +180,19 @@ def test_transform_matches_character_sums(pn, seed, d, k):
 @example(TRANSFORM_FIELDS[-1], 3, 7)
 def test_transformed_g_is_q2_times_ddt(pn, seed, drawn):
     # hat G(s, t) = q^2 n_F(s, -t, c): a rational integer, so its canonical
-    # coefficients (last one zero) are q^2 n_F(s, -t, c), 0, ..., 0
+    # coefficients (last one zero) are q^2 n_F(s, -t, c), 0, ..., 0.  The
+    # DFT over the digits of (u, v) puts it at (t(s), t(t)), where digit i
+    # of t(s) is Tr(s alpha^i) and alpha^i has rank p^i
     spec = build_field(*pn)
-    q = spec.q
+    q, p = spec.q, spec.p
     F = raw_table(spec, np.random.default_rng(seed).integers(0, q, q))
     neg = spec.neg_array(np.arange(q))
+    t = sum(spec.trace_all()[spec.scale_array(p ** i, np.arange(q))] * p ** i
+            for i in range(spec.n))
+    assert np.array_equal(np.sort(t), np.arange(q))
     for c in (0, 1, drawn % q):
-        Ghat = _transform_1d(spec, _transform_1d(
-            spec, _g_array(F, c, _walsh_array(F)), 0), 1)
+        Ghat = _dft(_g_array(F, c, _walsh_array(F)).reshape(q * q, p), p)
+        Ghat = Ghat.reshape(q, q, p)[np.ix_(t, t)]
         want = np.zeros_like(Ghat)
         want[..., 0] = q * q * ddt_c(F, c)[:, neg]
         assert np.array_equal(Ghat - Ghat[..., -1:], want)
@@ -197,8 +203,8 @@ def test_count_frequencies_rejects_non_counts(p, n):
     spec = build_field(p, n)
     q = spec.q
     F = from_monomial(spec, 2)
-    Ghat = _transform_1d(spec, _transform_1d(
-        spec, _g_array(F, 2, _walsh_array(F)), 0), 1)
+    Ghat = _dft(_g_array(F, 2, _walsh_array(F)).reshape(q * q, p), p)
+    Ghat = Ghat.reshape(q, q, p)
     assert np.array_equal(_count_frequencies(Ghat, q * q),
                           np.bincount(ddt_c(F, 2).ravel()))
     # entry [1, 2]: coefficient 0 off by one (not a multiple of q^2), then
@@ -382,13 +388,13 @@ def test_walsh_guard_refuses_before_allocating():
 
 
 def test_g_is_transformed_once(gf16):
-    # one transform builds W, two more transform G, whatever the degree
+    # one transform builds W, one more transforms G, whatever the degree
     F = from_monomial(gf16, 5)
     for call in (lambda: apcn_statistic(F, 2), lambda: convolution_statistic(F, 2, 3)):
-        with mock.patch.object(walsh_module, "_transform_1d",
-                               wraps=walsh_module._transform_1d) as transform:
+        with mock.patch.object(walsh_module, "_dft",
+                               wraps=walsh_module._dft) as transform:
             call()
-        assert transform.call_count == 3
+        assert transform.call_count == 2
 
 
 def test_count_side_is_one_pass(gf16):
