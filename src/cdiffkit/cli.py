@@ -14,16 +14,12 @@ from . import __version__
 from .cdiff import AConvention, dual_convention_max, spectrum, uniformity
 from .errors import CdiffkitError, SizeGuardExceeded
 from .field import build_field
-from .functions import from_monomial, from_polynomial, inverse_table, load_table
+from .functions import (_from_descriptor, from_monomial, from_polynomial, inverse_table,
+                        load_table)
 from .numth import gcd_power_formula, trinomial_roots
-from .theorems import CLAIM_IDS, deca_trinomial, summarize, sweep
+from .theorems import CLAIM_IDS, summarize, sweep
 from .walsh import apcn_statistic, convolution_statistic, pcn_power_sum
 from . import reference_data
-
-CONVENTIONS = {
-    "include-zero": AConvention.INCLUDE_A_ZERO,
-    "nonzero": AConvention.NONZERO_ONLY,
-}
 
 
 def _envelope(field_spec, descriptor, convention, payload):
@@ -86,14 +82,16 @@ def build_parser():
     _add_field_args(s)
     s.add_argument("--function", required=True)
     s.add_argument("--c", type=int, required=True)
-    s.add_argument("--a-convention", choices=sorted(CONVENTIONS), required=True)
+    s.add_argument("--a-convention", choices=[conv.value for conv in AConvention],
+                   required=True)
 
     s = subs.add_parser("spectrum", help="per-c uniformity over a c-set")
     _add_field_args(s)
     s.add_argument("--function", required=True)
     s.add_argument("--c-set", default="all",
                    help="all | nonzero | no01 | comma separated ranks")
-    s.add_argument("--a-convention", choices=sorted(CONVENTIONS), required=True)
+    s.add_argument("--a-convention", choices=[conv.value for conv in AConvention],
+                   required=True)
     s.add_argument("--format", choices=("json", "csv"), default="json")
     s.add_argument("--threads", type=int, default=1)
 
@@ -142,7 +140,7 @@ def _cmd_field_info(args):
 def _cmd_uniformity(args):
     spec = _field_from_args(args)
     F = _parse_function(spec, args.function)
-    conv = CONVENTIONS[args.a_convention]
+    conv = AConvention(args.a_convention)
     payload = uniformity(F, args.c, conv).to_json_dict()
     print(json.dumps(_envelope(spec, dict(F.origin), conv.value, payload), indent=2))
     return 0
@@ -151,7 +149,7 @@ def _cmd_uniformity(args):
 def _cmd_spectrum(args):
     spec = _field_from_args(args)
     F = _parse_function(spec, args.function)
-    conv = CONVENTIONS[args.a_convention]
+    conv = AConvention(args.a_convention)
     c_set = args.c_set
     if c_set not in ("all", "nonzero", "no01"):
         c_set = [int(t) for t in args.c_set.split(",")]
@@ -230,74 +228,38 @@ def _cmd_verify(args):
     return 0
 
 
-def _reproduce_rows(table_id, max_n, allow_long, threads):
-    data = reference_data.TABLE1 if table_id == 1 else reference_data.TABLE2
-    rows = []
-    for row in data["rows"]:
-        if max_n is not None and row["n"] > max_n:
-            continue
-        if row.get("long") and not allow_long:
-            continue
-        rows.append(row)
-    out = []
-    for row in rows:
-        n = row["n"]
-        computed = {}
-        conventions = {}
-        if table_id == 1:
-            spec = build_field(2, n)
-            for name, desc in data["functions"].items():
-                F = from_monomial(spec, desc["monomial"])
-                best = dual_convention_max(F, "nonzero", threads=threads)
-                computed[name] = best["nonzero"][0]
-                conventions[name] = "nonzero"
-        else:
-            spec = build_field(3, n)
-            for name, desc in data["functions"].items():
-                u = 1 if name == "minus" else spec.neg(1)
-                F = deca_trinomial(spec, u)
-                best = dual_convention_max(F, "exclude_0_1", threads=threads)
-                matches = {conv: v[0] == row[name] for conv, v in best.items()}
-                matching = [conv for conv, ok in matches.items() if ok]
-                computed[name] = {conv: v[0] for conv, v in best.items()}
-                conventions[name] = matching
-        out.append({"n": n, "published": {k: row[k] for k in data["functions"]},
-                    "computed": computed, "conventions": conventions,
-                    "source": row["source"]})
-    return data, out
-
-
 def _cmd_reproduce(args):
-    data, rows = _reproduce_rows(args.table, args.max_n, args.allow_long,
-                                 args.threads)
-    names = list(data["functions"])
+    data = reference_data.TABLE1 if args.table == 1 else reference_data.TABLE2
     print(f"reference table {args.table}: {data['caption']}")
-    header = "  n | " + " | ".join(
-        f"{name}: published computed match" for name in names)
-    print(header)
+    print("  n | " + " | ".join(f"{name}: published computed match"
+                                for name in data["functions"]))
     all_match = True
     payload_rows = []
-    for row in rows:
-        cells = []
-        row_out = {"n": row["n"], "cells": {}}
-        for name in names:
-            pub = row["published"][name]
-            comp = row["computed"][name]
-            if isinstance(comp, dict):
-                match = any(v == pub for v in comp.values())
-                comp_txt = "/".join(f"{k}={v}" for k, v in sorted(comp.items()))
-            else:
+    for row in data["rows"]:
+        if (args.max_n is not None and row["n"] > args.max_n) or (
+                row.get("long") and not args.allow_long):
+            continue
+        spec = build_field(data["p"], row["n"])
+        cells, texts = {}, []
+        for name, desc in data["functions"].items():
+            pub = row[name]
+            best = dual_convention_max(_from_descriptor(spec, desc), data["c_set"],
+                                       threads=args.threads)
+            if args.table == 1:     # published over a != 0
+                comp, conv = best["nonzero"][0], "nonzero"
                 match = comp == pub
                 comp_txt = str(comp)
-            conv = row["conventions"][name]
+            else:                   # matched under either a-convention
+                comp = {k: v[0] for k, v in best.items()}
+                conv = [k for k, v in comp.items() if v == pub]
+                match = bool(conv)
+                comp_txt = "/".join(f"{k}={v}" for k, v in sorted(comp.items()))
             all_match &= match
-            cells.append(f"{name}: {pub} {comp_txt} {'ok' if match else 'MISMATCH'}")
-            row_out["cells"][name] = {
-                "published": pub, "computed": comp, "match": match,
-                "convention": conv, "source": row["source"],
-            }
-        payload_rows.append(row_out)
-        print(f"  {row['n']} | " + " | ".join(cells))
+            texts.append(f"{name}: {pub} {comp_txt} {'ok' if match else 'MISMATCH'}")
+            cells[name] = {"published": pub, "computed": comp, "match": match,
+                           "convention": conv, "source": row["source"]}
+        payload_rows.append({"n": row["n"], "cells": cells})
+        print(f"  {row['n']} | " + " | ".join(texts))
     print(json.dumps(_envelope(None, None, None,
                                {"table": args.table, "rows": payload_rows,
                                 "all_match": all_match})))

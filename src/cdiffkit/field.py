@@ -28,6 +28,7 @@ from .errors import (
     NonDivisorSubfieldDegree,
     NonPrimeCharacteristic,
     ReducibleModulus,
+    SchemaViolation,
     SizeGuardExceeded,
 )
 
@@ -44,6 +45,13 @@ def _digit_sum_table(p: int, k: int):
         # rank d*s + r below p*s: the top digit of the sum is (d_x + d_y) % p
         t = (top[:, None, :, None] * s + t[None, :, None, :]).reshape(p * s, p * s)
     return t
+
+
+def _json_int(value, what: str) -> int:
+    """value, which must be an integer: int() would pass 1.5, true and "3"."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise SchemaViolation(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def is_prime(p: int) -> bool:
@@ -487,8 +495,14 @@ class FieldSpec:
 
     @classmethod
     def from_json_dict(cls, blob: dict) -> "FieldSpec":
-        return build_field(int(blob["p"]), int(blob["n"]),
-                           [int(c) for c in blob["modulus"]])
+        """The field of a {"p", "n", "modulus"} block of integers; any other
+        value or a missing key raises SchemaViolation."""
+        try:
+            return build_field(_json_int(blob["p"], "p"), _json_int(blob["n"], "n"),
+                               [_json_int(c, "modulus coefficient")
+                                for c in blob["modulus"]])
+        except (KeyError, TypeError) as exc:
+            raise SchemaViolation(f"malformed field block: {exc}") from exc
 
     def __eq__(self, other):
         return (isinstance(other, FieldSpec)

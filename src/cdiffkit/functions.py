@@ -19,7 +19,7 @@ from .errors import (
     RankOutOfRange,
     SchemaViolation,
 )
-from .field import FieldSpec, build_field
+from .field import FieldSpec, _json_int
 
 
 @dataclass(frozen=True)
@@ -74,14 +74,13 @@ def from_monomial(spec: FieldSpec, d: int) -> FunctionTable:
     """
     if d < 1:
         raise InvalidExponent(f"monomial exponent must be >= 1, got {d}")
-    q = spec.q
-    if q > 2:
-        d_red = d % (q - 1)
-        if d_red == 0:
-            d_red = q - 1
-    else:
-        d_red = 1
+    d_red = _reduced_exponent(spec.q, d)
     return FunctionTable(spec, spec.pow_all(d_red), {"kind": "monomial", "d": d_red})
+
+
+def _reduced_exponent(q: int, e: int) -> int:
+    """e >= 1 reduced mod q-1, with 0 kept as q-1; 1 when q = 2."""
+    return (e % (q - 1) or q - 1) if q > 2 else 1
 
 
 def from_polynomial(spec: FieldSpec, coeffs: dict) -> FunctionTable:
@@ -112,6 +111,20 @@ def from_polynomial(spec: FieldSpec, coeffs: dict) -> FunctionTable:
                          {"kind": "polynomial", "coeffs": dict(sorted(norm.items()))})
 
 
+def _from_descriptor(spec: FieldSpec, desc: dict) -> FunctionTable:
+    """The function a reference descriptor names: {"monomial": d} or
+    {"terms": [[e, c], ...]}.  Term exponents e >= 1 reduce as in
+    from_monomial, negative coefficients are prime-field constants, and
+    terms whose exponents meet are added in the field."""
+    if "monomial" in desc:
+        return from_monomial(spec, desc["monomial"])
+    coeffs = {}
+    for e, c in desc["terms"]:
+        e = _reduced_exponent(spec.q, e) if e >= 1 else 0
+        coeffs[e] = spec.add(coeffs.get(e, 0), c % spec.p if c < 0 else c)
+    return from_polynomial(spec, coeffs)
+
+
 def inverse_table(spec: FieldSpec) -> FunctionTable:
     """The inverse map x -> x^(q-2) with 0 -> 0."""
     return FunctionTable(spec, spec._inv, {"kind": "inverse"})
@@ -136,26 +149,13 @@ def table_to_json_dict(table: FunctionTable) -> dict:
     }
 
 
-def _json_int(value, what: str) -> int:
-    """value, which must be an integer: int() would pass 1.5 and true."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise SchemaViolation(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 def table_from_json_dict(blob: dict, spec: FieldSpec | None = None) -> FunctionTable:
     if not isinstance(blob, dict):
         raise SchemaViolation(f"a table is a JSON object, got {type(blob).__name__}")
     for key in ("field", "origin", "values"):
         if key not in blob:
             raise SchemaViolation(f"missing top-level key {key!r}")
-    fblob = blob["field"]
-    try:
-        file_spec = build_field(_json_int(fblob["p"], "p"), _json_int(fblob["n"], "n"),
-                                [_json_int(c, "modulus coefficient")
-                                 for c in fblob["modulus"]])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaViolation(f"malformed field block: {exc}") from exc
+    file_spec = FieldSpec.from_json_dict(blob["field"])
     if spec is not None and spec != file_spec:
         raise FieldMismatch(
             f"file field {file_spec!r} does not match expected {spec!r}")

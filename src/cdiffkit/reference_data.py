@@ -2,7 +2,10 @@
 
 Each cell carries its provenance label and is never overwritten: reproduce
 prints computed-next-to-published with a per-cell match flag, so a
-disagreement is surfaced, not patched.
+disagreement is surfaced, not patched.  Each table gives its
+characteristic p, the c-set of its maxima (an admissible_c name) and each
+function as a descriptor, {"monomial": d} or {"terms": [[e, c], ...]} with
+a negative c read in the prime field.
 
 Table 1: max c-differential uniformity over a != 0, c != 0 of x^5 (Gold,
 k = 2) and x^13 (Kasami, k = 2) over GF(2^n), n = 1..8.
@@ -14,6 +17,8 @@ Rows 9 and 11 are far beyond desk scale and sit behind --allow-long.
 
 TABLE1 = {
     "caption": "Gold and Kasami functions, k=2, over GF(2^n); max over a,c != 0",
+    "p": 2,
+    "c_set": "nonzero",
     "functions": {"gold": {"monomial": 5}, "kasami": {"monomial": 13}},
     "rows": [
         {"n": 1, "gold": 2, "kasami": 2, "source": "table1"},
@@ -30,6 +35,8 @@ TABLE1 = {
 TABLE2 = {
     "caption": ("x^10 - x^6 - x^2 and x^10 + x^6 - x^2 over GF(3^n); "
                 "max over c not in {0, 1}"),
+    "p": 3,
+    "c_set": "exclude_0_1",
     "functions": {
         "minus": {"terms": [[10, 1], [6, -1], [2, -1]]},
         "plus": {"terms": [[10, 1], [6, 1], [2, -1]]},

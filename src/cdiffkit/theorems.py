@@ -36,14 +36,15 @@ T9  shared-solution consistency: x0 solves both the (c1, b1) and (c2, b2)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
 from .cdiff import AConvention, cross_solution_check, dual_convention_max, spectrum, uniformity
 from .errors import UnknownClaim
 from .field import build_field, is_prime
-from .functions import FunctionTable, from_monomial, from_polynomial, inverse_table, raw_table
+from .functions import (FunctionTable, _from_descriptor, from_monomial, from_polynomial,
+                        inverse_table, raw_table)
 from .numth import chebyshev_is_permutation
 from .parallel import parallel_map
 
@@ -92,26 +93,33 @@ def _bound_verdict(claim, params, conv, bound, res) -> ClaimVerdict:
                         conv.value, _witness(res))
 
 
-def _reduced_terms(spec, terms):
-    """Coefficient map from (exponent, coefficient-rank) pairs with the
-    exponents reduced mod q-1 (e >= 1 maps to q-1 when it reduces to 0)."""
-    q = spec.q
-    out = {}
-    for e, cf in terms:
-        if cf == 0:
-            continue
-        if e >= 1 and q > 2:
-            e = e % (q - 1) or (q - 1)
-        elif e >= 1:
-            e = 1
-        out[e] = spec.add(out.get(e, 0), cf)
-    return {e: cf for e, cf in out.items() if cf} or {0: 0}
+def _iff_verdicts(claim, params, conv, prop, res, predictions) -> list:
+    """Verdicts on "F is prop iff predicted", where F is prop iff
+    res.value == 1.  predictions is [(variant, predicted), ...]: variant
+    None adds no "variant" key to params, and predicted None makes no
+    claim."""
+    out = []
+    for variant, predicted in predictions:
+        if predicted is None:
+            text, status = "no claim", "NotApplicable"
+        else:
+            text = prop if predicted else f"not {prop}"
+            status = "Confirmed" if predicted == (res.value == 1) else "Refuted"
+        out.append(ClaimVerdict(
+            claim, params if variant is None else {**params, "variant": variant},
+            text, res.value, status, conv.value, _witness(res)))
+    return out
+
+
+def _c_not_1_results(F) -> list:
+    """Uniformity results at every c != 1, a = 0 admitted, in c order."""
+    return spectrum(F, [c for c in range(F.spec.q) if c != 1], INCLUDE).results
 
 
 def deca_trinomial(spec, u: int) -> FunctionTable:
     """x^10 - u x^6 - u^2 x^2 over GF(3^n), exponents reduced to the field."""
-    terms = [(10, 1), (6, spec.neg(u)), (2, spec.neg(spec.mul(u, u)))]
-    return from_polynomial(spec, _reduced_terms(spec, terms))
+    return _from_descriptor(spec, {"terms": [
+        [10, 1], [6, spec.neg(u)], [2, spec.neg(spec.mul(u, u))]]})
 
 
 # ---------------------------------------------------------------------------
@@ -124,47 +132,30 @@ def _t0(params):
     family = params["family"]
     if family == "square":
         F = from_monomial(spec, 2)
-        predicted = True
+        predictions = [(None, True)]
     elif family == "gold":
         k = params["k"]
         F = from_monomial(spec, p ** k + 1)
-        predicted = (n // math.gcd(k, n)) % 2 == 1
+        predictions = [(None, (n // math.gcd(k, n)) % 2 == 1)]
     elif family == "ding_yuan":
         u = params["u"]
         F = deca_trinomial(spec, u)
         if u in (1, spec.neg(1)):
-            predicted = n == 2 or n % 2 == 1
+            predictions = [(None, n == 2 or n % 2 == 1)]
         else:
-            predicted = True if n % 2 == 1 else None
+            predictions = [(None, True if n % 2 == 1 else None)]
     elif family == "coulter_matthews":
         # the stated condition (gcd(k,n) = 1 and n odd) is desk-refutable,
         # e.g. at (k,n) = (2,3); both it and the classical condition
         # (k odd and gcd(k,n) = 1) are judged, like the two T4 variants
         k = params["k"]
         F = from_monomial(spec, (3 ** k + 1) // 2)
-        res = uniformity(F, 1, NONZERO)
-        out = []
-        for variant, predicted in (
-                ("stated", math.gcd(k, n) == 1 and n % 2 == 1),
-                ("classical", k % 2 == 1 and math.gcd(k, n) == 1)):
-            status = "Confirmed" if predicted == (res.value == 1) else "Refuted"
-            out.append(ClaimVerdict(
-                "T0", {**params, "variant": variant},
-                "PN" if predicted else "not PN", res.value, status,
-                NONZERO.value, _witness(res)))
-        return out
+        predictions = [("stated", math.gcd(k, n) == 1 and n % 2 == 1),
+                       ("classical", k % 2 == 1 and math.gcd(k, n) == 1)]
     else:
         raise UnknownClaim(f"unknown T0 family {family!r}")
-    res = uniformity(F, 1, NONZERO)
-    if predicted is None:
-        status = "NotApplicable"
-    elif predicted == (res.value == 1):
-        status = "Confirmed"
-    else:
-        status = "Refuted"
-    return [ClaimVerdict("T0", params, "PN" if predicted else
-                         ("no claim" if predicted is None else "not PN"),
-                         res.value, status, NONZERO.value, _witness(res))]
+    return _iff_verdicts("T0", params, NONZERO, "PN", uniformity(F, 1, NONZERO),
+                         predictions)
 
 
 def _t1(params):
@@ -175,21 +166,17 @@ def _t1(params):
         raise ValueError("A must be nonzero for an affine bijection")
     kk = k % n
     F = from_polynomial(spec, {(p ** kk if kk else 1): A, 0: B})
-    rep = spectrum(F, [c for c in range(spec.q) if c != 1], INCLUDE)
-    worst = max(rep.results, key=lambda r: r.value)   # the first maximum in c order
-    status = "Confirmed" if worst.value == 1 else "Refuted"
-    return [ClaimVerdict("T1", params, "1", worst.value, status,
-                         INCLUDE.value, _witness(worst))]
+    worst = max(_c_not_1_results(F), key=lambda r: r.value)   # first maximum in c order
+    return [_equality_verdict("T1", params, INCLUDE, 1, worst)]
 
 
 def _t2(params):
     p, n = params["p"], params["n"]
     spec = build_field(p, n)
     F = from_monomial(spec, 2)
-    rep = spectrum(F, [c for c in range(spec.q) if c != 1], INCLUDE)
     return [
         _equality_verdict("T2", {"p": p, "n": n, "c": r.c}, INCLUDE, 2, r)
-        for r in rep.results
+        for r in _c_not_1_results(F)
     ]
 
 
@@ -199,9 +186,8 @@ def _t3(params):
     F = from_monomial(spec, p ** k + 1)
     g = math.gcd(n, k)
     m = n // g
-    rep = spectrum(F, [c for c in range(spec.q) if c != 1], INCLUDE)
     out = []
-    for r in rep.results:
+    for r in _c_not_1_results(F):
         qualifying = (spec.pow(spec.sub(1, r.c), p ** k - 1) == 1) and m % 2 == 0
         bound = p ** g + 1 if qualifying else 2
         out.append(_bound_verdict(
@@ -215,27 +201,17 @@ def _t4(params):
     spec = build_field(3, n)
     d = (3 ** k + 1) // 2
     F = from_monomial(spec, d)
-    c = spec.neg(1)
-    res = uniformity(F, c, INCLUDE)
-    observed_pcn = res.value == 1
-    stated = (n // math.gcd(n, k)) % 2 == 1
-    criterion = chebyshev_is_permutation(3, n, d)
-    out = []
-    for variant, predicted in (("stated", stated), ("gcd_criterion", criterion)):
-        status = "Confirmed" if predicted == observed_pcn else "Refuted"
-        out.append(ClaimVerdict(
-            "T4", {"k": k, "n": n, "d": d, "variant": variant},
-            "PcN" if predicted else "not PcN", res.value, status,
-            INCLUDE.value, _witness(res)))
-    return out
+    res = uniformity(F, spec.neg(1), INCLUDE)
+    return _iff_verdicts("T4", {"k": k, "n": n, "d": d}, INCLUDE, "PcN", res, [
+        ("stated", (n // math.gcd(n, k)) % 2 == 1),
+        ("gcd_criterion", chebyshev_is_permutation(3, n, d))])
 
 
 def _t5(params):
     n, u = params["n"], params["u"]
     spec = build_field(3, n)
     F = deca_trinomial(spec, u)
-    rep = spectrum(F, [c for c in range(spec.q) if c != 1], INCLUDE)
-    worst = min(rep.results, key=lambda r: r.value)   # the first minimum in c order
+    worst = min(_c_not_1_results(F), key=lambda r: r.value)   # first minimum in c order
     status = "BoundHolds" if worst.value >= 2 else "Refuted"
     return [ClaimVerdict("T5", params, ">=2 for all c != 1", worst.value,
                          status, INCLUDE.value, _witness(worst))]
@@ -259,9 +235,8 @@ def _t7(params):
     n = params["n"]
     spec = build_field(2, n)
     F = inverse_table(spec)
-    rep = spectrum(F, [c for c in range(spec.q) if c != 1], INCLUDE)
     out = []
-    for r in rep.results:
+    for r in _c_not_1_results(F):
         if r.c == 0:
             predicted = 1
         elif spec.trace_abs(r.c) == 1 and spec.trace_abs(spec.inv(r.c)) == 1:
@@ -292,17 +267,13 @@ def _t8(params):
     p, n = params["p"], params["n"]
     spec = build_field(p, n)
     F = inverse_table(spec)
-    rep = spectrum(F, [c for c in range(spec.q) if c != 1], INCLUDE)
     out = []
-    for r in rep.results:
+    for r in _c_not_1_results(F):
         label, predicted = inverse_odd_case(spec, r.c)
         v = _equality_verdict("T8", {"p": p, "n": n, "c": r.c, "case": label},
                               INCLUDE, predicted, r)
         if (p, n, r.c) == (3, 2, spec.neg(1)):
-            w = dict(v.witness)
-            w["noted_instance"] = "p=3, n=2, c=-1"
-            v = ClaimVerdict(v.claim, v.params, v.predicted, v.observed,
-                             v.status, v.convention, w)
+            v = replace(v, witness={**v.witness, "noted_instance": "p=3, n=2, c=-1"})
         out.append(v)
     return out
 

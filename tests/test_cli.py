@@ -202,6 +202,14 @@ def test_reproduce_table2_small(capsys):
             assert cell["convention"]    # at least one matching convention
 
 
+def test_reproduce_threads_identical_stdout(capsys):
+    argv = ["reproduce", "--table", "2", "--max-n", "3"]
+    code, out1, _ = run(capsys, *argv, "--threads", "1")
+    code2, out2, _ = run(capsys, *argv, "--threads", "2")
+    assert code == code2 == 0
+    assert out1 == out2
+
+
 def test_reproduce_table2_long_rows_excluded(capsys):
     code, out, _ = run(capsys, "reproduce", "--table", "2", "--max-n", "2")
     assert code == 0

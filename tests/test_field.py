@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from cdiffkit import build_field, find_default_modulus
 from cdiffkit.errors import (DegreeMismatch, DivisionByZero,
                              NonDivisorSubfieldDegree, NonPrimeCharacteristic,
-                             ReducibleModulus, SizeGuardExceeded)
+                             ReducibleModulus, SchemaViolation,
+                             SizeGuardExceeded)
 from cdiffkit.field import FieldSpec, _build_cached, is_irreducible
 
 from oracles import SlowField, slow_field_like
@@ -227,6 +228,24 @@ def test_json_roundtrip(gf9):
     blob = gf9.to_json_dict()
     assert blob == {"p": 3, "n": 2, "modulus": [2, 1, 1]}
     assert FieldSpec.from_json_dict(blob) == gf9
+
+
+# each used to build a field: int() truncated 2.9, 3.7 and 1.2, read true
+# as 1 and "3" as 3; a missing modulus raised a bare KeyError
+BAD_FIELD_BLOCKS = {
+    "floats and a bool": {"p": 2.9, "n": 3.7, "modulus": [1, 1.2, 0, True]},
+    "float n": {"p": 2, "n": 3.7, "modulus": [1, 1, 0, 1]},
+    "float coefficient": {"p": 2, "n": 3, "modulus": [1, 1.2, 0, 1]},
+    "bool coefficient": {"p": 2, "n": 3, "modulus": [1, 1, 0, True]},
+    "string p": {"p": "3", "n": 2, "modulus": [2, 1, 1]},
+    "missing modulus": {"p": 3, "n": 2},
+}
+
+
+@pytest.mark.parametrize("how", list(BAD_FIELD_BLOCKS))
+def test_json_field_block_rejected(how):
+    with pytest.raises(SchemaViolation):
+        FieldSpec.from_json_dict(BAD_FIELD_BLOCKS[how])
 
 
 def test_irreducibility_large_degree_path():

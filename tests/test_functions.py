@@ -7,7 +7,9 @@ from cdiffkit import (build_field, from_monomial, from_polynomial,
                       inverse_table, load_table, raw_table, save_table)
 from cdiffkit.errors import (EmptyPolynomial, FieldMismatch, InvalidExponent,
                              RankOutOfRange, SchemaViolation)
-from cdiffkit.functions import table_from_json_dict, table_to_json_dict
+from cdiffkit.functions import _from_descriptor, table_from_json_dict, table_to_json_dict
+from cdiffkit.reference_data import TABLE1, TABLE2
+from cdiffkit.theorems import deca_trinomial
 
 from oracles import eval_poly, slow_field_like
 
@@ -167,3 +169,31 @@ def test_describe(gf9):
     assert inverse_table(gf9).describe() == "x^(q-2)"
     assert raw_table(gf9, list(range(9))).describe() == "raw table"
     assert "x^1" in from_polynomial(gf9, {1: 4, 0: 7}).describe()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_table1_descriptors(n):
+    spec = build_field(2, n)
+    oracle = slow_field_like(spec)
+    for name, d in (("gold", 5), ("kasami", 13)):
+        F = _from_descriptor(spec, TABLE1["functions"][name])
+        assert F == from_monomial(spec, d)
+        assert list(F.values) == [oracle.pow(x, d) for x in range(spec.q)]
+        # stored reduced: d mod q - 1, in [1, q - 1]
+        assert 1 <= F.origin["d"] <= spec.q - 1
+        assert F.origin["d"] % (spec.q - 1) == d % (spec.q - 1)
+
+
+@pytest.mark.parametrize("n", [row["n"] for row in TABLE2["rows"] if row["n"] <= 7])
+def test_table2_descriptors(n):
+    # -1 is a prime-field constant, and 10, 6, 2 reduce mod q - 1 (all to
+    # 2 over GF(3), where the three terms add up); the oracle evaluates
+    # the unreduced exponents
+    spec = build_field(3, n)
+    oracle = slow_field_like(spec)
+    m1 = oracle.neg(1)
+    for name, u, coeffs in (("minus", 1, {10: 1, 6: m1, 2: m1}),
+                            ("plus", spec.neg(1), {10: 1, 6: 1, 2: m1})):
+        F = _from_descriptor(spec, TABLE2["functions"][name])
+        assert F == deca_trinomial(spec, u)
+        assert list(F.values) == [eval_poly(oracle, coeffs, x) for x in range(spec.q)]

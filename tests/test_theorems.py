@@ -42,6 +42,25 @@ def test_t0_coulter_matthews_variants():
     assert by["stated"].observed == 4
 
 
+def test_iff_verdict_variant_keys():
+    # single-verdict families carry no variant; the two-variant ones list
+    # their variants in a fixed order, after the grid's own params
+    for params in ({"p": 3, "n": 2, "family": "square"},
+                   {"p": 3, "n": 2, "family": "gold", "k": 1},
+                   {"p": 3, "n": 2, "family": "ding_yuan", "u": 1},
+                   {"p": 3, "n": 2, "family": "ding_yuan", "u": 3}):
+        (v,) = verify("T0", params)
+        assert v.params == params
+    cm = {"p": 3, "n": 3, "family": "coulter_matthews", "k": 2}
+    vs = verify("T0", cm)
+    assert [v.params for v in vs] == [{**cm, "variant": "stated"},
+                                      {**cm, "variant": "classical"}]
+    vs = verify("T4", {"k": 1, "n": 2})
+    assert [list(v.params.items()) for v in vs] == [
+        [("k", 1), ("n", 2), ("d", 2), ("variant", "stated")],
+        [("k", 1), ("n", 2), ("d", 2), ("variant", "gcd_criterion")]]
+
+
 def test_t1_affine_pcn():
     for params in ({"p": 3, "n": 2, "A": 4, "B": 7, "k": 0},
                    {"p": 2, "n": 3, "A": 3, "B": 1, "k": 1}):
@@ -145,6 +164,7 @@ def test_t8_records_noted_instance():
     assert len(noted) == 1
     assert noted[0].params["c"] == spec.neg(1)
     assert noted[0].observed == 3
+    assert list(noted[0].witness) == ["c", "a", "b", "solutions", "noted_instance"]
 
 
 def test_t9_consistency():
