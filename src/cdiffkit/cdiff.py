@@ -260,6 +260,42 @@ def _row_maxima(spec: FieldSpec, values, c: int, rows):
     return np.concatenate(maxima), np.concatenate(first_b)
 
 
+def _stabilizer(spec: FieldSpec, values):
+    """(m, μ): the multiplicative stabilizer Λ = {λ != 0 : F(λx) = μ_λ F(x)
+    for every x} of F is <g^m>, g the field's generator, and μ = μ_(g^m).
+
+    λ -> μ_λ is a homomorphism when F != 0, so M = {μ_λ} = <μ>.  F = 0 is
+    stabilized by every λ with every μ; μ = g^m there, so M = Λ.
+
+    Λ is cyclic, so it is found in O(q) per test: for each prime r of
+    q - 1, λ = g^((q-1)/r^k) lies in Λ for k = 1, 2, ... up to the r-part
+    of |Λ|.  A test takes μ = F(λx0)/F(x0) at the first x0 with F(x0) != 0
+    and compares the whole table.  It reads the values only, never the
+    origin descriptor.
+    """
+    q = spec.q
+    nonzero = np.flatnonzero(values)
+    if not len(nonzero):
+        return 1, int(spec._exp[1])
+    x, x0 = np.arange(q), int(nonzero[0])
+    inv0 = int(spec._inv[values[x0]])
+
+    def multiplier(lam):
+        return spec.mul(int(values[spec.mul(lam, x0)]), inv0)
+
+    def stabilizes(lam):
+        return np.array_equal(values[spec.scale_array(lam, x)],
+                              spec.scale_array(multiplier(lam), values))
+
+    order = 1
+    for r in _prime_factors(q - 1):
+        s = r
+        while (q - 1) % s == 0 and stabilizes(int(spec._exp[(q - 1) // s])):
+            order, s = order * r, s * r
+    m = (q - 1) // order
+    return m, multiplier(int(spec._exp[m]))
+
+
 def _symmetry(spec: FieldSpec, values, cs):
     """The one symmetry dispatch, for _sweep: which rows and which c values
     decide every maximum over the requested cs (ascending).  Returns
@@ -281,34 +317,15 @@ def _symmetry(spec: FieldSpec, values, cs):
       commutes with Frobenius: row a of r has the maximum of row
       ±a^(p^k) of c, and a = 0 maps to a = 0.  c = 0 represents itself.
 
-    Λ is cyclic, so it is found in O(q) per test: for each prime r of
-    q - 1, λ = g^((q-1)/r^k) lies in Λ for k = 1, 2, ... up to the r-part
-    of |Λ|.  A test takes μ = F(λx0)/F(x0) at the first x0 with F(x0) != 0
-    and compares the whole table.  Power maps A*x^d have Λ = GF(q)^* and
-    scan rows 0 and 1; F = 0 has Λ = GF(q)^* too.  The Frobenius test,
+    Λ comes from _stabilizer.  Power maps A*x^d have Λ = GF(q)^* and scan
+    rows 0 and 1; F = 0 has Λ = GF(q)^* too.  The Frobenius test,
     values[frob] == frob[values], needs n > 1 and at least two cs.  Every
     test reads the values only, never the origin descriptor.
     """
     q, frob, inv = spec.q, spec._frob, spec._inv
-    order = q - 1
-    nonzero = np.flatnonzero(values)
-    if len(nonzero):
-        x, x0 = np.arange(q), int(nonzero[0])
-        inv0 = int(inv[values[x0]])
-
-        def stabilizes(lam):
-            mu = spec.mul(int(values[spec.mul(lam, x0)]), inv0)
-            return np.array_equal(values[spec.scale_array(lam, x)],
-                                  spec.scale_array(mu, values))
-
-        order = 1
-        for r in _prime_factors(q - 1):
-            s = r
-            while (q - 1) % s == 0 and stabilizes(int(spec._exp[(q - 1) // s])):
-                order, s = order * r, s * r
     # Λ = <g^m> with m = (q-1)/|Λ| cosets; g^j lies in coset j mod m
-    m = (q - 1) // order
-    coset_min = spec._exp[:q - 1].reshape(order, m).min(axis=0)[spec._log % m]
+    m = _stabilizer(spec, values)[0]
+    coset_min = spec._exp[:q - 1].reshape((q - 1) // m, m).min(axis=0)[spec._log % m]
     coset_min[0] = 0
     rows = np.flatnonzero(coset_min == np.arange(q))
 

@@ -28,21 +28,29 @@ factors are powers of zeta_p, i.e. coefficient rotations), which brings the
 literal q^(2 delta) summation down to the cost of the transform: the DFT
 over (Z_p)^n, O(q n p^2) coefficient operations per transformed vector.
 The trace form enters once, where the Walsh array is written; later
-transforms are plain DFTs whose labels only histograms read.
+transforms are plain DFTs whose labels only histograms read.  When F has a
+multiplicative stabilizer, F(λx) = μ_λ F(x) (power maps have one of order
+q - 1), W(λu, μ_λ v) = W(u, v): only column 0 and one column v per coset
+of the multipliers μ_λ are transformed, and the others are gathered.
 """
 
 from __future__ import annotations
 
+import itertools
+import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cdiff import BLOCK_ELEMENTS, _count_blocks, derivative_rows
+from .cdiff import BLOCK_ELEMENTS, _count_blocks, _stabilizer, derivative_rows
 from .errors import NotRationalInteger, SizeGuardExceeded
 from .field import FieldSpec
 from .functions import FunctionTable
 
 WALSH_ENTRY_GUARD = 2 ** 23   # bound on the q^2 p entries of one Walsh array
+
+_logger = logging.getLogger("cdiffkit")
 
 
 class CyclotomicInt:
@@ -183,17 +191,86 @@ class WalshTable:
         }
 
 
-def _walsh_array(F: FunctionTable,
-                 size_guard: int | None = WALSH_ENTRY_GUARD) -> np.ndarray:
-    """All Walsh values as an int64 array of shape (q, q, p); entry [u, v]
-    is the exponent-count vector of W_F(u, v).  Every (q, q, p) array of the
-    Walsh side starts here; q^2 p > size_guard raises before any is made."""
+@dataclass(frozen=True)
+class _Columns:
+    """Which columns v of a Walsh array are transformed, and how the others
+    follow from them.
+
+    With Λ the stabilizer of F and μ_λ its multipliers (see
+    cdiff._stabilizer), putting x = λy in W_F gives W_F(λu, μ_λ v) =
+    W_F(u, v), and so G(λu, μ_λ v) = G(u, v) for G(u, v) = W(u, v)
+    conj(W(u, cv)).  Such an array is fixed by its column 0 and one column
+    per coset rM of M = {μ_λ}: for v = r μ_λ, column v is column r with row
+    u read at λ^-1 u.
+    """
+
+    spec: FieldSpec
+    cols: np.ndarray    # 0, then the smallest rank of each coset of M, ascending
+    index: np.ndarray   # index[v]: the position in cols of v's representative r
+    shift: np.ndarray   # shift[v]: the log of λ^-1, for v = r μ_λ
+    weight: int         # |M|, the columns v per coset
+
+    def take(self, arr, vs=None):
+        """Columns vs (every column when None) of the (q, q, ...) array whose
+        columns cols are arr, one block of rows at a time.  When M is
+        trivial every v is its own representative, cols is 0..q-1, and the
+        whole array is arr itself."""
+        spec = self.spec
+        q = spec.q
+        if vs is None:
+            if len(self.cols) == q:
+                return arr
+            vs = np.arange(q)
+        col, shift = self.index[vs], self.shift[vs]
+        flat = arr.reshape(-1, *arr.shape[2:])   # [u, j] at u len(cols) + j
+        out = np.empty((q, len(vs)) + arr.shape[2:], dtype=arr.dtype)
+        rows = max(1, BLOCK_ELEMENTS // len(vs))
+        for u in range(0, q, rows):
+            us = spec._exp[spec._log[u:u + rows, None] + shift]   # λ^-1 u
+            if u == 0:
+                us[0] = 0   # _log[0] is a placeholder; λ^-1 0 = 0
+            np.take(flat, us * len(self.cols) + col, axis=0, out=out[u:u + rows],
+                    mode="clip")   # in range: "raise" would buffer out
+        return out
+
+
+def _column_map(spec: FieldSpec, values) -> _Columns:
+    """The columns of F's Walsh arrays (see _Columns): for A x^d, 0 and
+    gcd(d, q - 1) representatives; when M is trivial, all q.  Logs one
+    DEBUG record on the "cdiffkit" logger with |Λ| and the columns
+    transformed."""
+    q = spec.q
+    m, mu = _stabilizer(spec, values)
+    e = int(spec._log[mu])                 # μ = g^e generates M
+    weight = (q - 1) // math.gcd(e, q - 1)
+    cosets = (q - 1) // weight             # M = <g^cosets>: g^j lies in coset j mod cosets
+    reps = np.sort(spec._exp[:q - 1].reshape(weight, cosets).min(axis=0))
+    # λ = g^(m k) has μ_λ = μ^k, so v = r μ^k covers each nonzero v once
+    k = np.arange(weight)[:, None]
+    v = spec._exp[(spec._log[reps] + e * k) % (q - 1)]
+    index = np.zeros(q, dtype=np.intp)
+    shift = np.zeros(q, dtype=np.intp)
+    index[v] = np.arange(1, cosets + 1)
+    shift[v] = (-m * k) % (q - 1)
+    _logger.debug("walsh array over GF(%d^%d): |stabilizer| %d, columns "
+                  "transformed %d of %d", spec.p, spec.n, (q - 1) // m,
+                  cosets + 1, q)
+    return _Columns(spec, np.concatenate([[0], reps]), index, shift, weight)
+
+
+def _walsh_columns(F: FunctionTable, size_guard: int | None = WALSH_ENTRY_GUARD):
+    """(columns, W): the transformed columns of F's Walsh array (see
+    _Columns), W an int64 array of shape (q, len(columns.cols), p) whose
+    entry [u, j] is the exponent-count vector of W_F(u, columns.cols[j]).
+    Every Walsh array starts here; q^2 p > size_guard raises before
+    anything is made, however few the columns."""
     spec = F.spec
     q, p = spec.q, spec.p
     if size_guard is not None and q * q * p > size_guard:
         raise SizeGuardExceeded(
             f"a Walsh array over GF({p}^{spec.n}) holds q^2 p = "
             f"{q * q * p} entries, above the guard of {size_guard}")
+    columns = _column_map(spec, F.values)
     # the one place the trace form enters: the one-hot of zeta^Tr(v F(x))
     # goes to row y = t(-x), where digit i of t(z) is Tr(z alpha^i) (alpha^i
     # has rank p^i); <u, y> = Tr(-u x), so the transform puts W_F(u, v) at
@@ -201,15 +278,24 @@ def _walsh_array(F: FunctionTable,
     tr = spec.trace_all()
     neg = spec.neg_array(np.arange(q))
     y = sum(tr[spec.scale_array(p ** i, neg)] * p ** i for i in range(spec.n))
-    W = np.zeros((q, q, p), dtype=np.int64)
-    for v in range(q):
-        W[y, v, tr[spec.scale_array(v, F.values)]] = 1
-    return _dft(W, p)
+    W = np.zeros((q, len(columns.cols), p), dtype=np.int64)
+    for j, v in enumerate(columns.cols.tolist()):
+        W[y, j, tr[spec.scale_array(v, F.values)]] = 1
+    return columns, _dft(W, p)
+
+
+def _walsh_array(F: FunctionTable,
+                 size_guard: int | None = WALSH_ENTRY_GUARD) -> np.ndarray:
+    """All Walsh values as an int64 array of shape (q, q, p); entry [u, v]
+    is the exponent-count vector of W_F(u, v), gathered from the
+    transformed columns (see _walsh_columns)."""
+    columns, W = _walsh_columns(F, size_guard)
+    return columns.take(W)
 
 
 def walsh_table(F: FunctionTable) -> WalshTable:
     """All Walsh values of F; equal entries share one CyclotomicInt."""
-    arr = _walsh_array(F)
+    columns, W = _walsh_columns(F)
     p = F.spec.p
     shared = {}
 
@@ -221,10 +307,14 @@ def walsh_table(F: FunctionTable) -> WalshTable:
         return z
 
     # canonical coefficients (last one zero) are equal iff the values are;
-    # one row of u at a time, so the q^2 p coefficients never exist as
-    # Python lists all at once
-    return WalshTable(F.spec, tuple(tuple(map(entry, (row - row[:, -1:]).tolist()))
-                                    for row in arr))
+    # one row of u at a time, so the coefficients never exist as Python
+    # lists all at once.  Every entry of the table is a reference gathered
+    # from the transformed columns
+    objects = np.fromiter(itertools.chain.from_iterable(
+        map(entry, (row - row[:, -1:]).tolist()) for row in W),
+        dtype=object, count=W.shape[0] * W.shape[1]).reshape(W.shape[:2])
+    del W
+    return WalshTable(F.spec, tuple(map(tuple, columns.take(objects).tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +378,25 @@ def _power_sums(freq, top: int) -> list:
     return [sum(f * m ** (j + 1) for m, f in hits) for j in range(1, top + 1)]
 
 
-def _g_array(F: FunctionTable, c: int, W: np.ndarray) -> np.ndarray:
-    """G(u, v) = W(u, v) * conj(W(u, c v)), written over the (q, q, p) array
-    W a block of rows at a time, since row u of G reads only row u of W."""
-    spec = F.spec
-    q, p = spec.q, spec.p
-    cv = spec.scale_array(c, np.arange(q))
-    rows = max(1, BLOCK_ELEMENTS // (q * p))
-    for u in range(0, q, rows):
+def _g_columns(columns: _Columns, W: np.ndarray, c: int) -> np.ndarray:
+    """G(u, r) = W(u, r) * conj(W(u, c r)) over the columns r of
+    columns.cols, written over their Walsh values W a block of rows at a
+    time; G has the symmetry of W (see _Columns)."""
+    p = columns.spec.p
+    Wc = columns.take(W, columns.spec.scale_array(c, columns.cols))
+    rows = max(1, BLOCK_ELEMENTS // W[0].size)
+    for u in range(0, len(W), rows):
         block = W[u:u + rows]
-        block[...] = _cyclic_mul(block, _conj_axis(block[:, cv], p), p)
+        block[...] = _cyclic_mul(block, _conj_axis(Wc[u:u + rows], p), p)
     return W
+
+
+def _g_array(F: FunctionTable, c: int,
+             size_guard: int | None = WALSH_ENTRY_GUARD) -> np.ndarray:
+    """G(u, v) = W(u, v) * conj(W(u, c v)) over all (u, v), shape (q, q, p),
+    formed over the transformed columns and then gathered."""
+    columns, W = _walsh_columns(F, size_guard)
+    return columns.take(_g_columns(columns, W, c))
 
 
 def _dft(arr: np.ndarray, p: int) -> np.ndarray:
@@ -319,13 +417,20 @@ def _dft(arr: np.ndarray, p: int) -> np.ndarray:
     bufs = (arr, np.empty_like(arr))
     stride = 1      # p^i, the place value of the digit of this stage
     while stride < len(arr):
-        # splitting the leading axis is always a view, so out writes the buffer
-        y = bufs[0].reshape(-1, p, stride, *arr.shape[1:])
-        out = bufs[1].reshape(y.shape)
+        # splitting the leading axis is always a view, so out writes the
+        # buffer; the coefficient axis moves to second place so that each
+        # add below runs along a long axis, not along p - s coefficients
+        y, out = (np.moveaxis(b.reshape(-1, p, stride, *arr.shape[1:]), -1, 1)
+                  for b in bufs)
         for k in range(p):
-            out[:, k] = y[:, 0]
+            out[:, :, k] = y[:, :, 0]
             for d in range(1, p):
-                out[:, k] += np.roll(y[:, d], k * d % p, axis=-1)   # zeta^(k d) y[d]
+                # zeta^s y[d], s = k d mod p, rotates the coefficients by s:
+                # two slices added in place
+                s = k * d % p
+                for o, i in ((out[:, s:, k], y[:, :p - s, d]),
+                             (out[:, :s, k], y[:, p - s:, d])):
+                    np.add(o, i, out=o, order="C")
         bufs = bufs[::-1]
         stride *= p
     return bufs[0]
@@ -346,9 +451,9 @@ def _walsh_power_sums(F: FunctionTable, c: int, top: int,
     q, p = F.spec.q, F.spec.p
     # the digits of u q + v are those of (u, v): one transform of the (q^2, p)
     # view puts hat G(s, t) at (t(s), t(t)), labels the histogram never
-    # reads.  W becomes G in place and the transform reuses its input, so at
-    # most two (q, q, p) arrays are live
-    G = _g_array(F, c, _walsh_array(F, size_guard))
+    # reads.  The transform reuses its input, so at most two (q, q, p)
+    # arrays are live
+    G = _g_array(F, c, size_guard)
     return _power_sums(_count_frequencies(_dft(G.reshape(q * q, p), p), q * q), top)
 
 
@@ -385,11 +490,19 @@ def pcn_power_sum(F: FunctionTable, c: int) -> int:
     """S = sum_{u,v} |W(u,v)|^2 |W(u,cv)|^2, an exact integer.
 
     S >= p^(4n) always, with equality iff F is PcN for this c (uniformity 1
-    with a = 0 admissible).
+    with a = 0 admissible).  Only the transformed columns of G are formed
+    (see _Columns).
     """
     _reject_c1(c)
-    # |W(u,v)|^2 |W(u,cv)|^2 = |G(u,v)|^2 with G(u,v) = W(u,v) conj(W(u,cv))
-    return _conj_norm_sum(_g_array(F, c, _walsh_array(F)), F.spec.p).as_integer()
+    spec = F.spec
+    spec._check(c)
+    # |W(u,v)|^2 |W(u,cv)|^2 = |G(u,v)|^2 with G(u,v) = W(u,v) conj(W(u,cv)).
+    # G(λu, μ_λ v) = G(u, v) and u -> λu permutes the rows, so every column
+    # of a coset of M has the sum of its representative (see _Columns)
+    columns, W = _walsh_columns(F)
+    G = _g_columns(columns, W, c)
+    return (_conj_norm_sum(G[:, :1], spec.p)
+            + columns.weight * _conj_norm_sum(G[:, 1:], spec.p)).as_integer()
 
 
 def apcn_statistic(F: FunctionTable, c: int,

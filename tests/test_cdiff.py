@@ -763,6 +763,33 @@ def test_symmetry_dispatch_matches_every_row_and_c(case, conv):
     _check_dispatch(F, invariant, c_set, conv)
 
 
+STABILIZER_FIELDS = [(2, 4), (3, 3), (3, 4), (5, 2), (3, 2, (1, 0, 1))]
+
+
+@pytest.mark.parametrize("pn", STABILIZER_FIELDS)
+def test_stabilizer_generator_and_multiplier(pn):
+    spec = build_field(*pn)
+    q, p, g = spec.q, spec.p, spec.primitive_rank
+    oracle = slow_field_like(spec)
+    # (F, |Λ|, μ for the generator g^m of Λ)
+    cases = [(from_monomial(spec, d), q - 1, oracle.pow(g, d)) for d in (1, 2, 3, q - 2)]
+    cases += [(from_polynomial(spec, {p: 2 % p + 1}), q - 1, oracle.pow(g, p)),
+              (from_polynomial(spec, {2: 1, 1: 1}), 1, 1),
+              (raw_table(spec, np.zeros(q)), q - 1, g),      # F = 0: M = Λ
+              (raw_table(spec, np.full(q, q - 1)), q - 1, 1)]
+    for F, order, mu in cases:
+        m, got = cdiff._stabilizer(spec, F.values)
+        assert ((q - 1) // m, got) == (order, mu)
+        lam = oracle.pow(g, m)
+        vals = [int(v) for v in F.values]
+        assert all(vals[oracle.mul(lam, x)] == oracle.mul(mu, vals[x]) for x in range(q))
+        # _symmetry's rows and coset minima are those of Λ = <g^m>
+        rows, coset_min, _ = cdiff._symmetry(spec, F.values, [])
+        assert rows.tolist() == _stabilizer_rows(spec, F.values)
+        stab = [oracle.pow(lam, k) for k in range(order)]
+        assert coset_min.tolist() == [min(oracle.mul(s, a) for s in stab) for a in range(q)]
+
+
 # -- the derivative kernel against a literal loop over x ---------------------
 
 @st.composite

@@ -1,6 +1,8 @@
 import functools
 import importlib
 import inspect
+import logging
+import math
 import tracemalloc
 from unittest import mock
 
@@ -14,8 +16,8 @@ from cdiffkit import (AConvention, CyclotomicInt, apcn_statistic, build_field,
                       from_monomial, from_polynomial, pcn_power_sum, raw_table,
                       uniformity, walsh_table, walsh_value)
 from cdiffkit.errors import NotRationalInteger, SizeGuardExceeded
-from cdiffkit.walsh import (_conj_norm_sum, _count_frequencies, _g_array,
-                            _dft, _walsh_array, _walsh_power_sums,
+from cdiffkit.walsh import (_column_map, _conj_norm_sum, _count_frequencies,
+                            _dft, _g_array, _walsh_array, _walsh_power_sums,
                             counts_power_sums, phi_coefficients)
 
 from oracles import (brute_convolution_tensor, brute_derivative_statistic,
@@ -173,6 +175,87 @@ def test_transform_matches_character_sums(pn, seed, d, k):
     assert np.array_equal(_dft(arr.copy(), p), want)
 
 
+@pytest.mark.parametrize("q,p", [(256, 2), (243, 3), (49, 7)])
+def test_dft_peaks_at_one_buffer(q, p):
+    # the stages alternate between the input and one buffer of its size; a
+    # rotated term is added as two slices in place, with no temporary
+    arr = np.random.default_rng(q).integers(-3, 3, size=(q, q, p))
+    tracemalloc.start()
+    try:
+        _dft(arr, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= arr.nbytes + 2 ** 18
+
+
+# -- the column reduction against the generic path ----------------------------
+
+def _trivial_stabilizer(spec, values):
+    return spec.q - 1, 1   # Λ = {1}: every column transformed
+
+
+@st.composite
+def walsh_cases(draw):
+    """(F, c, kind) over a field of TRANSFORM_FIELDS or GF(3^4), c != 1."""
+    spec = build_field(*draw(st.sampled_from(TRANSFORM_FIELDS + [(3, 4)])))
+    q, p = spec.q, spec.p
+    rank = st.integers(0, q - 1)
+    kind = draw(st.sampled_from(["power", "linearized", "raw", "constant"]))
+    if kind == "power":
+        F = from_polynomial(spec, {draw(st.integers(1, q - 1)): draw(st.integers(1, q - 1))})
+    elif kind == "linearized":
+        F = from_polynomial(spec, {p ** i: draw(rank) for i in range(spec.n)})
+    elif kind == "raw":
+        F = raw_table(spec, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+                      .integers(0, q, q))
+    else:
+        F = raw_table(spec, np.full(q, draw(rank)))   # F = 0 included
+    return F, draw(rank.filter(lambda c: c != 1)), kind
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(walsh_cases())
+@example((from_polynomial(build_field(2, 4), {3: 1}), 2, "power"))   # 3 cosets of M
+@example((from_polynomial(build_field(3, 4), {2: 1}), 2, "power"))   # |ker μ| = 2
+@example((from_polynomial(build_field(3, 2, (1, 0, 1)), {4: 5}), 5, "power"))
+@example((raw_table(build_field(3, 3), np.zeros(27)), 2, "constant"))
+def test_column_reduction_matches_generic(case):
+    F, c, kind = case
+    spec = F.spec
+    q = spec.q
+    if kind == "power":
+        # A x^d: Λ = GF(q)^*, M = <g^d>, 1 + gcd(d, q - 1) columns
+        d = next(iter(F.origin["coeffs"]))
+        assert len(_column_map(spec, F.values).cols) == 1 + math.gcd(d, q - 1)
+    W, table = _walsh_array(F), walsh_table(F)
+    pcn, sums = pcn_power_sum(F, c), _walsh_power_sums(F, c, 2)
+    with mock.patch.object(walsh_module, "_stabilizer", _trivial_stabilizer):
+        assert len(_column_map(spec, F.values).cols) == q
+        assert np.array_equal(_walsh_array(F), W)
+        assert walsh_table(F).entries == table.entries
+        assert pcn_power_sum(F, c) == pcn
+        assert _walsh_power_sums(F, c, 2) == sums
+    if q <= 27:
+        oracle = slow_field_like(spec)
+        oracle.trace = functools.cache(oracle.trace)
+        vals = [F[x] for x in range(q)]
+        assert np.array_equal(W, np.array(brute_walsh_table(oracle, vals)))
+        assert pcn == brute_pcn_sum(oracle, vals, c)
+
+
+def test_walsh_array_logs_columns(caplog):
+    # x^2 over GF(3^4): Λ = GF(81)^*, M = the squares, 2 cosets
+    F = from_monomial(build_field(3, 4), 2)
+    with caplog.at_level(logging.DEBUG, logger="cdiffkit"):
+        pcn = pcn_power_sum(F, 2)
+    [record] = [r for r in caplog.records if r.name == "cdiffkit"]
+    assert record.levelno == logging.DEBUG
+    assert record.getMessage() == ("walsh array over GF(3^4): |stabilizer| 80, "
+                                   "columns transformed 3 of 81")
+    assert pcn == pcn_power_sum(F, 2) == 81 ** 2 * counts_power_sums(F, 2, 1)[0]
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.sampled_from(TRANSFORM_FIELDS), st.integers(0, 2 ** 32 - 1),
        st.integers(0, 2 ** 16))
@@ -191,7 +274,7 @@ def test_transformed_g_is_q2_times_ddt(pn, seed, drawn):
             for i in range(spec.n))
     assert np.array_equal(np.sort(t), np.arange(q))
     for c in (0, 1, drawn % q):
-        Ghat = _dft(_g_array(F, c, _walsh_array(F)).reshape(q * q, p), p)
+        Ghat = _dft(_g_array(F, c).reshape(q * q, p), p)
         Ghat = Ghat.reshape(q, q, p)[np.ix_(t, t)]
         want = np.zeros_like(Ghat)
         want[..., 0] = q * q * ddt_c(F, c)[:, neg]
@@ -203,7 +286,7 @@ def test_count_frequencies_rejects_non_counts(p, n):
     spec = build_field(p, n)
     q = spec.q
     F = from_monomial(spec, 2)
-    Ghat = _dft(_g_array(F, 2, _walsh_array(F)).reshape(q * q, p), p)
+    Ghat = _dft(_g_array(F, 2).reshape(q * q, p), p)
     Ghat = Ghat.reshape(q, q, p)
     assert np.array_equal(_count_frequencies(Ghat, q * q),
                           np.bincount(ddt_c(F, 2).ravel()))
@@ -299,8 +382,13 @@ def test_pcn_above_q256_matches_counts(p, n):
 
 
 def test_pcn_rejects_c1(gf9):
-    with pytest.raises(ValueError):
-        pcn_power_sum(from_monomial(gf9, 2), 1)
+    # c = q and c = -1 too: only c r for the transformed columns r is
+    # formed, so c itself is checked, whatever the stabilizer
+    for d in (1, 2, 4):
+        F = from_monomial(gf9, d)
+        for c in (1, 9, -1):
+            with pytest.raises(ValueError):
+                pcn_power_sum(F, c)
 
 
 def test_tensor_matches_brute_force():
