@@ -296,6 +296,17 @@ def _stabilizer(spec: FieldSpec, values):
     return m, multiplier(int(spec._exp[m]))
 
 
+def _cosets(spec: FieldSpec, m: int):
+    """(reps, coset_min) for the cosets of <g^m> in GF(q)^*, m | q - 1:
+    coset_min[a] is the smallest rank of a<g^m> (coset_min[0] = 0), and
+    reps, ascending, are 0 and the smallest rank of each coset."""
+    q = spec.q
+    # g^j lies in coset j mod m
+    coset_min = spec._exp[:q - 1].reshape((q - 1) // m, m).min(axis=0)[spec._log % m]
+    coset_min[0] = 0
+    return np.flatnonzero(coset_min == np.arange(q)), coset_min
+
+
 def _symmetry(spec: FieldSpec, values, cs):
     """The one symmetry dispatch, for _sweep: which rows and which c values
     decide every maximum over the requested cs (ascending).  Returns
@@ -317,18 +328,14 @@ def _symmetry(spec: FieldSpec, values, cs):
       commutes with Frobenius: row a of r has the maximum of row
       ±a^(p^k) of c, and a = 0 maps to a = 0.  c = 0 represents itself.
 
-    Λ comes from _stabilizer.  Power maps A*x^d have Λ = GF(q)^* and scan
-    rows 0 and 1; F = 0 has Λ = GF(q)^* too.  The Frobenius test,
-    values[frob] == frob[values], needs n > 1 and at least two cs.  Every
-    test reads the values only, never the origin descriptor.
+    Λ comes from _stabilizer, and rows and coset_min from _cosets.  Power
+    maps A*x^d have Λ = GF(q)^* and scan rows 0 and 1; F = 0 has
+    Λ = GF(q)^* too.  The Frobenius test, values[frob] == frob[values],
+    needs n > 1 and at least two cs.  Every test reads the values only,
+    never the origin descriptor.
     """
-    q, frob, inv = spec.q, spec._frob, spec._inv
-    # Λ = <g^m> with m = (q-1)/|Λ| cosets; g^j lies in coset j mod m
-    m = _stabilizer(spec, values)[0]
-    coset_min = spec._exp[:q - 1].reshape((q - 1) // m, m).min(axis=0)[spec._log % m]
-    coset_min[0] = 0
-    rows = np.flatnonzero(coset_min == np.arange(q))
-
+    frob, inv = spec._frob, spec._inv
+    rows, coset_min = _cosets(spec, _stabilizer(spec, values)[0])
     frobenius = (spec.n > 1 and len(cs) > 1
                  and np.array_equal(values[frob], frob[values]))
     # frob[0] = inv[0] = 0, so c = 0 represents itself

@@ -18,7 +18,7 @@ from .functions import (_from_descriptor, from_monomial, from_polynomial, invers
                         load_table)
 from .numth import gcd_power_formula, trinomial_roots
 from .theorems import CLAIM_IDS, summarize, sweep
-from .walsh import apcn_statistic, convolution_statistic, pcn_power_sum
+from .walsh import _check_args, apcn_statistic, convolution_statistic, pcn_power_sum
 from . import reference_data
 
 
@@ -166,6 +166,7 @@ def _cmd_walsh_check(args):
     spec = _field_from_args(args)
     F = _parse_function(spec, args.function)
     c, delta = args.c, args.delta
+    _check_args(spec, c, delta)   # before any statistic runs
     pcn = pcn_power_sum(F, c)
     pcn_bound = spec.p ** (4 * spec.n)
     payload = {

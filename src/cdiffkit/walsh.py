@@ -28,10 +28,12 @@ factors are powers of zeta_p, i.e. coefficient rotations), which brings the
 literal q^(2 delta) summation down to the cost of the transform: the DFT
 over (Z_p)^n, O(q n p^2) coefficient operations per transformed vector.
 The trace form enters once, where the Walsh array is written; later
-transforms are plain DFTs whose labels only histograms read.  When F has a
-multiplicative stabilizer, F(λx) = μ_λ F(x) (power maps have one of order
-q - 1), W(λu, μ_λ v) = W(u, v): only column 0 and one column v per coset
-of the multipliers μ_λ are transformed, and the others are gathered.
+transforms are plain DFTs.  Every convolution statistic, pcn included (by
+Parseval), reads one histogram of hat G(s, t) = q^2 n_F(s, -t, c).  When F
+has a multiplicative stabilizer Λ, F(λx) = μ_λ F(x) (power maps have one of
+order q - 1), W(λu, μ_λ v) = W(u, v): only column 0 and one column v per
+coset of the multipliers μ_λ are transformed, and only row 0 and one row s
+per coset sΛ of hat G.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdiff import BLOCK_ELEMENTS, _count_blocks, _stabilizer, derivative_rows
+from .cdiff import BLOCK_ELEMENTS, _cosets, _count_blocks, _stabilizer, derivative_rows
 from .errors import NotRationalInteger, SizeGuardExceeded
 from .field import FieldSpec
 from .functions import FunctionTable
@@ -193,22 +195,24 @@ class WalshTable:
 
 @dataclass(frozen=True)
 class _Columns:
-    """Which columns v of a Walsh array are transformed, and how the others
-    follow from them.
+    """Which columns v of a Walsh array are transformed, how the others
+    follow from them, and which rows of hat G a statistic reads.
 
     With Λ the stabilizer of F and μ_λ its multipliers (see
     cdiff._stabilizer), putting x = λy in W_F gives W_F(λu, μ_λ v) =
     W_F(u, v), and so G(λu, μ_λ v) = G(u, v) for G(u, v) = W(u, v)
     conj(W(u, cv)).  Such an array is fixed by its column 0 and one column
     per coset rM of M = {μ_λ}: for v = r μ_λ, column v is column r with row
-    u read at λ^-1 u.
+    u read at λ^-1 u.  Row λs of hat G(s, t) = q^2 n_F(s, -t, c) is row s
+    relabelled by t -> μ_λ t: the rows of a coset sΛ share one histogram.
     """
 
     spec: FieldSpec
     cols: np.ndarray    # 0, then the smallest rank of each coset of M, ascending
     index: np.ndarray   # index[v]: the position in cols of v's representative r
     shift: np.ndarray   # shift[v]: the log of λ^-1, for v = r μ_λ
-    weight: int         # |M|, the columns v per coset
+    rows: np.ndarray    # 0, then the smallest rank of each coset of Λ, ascending
+    order: int          # |Λ|, the rows per coset
 
     def take(self, arr, vs=None):
         """Columns vs (every column when None) of the (q, q, ...) array whose
@@ -233,51 +237,78 @@ class _Columns:
                     mode="clip")   # in range: "raise" would buffer out
         return out
 
+    def take_rows(self, H):
+        """(q, len(rows), p): [v, i] is H(t(s), v), s = rows[i], gathered a
+        block of v at a time from H, the columns cols transformed along u:
+        H(t(s), r) = sum_u zeta^Tr(s u) G(u, r) (see _labels), and
+        G(u, r μ_λ) = G(λ^-1 u, r) gives H(t(s), r μ_λ) = H(t(λs), r)."""
+        spec = self.spec
+        q = spec.q
+        t, log_s = _labels(spec), spec._log[self.rows]
+        flat = H.reshape(-1, *H.shape[2:])   # [k, j] at k len(cols) + j
+        out = np.empty((q, len(self.rows)) + H.shape[2:], dtype=H.dtype)
+        block = max(1, BLOCK_ELEMENTS // out[0].size)   # coefficients, as in _g_columns
+        for v in range(0, q, block):
+            vs = slice(v, v + block)
+            s = spec._exp[(log_s - self.shift[vs, None]) % (q - 1)]   # λs
+            s[:, 0] = 0   # rows[0] = 0 = λ 0
+            np.take(flat, t[s] * len(self.cols) + self.index[vs, None], axis=0,
+                    out=out[vs], mode="clip")
+        return out
+
+
+def _labels(spec: FieldSpec) -> np.ndarray:
+    """t: digit i of t[z] is Tr(z alpha^i), alpha^i of rank p^i, so that
+    Tr(z x) = <t[z], digits of x> mod p: _dft puts zeta^Tr(z x) at row t[z]."""
+    p, x = spec.p, np.arange(spec.q)
+    tr = spec.trace_all()
+    return sum(tr[spec.scale_array(p ** i, x)] * p ** i for i in range(spec.n))
+
 
 def _column_map(spec: FieldSpec, values) -> _Columns:
-    """The columns of F's Walsh arrays (see _Columns): for A x^d, 0 and
-    gcd(d, q - 1) representatives; when M is trivial, all q.  Logs one
-    DEBUG record on the "cdiffkit" logger with |Λ| and the columns
-    transformed."""
+    """The columns and rows of F's Walsh arrays (see _Columns): for A x^d,
+    1 + gcd(d, q - 1) columns and rows 0 and 1; for a trivial M or Λ, all
+    q.  Logs one DEBUG record on the "cdiffkit" logger with |Λ|, the
+    columns transformed and the rows of hat G read."""
     q = spec.q
-    m, mu = _stabilizer(spec, values)
-    e = int(spec._log[mu])                 # μ = g^e generates M
-    weight = (q - 1) // math.gcd(e, q - 1)
-    cosets = (q - 1) // weight             # M = <g^cosets>: g^j lies in coset j mod cosets
-    reps = np.sort(spec._exp[:q - 1].reshape(weight, cosets).min(axis=0))
+    m, mu = _stabilizer(spec, values)      # Λ = <g^m>
+    e = int(spec._log[mu])                 # μ = g^e generates M = <g^gcd(e, q - 1)>
+    cols, rows = _cosets(spec, math.gcd(e, q - 1))[0], _cosets(spec, m)[0]
     # λ = g^(m k) has μ_λ = μ^k, so v = r μ^k covers each nonzero v once
-    k = np.arange(weight)[:, None]
-    v = spec._exp[(spec._log[reps] + e * k) % (q - 1)]
-    index = np.zeros(q, dtype=np.intp)
-    shift = np.zeros(q, dtype=np.intp)
-    index[v] = np.arange(1, cosets + 1)
+    k = np.arange((q - 1) // (len(cols) - 1))[:, None]
+    v = spec._exp[(spec._log[cols[1:]] + e * k) % (q - 1)]
+    index, shift = np.zeros((2, q), dtype=np.intp)
+    index[v] = np.arange(1, len(cols))
     shift[v] = (-m * k) % (q - 1)
     _logger.debug("walsh array over GF(%d^%d): |stabilizer| %d, columns "
-                  "transformed %d of %d", spec.p, spec.n, (q - 1) // m,
-                  cosets + 1, q)
-    return _Columns(spec, np.concatenate([[0], reps]), index, shift, weight)
+                  "transformed %d of %d, rows of hat G %d of %d", spec.p,
+                  spec.n, (q - 1) // m, len(cols), q, len(rows), q)
+    return _Columns(spec, cols, index, shift, rows, (q - 1) // m)
+
+
+def _over_guard(spec: FieldSpec, size_guard: int | None) -> bool:
+    """The one Walsh guard: q^2 p entries above size_guard (None: no guard)."""
+    return size_guard is not None and spec.q ** 2 * spec.p > size_guard
 
 
 def _walsh_columns(F: FunctionTable, size_guard: int | None = WALSH_ENTRY_GUARD):
     """(columns, W): the transformed columns of F's Walsh array (see
     _Columns), W an int64 array of shape (q, len(columns.cols), p) whose
     entry [u, j] is the exponent-count vector of W_F(u, columns.cols[j]).
-    Every Walsh array starts here; q^2 p > size_guard raises before
-    anything is made, however few the columns."""
+    Every Walsh array starts here; above the guard (see _over_guard) it
+    raises before anything is made, however few the columns."""
     spec = F.spec
     q, p = spec.q, spec.p
-    if size_guard is not None and q * q * p > size_guard:
+    if _over_guard(spec, size_guard):
         raise SizeGuardExceeded(
             f"a Walsh array over GF({p}^{spec.n}) holds q^2 p = "
             f"{q * q * p} entries, above the guard of {size_guard}")
     columns = _column_map(spec, F.values)
     # the one place the trace form enters: the one-hot of zeta^Tr(v F(x))
-    # goes to row y = t(-x), where digit i of t(z) is Tr(z alpha^i) (alpha^i
-    # has rank p^i); <u, y> = Tr(-u x), so the transform puts W_F(u, v) at
-    # row u
+    # goes to row y = t(-x) (see _labels); <u, y> = Tr(-u x), so the
+    # transform puts W_F(u, v) at row u
     tr = spec.trace_all()
-    neg = spec.neg_array(np.arange(q))
-    y = sum(tr[spec.scale_array(p ** i, neg)] * p ** i for i in range(spec.n))
+    y = _labels(spec)[spec.neg_array(np.arange(q))]
     W = np.zeros((q, len(columns.cols), p), dtype=np.int64)
     for j, v in enumerate(columns.cols.tolist()):
         W[y, j, tr[spec.scale_array(v, F.values)]] = 1
@@ -321,44 +352,6 @@ def walsh_table(F: FunctionTable) -> WalshTable:
 # exact character-sum reorganization of the convolution tensors
 # ---------------------------------------------------------------------------
 
-def _conj_axis(arr: np.ndarray, p: int) -> np.ndarray:
-    """Complex conjugation along the coefficient axis: zeta^j -> zeta^(-j)."""
-    idx = (-np.arange(p)) % p
-    return arr[..., idx]
-
-
-def _cyclic_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Elementwise product in Z[zeta_p]: cyclic convolution along the last axis."""
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
-    for k in range(p):
-        for i in range(p):
-            out[..., k] += a[..., i] * b[..., (k - i) % p]
-    return out
-
-
-def _conj_norm_sum(arr: np.ndarray, p: int) -> CyclotomicInt:
-    """sum over the entries z of a (..., p) array of conj(z) * z, exactly, a
-    block of at most max(one row of arr, BLOCK_ELEMENTS) coefficients at a
-    time."""
-    # Shifting each entry by its smallest coefficient keeps the element
-    # (1 + zeta + ... + zeta^(p-1) = 0) and leaves coefficients >= 0.  With L
-    # the largest L1 norm of a shifted entry of a block, every coefficient of
-    # every product conj(z) z and of every partial sum is at most
-    # L^2 * entries, so int64 is exact below 2^63; otherwise the block runs on
-    # Python integers (object dtype).
-    rows = max(1, BLOCK_ELEMENTS // arr[0].size)
-    total = [0] * p
-    for u in range(0, len(arr), rows):
-        z = arr[u:u + rows].reshape(-1, p)
-        z = z - z.min(axis=1, keepdims=True)
-        L = int(z.sum(axis=1).max())
-        if L ** 2 * len(z) >= 2 ** 63:
-            z = z.astype(object)
-        term = _cyclic_mul(_conj_axis(z, p), z, p)
-        total = [t + int(s) for t, s in zip(total, term.sum(axis=0))]
-    return CyclotomicInt(p, total)
-
-
 def _count_frequencies(arr: np.ndarray, scale: int) -> np.ndarray:
     """Histogram of the counts z / scale over the entries z of a (..., p)
     array, each of which must be a non-negative multiple of scale in Z."""
@@ -386,17 +379,11 @@ def _g_columns(columns: _Columns, W: np.ndarray, c: int) -> np.ndarray:
     Wc = columns.take(W, columns.spec.scale_array(c, columns.cols))
     rows = max(1, BLOCK_ELEMENTS // W[0].size)
     for u in range(0, len(W), rows):
-        block = W[u:u + rows]
-        block[...] = _cyclic_mul(block, _conj_axis(Wc[u:u + rows], p), p)
+        a, b = W[u:u + rows], Wc[u:u + rows]
+        # a conj(b) in Z[zeta_p]: the coefficient of zeta^k is sum_i a_i b_(i-k)
+        a[...] = np.stack([sum(a[..., i] * b[..., (i - k) % p] for i in range(p))
+                           for k in range(p)], axis=-1)
     return W
-
-
-def _g_array(F: FunctionTable, c: int,
-             size_guard: int | None = WALSH_ENTRY_GUARD) -> np.ndarray:
-    """G(u, v) = W(u, v) * conj(W(u, c v)) over all (u, v), shape (q, q, p),
-    formed over the transformed columns and then gathered."""
-    columns, W = _walsh_columns(F, size_guard)
-    return columns.take(_g_columns(columns, W, c))
 
 
 def _dft(arr: np.ndarray, p: int) -> np.ndarray:
@@ -436,9 +423,22 @@ def _dft(arr: np.ndarray, p: int) -> np.ndarray:
     return bufs[0]
 
 
+def _hat_g_rows(F: FunctionTable, c: int, size_guard: int | None = WALSH_ENTRY_GUARD):
+    """(columns, R): R[t(t), i] = hat G(s, t) = q^2 n_F(s, -t, c) for
+    s = columns.rows[i] (t as in _labels), shape (q, len(columns.rows), p).
+    G's columns are transformed along u, and the rows gathered from them
+    (see _Columns.take_rows) along v.  Rebinding arr frees each input that
+    _dft returns as its buffer, so at most two arrays are live."""
+    p = F.spec.p
+    columns, arr = _walsh_columns(F, size_guard)
+    arr = _dft(_g_columns(columns, arr, c), p)
+    arr = columns.take_rows(arr)
+    return columns, _dft(arr, p)
+
+
 def _walsh_power_sums(F: FunctionTable, c: int, top: int,
                       size_guard: int | None = WALSH_ENTRY_GUARD) -> list:
-    """[sum_{a,b} n_F(a,b,c)^(j+1) for j = 1..top], from one transform of G.
+    """[sum_{a,b} n_F(a,b,c)^(j+1) for j = 1..top], from the rows of hat G.
 
     The (j+1)-fold convolution tensor (W_F W_F^c)^{tensor (j+1)} (0, 0), the
     sum over u_1..u_j, v_1..v_j of conj(W)(sum u, sum v) W(sum u, c sum v)
@@ -446,15 +446,14 @@ def _walsh_power_sums(F: FunctionTable, c: int, top: int,
     (1/q^2) * sum over characters chi of conj(hat G)(chi) * hat G(chi)^j with
     G(u, v) = W(u, v) conj(W)(u, c v).  Expanding G gives
     hat G(s, t) = q^2 n_F(s, -t, c), a rational integer, so every j comes
-    from one histogram of the checked counts hat G / q^2.
+    from the histogram of the checked counts hat G / q^2, row 0 counted
+    once and each coset row |Λ| times (see _Columns).  c is checked first.
     """
-    q, p = F.spec.q, F.spec.p
-    # the digits of u q + v are those of (u, v): one transform of the (q^2, p)
-    # view puts hat G(s, t) at (t(s), t(t)), labels the histogram never
-    # reads.  The transform reuses its input, so at most two (q, q, p)
-    # arrays are live
-    G = _g_array(F, c, size_guard)
-    return _power_sums(_count_frequencies(_dft(G.reshape(q * q, p), p), q * q), top)
+    _check_args(F.spec, c)
+    columns, R = _hat_g_rows(F, c, size_guard)
+    head, rest = (_power_sums(_count_frequencies(part, F.spec.q ** 2), top)
+                  for part in (R[:, :1], R[:, 1:]))
+    return [h + columns.order * r for h, r in zip(head, rest)]
 
 
 def phi_coefficients(delta: int) -> list:
@@ -479,30 +478,27 @@ def _phi(delta: int, base: int, sums) -> int:
 # statistics
 # ---------------------------------------------------------------------------
 
-def _reject_c1(c):
+def _check_args(spec: FieldSpec, c: int, delta: int = 1):
+    """Raise ValueError unless c is a rank of spec other than 1 and delta >= 1."""
+    spec._check(c)
     if c == 1:
         raise ValueError(
             "c = 1 is rejected: with a = 0 admissible the count n_F(0, b, 1) "
             "equals q for every b, so the characterization is vacuous there")
+    if delta < 1:
+        raise ValueError("delta must be >= 1")
 
 
 def pcn_power_sum(F: FunctionTable, c: int) -> int:
     """S = sum_{u,v} |W(u,v)|^2 |W(u,cv)|^2, an exact integer.
 
     S >= p^(4n) always, with equality iff F is PcN for this c (uniformity 1
-    with a = 0 admissible).  Only the transformed columns of G are formed
-    (see _Columns).
+    with a = 0 admissible).  |W(u,v)|^2 |W(u,cv)|^2 = |G(u,v)|^2 with
+    G(u,v) = W(u,v) conj(W(u,cv)), so by Parseval over (u, v)
+    S = q^-2 sum |hat G|^2 = q^2 sum_{a,b} n_F(a,b,c)^2, the first power
+    sum of _walsh_power_sums.
     """
-    _reject_c1(c)
-    spec = F.spec
-    spec._check(c)
-    # |W(u,v)|^2 |W(u,cv)|^2 = |G(u,v)|^2 with G(u,v) = W(u,v) conj(W(u,cv)).
-    # G(λu, μ_λ v) = G(u, v) and u -> λu permutes the rows, so every column
-    # of a coset of M has the sum of its representative (see _Columns)
-    columns, W = _walsh_columns(F)
-    G = _g_columns(columns, W, c)
-    return (_conj_norm_sum(G[:, :1], spec.p)
-            + columns.weight * _conj_norm_sum(G[:, 1:], spec.p)).as_integer()
+    return F.spec.q ** 2 * _walsh_power_sums(F, c, 1)[0]
 
 
 def apcn_statistic(F: FunctionTable, c: int,
@@ -514,9 +510,8 @@ def apcn_statistic(F: FunctionTable, c: int,
       sum conj(W)(u1+u2, v1+v2) W(u1+u2, c(v1+v2))
           * prod_i W(u_i, v_i) conj(W)(u_i, c v_i)
     and rhs = 3 p^(2n) * pcn_power_sum - 2 p^(6n).  size_guard bounds the
-    q^2 p entries of the Walsh arrays (see _walsh_array); None lifts it.
+    q^2 p entries of a Walsh array (see _over_guard); None lifts it.
     """
-    _reject_c1(c)
     q = F.spec.q
     s1, s2 = _walsh_power_sums(F, c, 2, size_guard)
     return q ** 4 * s2, 3 * q ** 4 * s1 - 2 * q ** 6
@@ -543,13 +538,11 @@ def convolution_statistic(F: FunctionTable, c: int, delta: int):
     arrays would exceed WALSH_ENTRY_GUARD; whenever both sides are computed
     they are equal integers.
     """
-    _reject_c1(c)
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
     spec = F.spec
+    _check_args(spec, c, delta)
     base = spec.q ** 2
     count_side = _phi(delta, base, counts_power_sums(F, c, delta))
-    if base * spec.p > WALSH_ENTRY_GUARD:   # the entries of one Walsh array
+    if _over_guard(spec, WALSH_ENTRY_GUARD):
         return count_side, None
     return count_side, _phi(delta, base, _walsh_power_sums(F, c, delta))
 
@@ -564,10 +557,8 @@ def derivative_walsh_statistic(F: FunctionTable, c: int, a: int, delta: int) -> 
     Nonnegative; zero iff no value of D is taken more than delta times.
     Only (q, p) arrays are formed.
     """
-    _reject_c1(c)
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
     spec = F.spec
+    _check_args(spec, c, delta)
     spec._check(a)
     q, p = spec.q, spec.p
     dvals = derivative_rows(spec, F.values, c, [a])[0]

@@ -1,0 +1,124 @@
+"""Mutation check: each catalogue entry breaks the package in one known way,
+and the tests it names must then fail.
+
+    python tests/mutants.py            # every entry
+    python tests/mutants.py NAME ...   # the named entries
+
+Each entry gives a file, an exact old string (which must occur exactly
+once), its replacement and the pytest node ids that must kill the mutant.
+The script first runs those tests on an unmutated copy of src/ and tests/,
+where they must pass; then, for each entry, it applies the replacement to a
+fresh temporary copy and runs the entry's tests, where pytest must report a
+failure (exit status 1).  It exits 1 if any mutant survives, or if an old
+string no longer matches, so the catalogue cannot go stale silently.
+
+This file is not collected by pytest (its name does not start with test_)
+and is not part of the tier-1 suite.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WALSH = "src/cdiffkit/walsh.py"
+TW = "tests/test_walsh.py::"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str       # relative to the repository root
+    old: str
+    new: str
+    tests: tuple    # pytest node ids that must fail
+
+
+MUTANTS = [
+    Mutant("rows: λ^-1 s for λ s in the row gather", WALSH,
+           "(log_s - self.shift[vs, None]) % (q - 1)",
+           "(log_s + self.shift[vs, None]) % (q - 1)",
+           (TW + "test_hat_g_coset_rows",)),
+    Mutant("rows: coset rows not weighted by |Λ|", WALSH,
+           "h + columns.order * r", "h + r",
+           (TW + "test_count_walsh_duality",)),
+    Mutant("rows: gathered at s, not at the label t(s)", WALSH,
+           "np.take(flat, t[s] * len(self.cols)",
+           "np.take(flat, s * len(self.cols)",
+           (TW + "test_hat_g_coset_rows", TW + "test_transformed_g_is_q2_times_ddt")),
+    Mutant("columns: λ u for λ^-1 u in _Columns.take", WALSH,
+           "spec._exp[spec._log[u:u + rows, None] + shift]",
+           "spec._exp[spec._log[u:u + rows, None] - shift]",
+           (TW + "test_column_reduction_matches_generic",)),
+    Mutant("exponents: 0 not kept as q - 1", "src/cdiffkit/functions.py",
+           "(e % (q - 1) or q - 1) if q > 2 else 1",
+           "(e % (q - 1)) if q > 2 else 1",
+           ("tests/test_functions.py::test_exponent_reduction",)),
+    Mutant("transform: twiddle zeta^-kd for zeta^kd", WALSH,
+           "s = k * d % p", "s = -k * d % p",
+           (TW + "test_transform_matches_character_sums",)),
+    Mutant("counts: coefficients 1..p-1 not compared", WALSH,
+           "if ((arr[..., 1:] != arr[..., -1:]).any() or (value < 0).any()",
+           "if ((value < 0).any()",
+           (TW + "test_count_frequencies_rejects_non_counts",)),
+    Mutant("cosets: a = 0 left in the coset of 1", "src/cdiffkit/cdiff.py",
+           "    coset_min[0] = 0\n", "",
+           ("tests/test_cdiff.py::test_orbit_dispatch_needs_frobenius_and_two_cs",)),
+]
+
+
+def _copy(dest: Path):
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part,
+                        ignore=shutil.ignore_patterns("*.pyc", ".hypothesis"))
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _pytest(tree: Path, tests) -> int:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           "-p", "no:warnings", *tests]
+    return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def main(names) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    if names and len(chosen) != len(set(names)):
+        print(f"unknown mutant among {names}", file=sys.stderr)
+        return 2
+    failures = 0
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        clean = Path(tmp) / "clean"
+        _copy(clean)
+        tests = sorted({t for m in chosen for t in m.tests})
+        if _pytest(clean, tests) != 0:
+            print("the catalogue's tests fail on the unmutated copy", file=sys.stderr)
+            return 1
+        for i, m in enumerate(chosen):
+            text = (ROOT / m.path).read_text()
+            if text.count(m.old) != 1:
+                print(f"STALE     {m.name}: old string occurs {text.count(m.old)} "
+                      f"times in {m.path}")
+                failures += 1
+                continue
+            tree = Path(tmp) / f"m{i}"
+            _copy(tree)
+            (tree / m.path).write_text(text.replace(m.old, m.new))
+            code = _pytest(tree, m.tests)
+            verdict = {1: "killed"}.get(code, "SURVIVED" if code == 0 else f"ERROR {code}")
+            print(f"{verdict:9} {m.name}")
+            failures += verdict != "killed"
+            shutil.rmtree(tree)
+    print(f"{len(chosen) - failures} of {len(chosen)} mutants killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,3 +1,4 @@
+import importlib
 import json
 import re
 import shlex
@@ -7,6 +8,8 @@ import pytest
 
 from cdiffkit import build_field, from_monomial, save_table
 from cdiffkit.cli import _COMMANDS, build_parser, main
+
+cli_module = importlib.import_module("cdiffkit.cli")
 
 
 def run(capsys, *argv):
@@ -128,6 +131,16 @@ def test_walsh_check_command(capsys):
     assert payload["apcn"]["equality"] is True
     assert payload["convolution"]["zero"] is True
     assert payload["convolution"]["sides_equal"] is True
+
+
+def test_walsh_check_rejects_delta_before_any_statistic(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("pcn_power_sum ran before the delta check")
+
+    monkeypatch.setattr(cli_module, "pcn_power_sum", refuse)
+    code, out, err = run(capsys, "walsh-check", "--p", "3", "--n", "2",
+                         "--function", "monomial:2", "--c", "2", "--delta", "0")
+    assert (code, out, err) == (2, "", "error: delta must be >= 1\n")
 
 
 @pytest.mark.parametrize("argv", [

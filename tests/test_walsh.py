@@ -16,8 +16,8 @@ from cdiffkit import (AConvention, CyclotomicInt, apcn_statistic, build_field,
                       from_monomial, from_polynomial, pcn_power_sum, raw_table,
                       uniformity, walsh_table, walsh_value)
 from cdiffkit.errors import NotRationalInteger, SizeGuardExceeded
-from cdiffkit.walsh import (_column_map, _conj_norm_sum, _count_frequencies,
-                            _dft, _g_array, _walsh_array, _walsh_power_sums,
+from cdiffkit.walsh import (_column_map, _count_frequencies, _dft, _hat_g_rows,
+                            _labels, _walsh_array, _walsh_power_sums,
                             counts_power_sums, phi_coefficients)
 
 from oracles import (brute_convolution_tensor, brute_derivative_statistic,
@@ -81,27 +81,6 @@ def test_canonical_form_p5(a):
     # adding the zero relation does not change the element
     rel = CyclotomicInt(5, [1, 1, 1, 1, 1])
     assert z + rel == z
-
-
-@pytest.mark.parametrize("scale", [50, 2 ** 40, "blocks"])
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_conj_power_sum_matches_scalar_arithmetic(p, scale):
-    # coefficients near 2^40 push L^2 * entries past 2^63, so the sum runs
-    # on object dtype; int64 arithmetic would wrap and disagree.  "blocks"
-    # spans two blocks of 3 rows of 2 entries: the first near 2^40 (object
-    # dtype), the second small (int64)
-    rng = np.random.default_rng(p)
-    if scale == "blocks":
-        arr = np.concatenate([2 ** 40 - rng.integers(0, 2 ** 41, size=(3, 2, p)),
-                              50 - rng.integers(0, 100, size=(3, 2, p))])
-    else:
-        arr = scale - rng.integers(0, 2 * scale, size=(6, p), dtype=np.int64)
-    want = CyclotomicInt.integer(p, 0)
-    for row in arr.reshape(-1, p):
-        z = CyclotomicInt(p, row)
-        want = want + z.conj() * z
-    with mock.patch.object(walsh_module, "BLOCK_ELEMENTS", 6 * p):
-        assert _conj_norm_sum(arr, p) == want
 
 
 # -- walsh transform ----------------------------------------------------------
@@ -227,11 +206,14 @@ def test_column_reduction_matches_generic(case):
     if kind == "power":
         # A x^d: Λ = GF(q)^*, M = <g^d>, 1 + gcd(d, q - 1) columns
         d = next(iter(F.origin["coeffs"]))
-        assert len(_column_map(spec, F.values).cols) == 1 + math.gcd(d, q - 1)
+        columns = _column_map(spec, F.values)
+        assert len(columns.cols) == 1 + math.gcd(d, q - 1)
+        assert list(columns.rows) == [0, 1] and columns.order == q - 1
     W, table = _walsh_array(F), walsh_table(F)
     pcn, sums = pcn_power_sum(F, c), _walsh_power_sums(F, c, 2)
     with mock.patch.object(walsh_module, "_stabilizer", _trivial_stabilizer):
-        assert len(_column_map(spec, F.values).cols) == q
+        columns = _column_map(spec, F.values)
+        assert len(columns.cols) == len(columns.rows) == q
         assert np.array_equal(_walsh_array(F), W)
         assert walsh_table(F).entries == table.entries
         assert pcn_power_sum(F, c) == pcn
@@ -252,8 +234,28 @@ def test_walsh_array_logs_columns(caplog):
     [record] = [r for r in caplog.records if r.name == "cdiffkit"]
     assert record.levelno == logging.DEBUG
     assert record.getMessage() == ("walsh array over GF(3^4): |stabilizer| 80, "
-                                   "columns transformed 3 of 81")
+                                   "columns transformed 3 of 81, rows of hat G "
+                                   "2 of 81")
     assert pcn == pcn_power_sum(F, 2) == 81 ** 2 * counts_power_sums(F, 2, 1)[0]
+
+
+def _assert_hat_g_rows(F, c):
+    # hat G(s, t) = q^2 n_F(s, -t, c): a rational integer, so its canonical
+    # coefficients (last one zero) are q^2 n_F(s, -t, c), 0, ..., 0.  Column
+    # i of R holds row s = rows[i] of hat G at labels t(t), where digit k of
+    # t(t) is Tr(t alpha^k) and alpha^k has rank p^k
+    spec = F.spec
+    q = spec.q
+    neg = spec.neg_array(np.arange(q))
+    t = sum(spec.trace_all()[spec.scale_array(spec.p ** i, np.arange(q))] * spec.p ** i
+            for i in range(spec.n))
+    assert np.array_equal(t, _labels(spec))
+    assert np.array_equal(np.sort(t), np.arange(q))
+    columns, R = _hat_g_rows(F, c)
+    want = np.zeros((q, len(columns.rows), spec.p), dtype=np.int64)
+    want[..., 0] = q * q * ddt_c(F, c)[np.ix_(columns.rows, neg)].T
+    assert np.array_equal(R[t] - R[t][..., -1:], want)
+    return columns
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -262,32 +264,40 @@ def test_walsh_array_logs_columns(caplog):
 @example(TRANSFORM_FIELDS[-2], 2, 5)
 @example(TRANSFORM_FIELDS[-1], 3, 7)
 def test_transformed_g_is_q2_times_ddt(pn, seed, drawn):
-    # hat G(s, t) = q^2 n_F(s, -t, c): a rational integer, so its canonical
-    # coefficients (last one zero) are q^2 n_F(s, -t, c), 0, ..., 0.  The
-    # DFT over the digits of (u, v) puts it at (t(s), t(t)), where digit i
-    # of t(s) is Tr(s alpha^i) and alpha^i has rank p^i
+    # with the trivial stabilizer every row is transformed
     spec = build_field(*pn)
-    q, p = spec.q, spec.p
+    q = spec.q
     F = raw_table(spec, np.random.default_rng(seed).integers(0, q, q))
-    neg = spec.neg_array(np.arange(q))
-    t = sum(spec.trace_all()[spec.scale_array(p ** i, np.arange(q))] * p ** i
-            for i in range(spec.n))
-    assert np.array_equal(np.sort(t), np.arange(q))
     for c in (0, 1, drawn % q):
-        Ghat = _dft(_g_array(F, c).reshape(q * q, p), p)
-        Ghat = Ghat.reshape(q, q, p)[np.ix_(t, t)]
-        want = np.zeros_like(Ghat)
-        want[..., 0] = q * q * ddt_c(F, c)[:, neg]
-        assert np.array_equal(Ghat - Ghat[..., -1:], want)
+        _assert_hat_g_rows(F, c)
+        with mock.patch.object(walsh_module, "_stabilizer", _trivial_stabilizer):
+            assert len(_assert_hat_g_rows(F, c).rows) == q
+
+
+@pytest.mark.parametrize("pn", [(2, 4), (3, 3), (5, 2), (3, 4), (7, 2),
+                                TRANSFORM_FIELDS[-2], TRANSFORM_FIELDS[-1]])
+def test_hat_g_coset_rows(pn):
+    # power maps and the inverse: row 0 and one row per coset of Λ, read
+    # from the u-transformed columns at λs; a random table for contrast
+    spec = build_field(*pn)
+    q = spec.q
+    rng = np.random.default_rng(q)
+    # a x^p + x, a of rank 2, has Λ = GF(p)^*: p - 1 rows per coset, and a
+    # trivial Λ for p = 2
+    for F in (from_monomial(spec, 3), from_monomial(spec, q - 2),
+              from_polynomial(spec, {spec.p: 2, 1: 1}),
+              raw_table(spec, rng.integers(0, q, q))):
+        for c in (0, 1, 2, q - 1, int(rng.integers(2, q))):
+            _assert_hat_g_rows(F, c)
 
 
 @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 1), (7, 1)])
 def test_count_frequencies_rejects_non_counts(p, n):
     spec = build_field(p, n)
     q = spec.q
-    F = from_monomial(spec, 2)
-    Ghat = _dft(_g_array(F, 2).reshape(q * q, p), p)
-    Ghat = Ghat.reshape(q, q, p)
+    F = raw_table(spec, np.random.default_rng(q).integers(0, q, q))
+    with mock.patch.object(walsh_module, "_stabilizer", _trivial_stabilizer):
+        _, Ghat = _hat_g_rows(F, 2)   # every row
     assert np.array_equal(_count_frequencies(Ghat, q * q),
                           np.bincount(ddt_c(F, 2).ravel()))
     # entry [1, 2]: coefficient 0 off by one (not a multiple of q^2), then
@@ -476,13 +486,46 @@ def test_walsh_guard_refuses_before_allocating():
 
 
 def test_g_is_transformed_once(gf16):
-    # one transform builds W, one more transforms G, whatever the degree
+    # one transform builds W, one transforms the columns of G along u and
+    # one the rows of hat G along v, whatever the degree or delta
     F = from_monomial(gf16, 5)
-    for call in (lambda: apcn_statistic(F, 2), lambda: convolution_statistic(F, 2, 3)):
+    calls = [lambda: apcn_statistic(F, 2), lambda: pcn_power_sum(F, 2)]
+    calls += [lambda delta=delta: convolution_statistic(F, 2, delta) for delta in (1, 2, 3)]
+    for call in calls:
         with mock.patch.object(walsh_module, "_dft",
                                wraps=walsh_module._dft) as transform:
             call()
-        assert transform.call_count == 2
+        assert transform.call_count == 3
+
+
+def test_c_is_checked_before_any_transform(gf16):
+    F = from_monomial(gf16, 3)
+    for call in (apcn_statistic, pcn_power_sum):
+        for c in (16, -1, 1):
+            with mock.patch.object(walsh_module, "_dft",
+                                   wraps=walsh_module._dft) as transform:
+                with pytest.raises(ValueError):
+                    call(F, c)
+            assert transform.call_count == 0
+
+
+def test_statistics_peak_at_two_arrays():
+    # a random table has trivial Λ and M: every column and every row is
+    # transformed, and at most two (q, q, p) int64 arrays are live, plus
+    # blocks of at most BLOCK_ELEMENTS coefficients and histograms
+    spec = build_field(2, 9)
+    q, p = spec.q, spec.p
+    F = raw_table(spec, np.random.default_rng(q).integers(0, q, q))
+    columns = _column_map(spec, F.values)
+    assert len(columns.cols) == len(columns.rows) == q
+    for call in (lambda: apcn_statistic(F, 2), lambda: pcn_power_sum(F, 2)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.32 * q * q * p * 8
 
 
 def test_count_side_is_one_pass(gf16):
