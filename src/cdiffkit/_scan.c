@@ -1,14 +1,12 @@
-/* The fused row scan behind cdiff._row_maxima.
+/* The compiled histogram kernel behind cdiff._count_blocks.
  *
  * For a fixed c and each shift a = rows[i], forms d(x) = F(x + a) - c*F(x)
- * over every rank x, histograms d over b, and stores the row's maximum in
- * maxima[i] and the smallest b attaining it in first_b[i].  The caller
- * checks every rank beforehand and sizes every buffer, so the loops index
- * without checks.
+ * over every rank x and writes the row's histogram into row i of counts, a
+ * caller-owned (n_rows, q) int32 block: counts[i*q + b] = #{x : d(x) = b}.
+ * The caller makes every reduction of the counts, checks every rank
+ * beforehand and sizes every buffer, so the loops index without checks.
  *
- * work holds 5q int32 entries: v, w, vl, wl (q each, below) and the
- * histogram.  io holds 3 n_rows int64 entries: the rows, then the maxima,
- * then the first b.
+ * work holds 4q int32 entries: v, w, vl and wl (q each, below).
  *
  * Addition follows FieldSpec:
  *   p = 2:       x + y = x ^ y; v = F and w = -cF.
@@ -24,16 +22,14 @@
 #include <stdint.h>
 #include <string.h>
 
-void cdiff_row_maxima(int64_t q, int64_t p, int64_t m, int32_t *work,
+void cdiff_row_counts(int64_t q, int64_t p, int64_t m, const int32_t *work,
                       const int32_t *hi, const int32_t *lo,
-                      int64_t *io, int64_t n_rows)
+                      const int64_t *rows, int64_t n_rows, int32_t *counts)
 {
     const int32_t *v = work, *w = work + q, *vl = work + 2 * q, *wl = work + 3 * q;
-    int32_t *hist = work + 4 * q;
-    const int64_t *rows = io;
-    int64_t *maxima = io + n_rows, *first_b = io + 2 * n_rows;
     for (int64_t i = 0; i < n_rows; i++) {
         int64_t a = rows[i];
+        int32_t *hist = counts + i * q;
         memset(hist, 0, (size_t)q * sizeof *hist);
         if (p == 2) {
             for (int64_t x = 0; x < q; x++)
@@ -58,13 +54,5 @@ void cdiff_row_maxima(int64_t q, int64_t p, int64_t m, int32_t *work,
                 }
             }
         }
-        int32_t best = 0;
-        for (int64_t b = 0; b < q; b++)
-            best = hist[b] > best ? hist[b] : best;
-        int64_t b = 0;
-        while (hist[b] != best)
-            b++;
-        maxima[i] = best;
-        first_b[i] = b;
     }
 }

@@ -47,7 +47,6 @@ _KERNEL_SOURCE = Path(__file__).with_name("_scan.c")
 _KERNEL_DIR = Path(__file__).with_name("__pycache__")
 _COMPILE = ("cc", "-O3", "-shared", "-fPIC")
 _COMPILE_TIMEOUT_S = 120
-_UNUSED = np.zeros(1, dtype=np.int32)   # the tables the p = 2 and n = 1 scans skip
 
 _logger = logging.getLogger("cdiffkit")
 
@@ -113,7 +112,7 @@ class SpectrumReport:
 
 
 def derivative_rows(spec: FieldSpec, values, c: int, a_list) -> np.ndarray:
-    """The c-derivative kernel: row i of the result is
+    """The c-derivative in numpy: row i of the result is
     x -> F(x + a_list[i]) - c*F(x) over all ranks x, for F given by values."""
     ncf = spec.neg_array(spec.scale_array(c, values))
     return spec.add_arrays(values[spec.add_rows(a_list)], ncf[np.newaxis, :])
@@ -124,18 +123,55 @@ def _count_blocks(spec: FieldSpec, values, c: int, rows):
     block at a time: yields (a_list, counts) with counts[i, b] the number of
     solutions x of F(x + a_list[i]) - c*F(x) = b.
 
-    A block holds at most _MAX_BLOCK_ROWS rows and at most
-    max(q, BLOCK_ELEMENTS) elements, so its int64 intermediates stay in
-    cache; the counts do not depend on the block size.
+    The one place that picks a kernel: the compiled one when _kernel
+    loaded it, else this numpy body, the fallback and the tests' reference.
+    The C loop indexes without checks, so values (q ranks) and rows (ranks)
+    are checked first, on either path.  A block is a new array of at most
+    _MAX_BLOCK_ROWS rows and max(q, BLOCK_ELEMENTS) elements, so its
+    intermediates stay in cache; the counts do not depend on its size.
     """
     q = spec.q
+    values, rows = np.asarray(values), np.asarray(rows)
+    if values.shape != (q,):
+        raise ValueError(f"values must hold q = {q} ranks, not shape {values.shape}")
+    _check_ranks("values", values, q)
+    _check_ranks("rows", rows, q)
     chunk = min(_MAX_BLOCK_ROWS, max(1, BLOCK_ELEMENTS // q))
-    for start in range(0, len(rows), chunk):
+    starts = range(0, len(rows), chunk)
+    kernel = _kernel()
+    if kernel is None:
+        for start in starts:
+            a_list = rows[start:start + chunk]
+            block = derivative_rows(spec, values, c, a_list)
+            offsets = (np.arange(len(a_list), dtype=np.int64) * q)[:, None]
+            yield a_list, np.bincount((block.astype(np.int64) + offsets).ravel(),
+                                      minlength=block.size).reshape(block.shape)
+        return
+    work = np.empty((4, q), dtype=np.int32)
+    v, w, vl, wl = work
+    ncf = spec.neg_array(spec.scale_array(c, values))
+    m = spec._split or 0
+    if m:
+        # offsets into the flat HI and LO tables (see _scan.c)
+        np.divmod(values, m, out=(v, vl))
+        np.divmod(ncf, m, out=(w, wl))
+        v *= q // m
+        vl *= m
+        hi, lo = (np.ascontiguousarray(t, dtype=np.int32) for t in (spec._hi, spec._lo))
+        tables = hi.ctypes.data, lo.ctypes.data
+    else:
+        v[:], w[:] = values, ncf
+        tables = None, None   # the p = 2 and n = 1 loops read no table
+    shifts = rows.astype(np.int64)
+    # addresses taken once per call: ndpointer conversions per block cost
+    # more than a small block
+    fixed = (q, spec.p, m, work.ctypes.data, *tables)
+    for start in starts:
         a_list = rows[start:start + chunk]
-        block = derivative_rows(spec, values, c, a_list)
-        offsets = (np.arange(len(a_list), dtype=np.int64) * q)[:, None]
-        yield a_list, np.bincount((block.astype(np.int64) + offsets).ravel(),
-                                  minlength=block.size).reshape(block.shape)
+        counts = np.empty((len(a_list), q), dtype=np.int32)
+        kernel(*fixed, shifts.ctypes.data + start * shifts.itemsize, len(a_list),
+               counts.ctypes.data)
+        yield a_list, counts
 
 
 def c_derivative(F: FunctionTable, c: int, a: int) -> FunctionTable:
@@ -147,14 +183,18 @@ def c_derivative(F: FunctionTable, c: int, a: int) -> FunctionTable:
 
 def ddt_c(F: FunctionTable, c: int) -> np.ndarray:
     """Dense difference distribution table: entry (a, b) counts solutions x
-    of F(x + a) - c*F(x) = b.  Guarded to q <= DDT_DENSE_BOUND."""
+    of F(x + a) - c*F(x) = b.  Guarded to q <= DDT_DENSE_BOUND.  Logs one
+    DEBUG record on the "cdiffkit" logger with the rows scanned and the
+    kernel path (C or numpy, see _kernel)."""
     spec = F.spec
     q = spec.q
     if q > DDT_DENSE_BOUND:
         raise SizeGuardExceeded(
             f"dense DDT needs q <= {DDT_DENSE_BOUND}; q = {q}. "
             "Use uniformity()/spectrum(), which stream per-a histograms.")
-    out = np.zeros((q, q), dtype=np.int32)
+    _logger.debug("ddt over GF(%d^%d): rows scanned %d, kernel %s",
+                  spec.p, spec.n, q, _kernel_name())
+    out = np.empty((q, q), dtype=np.int32)
     for a_list, counts in _count_blocks(spec, F.values, c, np.arange(q)):
         out[a_list] = counts
     return out
@@ -162,8 +202,8 @@ def ddt_c(F: FunctionTable, c: int) -> np.ndarray:
 
 @functools.cache
 def _kernel():
-    """The compiled row scan (cdiff_row_maxima in _scan.c) as a ctypes
-    function, or None when it cannot be built or loaded.
+    """The compiled histogram kernel (cdiff_row_counts in _scan.c) as a
+    ctypes function, or None when it cannot be built or loaded.
 
     The library is compiled on first use with `cc -O3 -shared -fPIC` into
     the package's __pycache__, named by a CRC-32 of the source, the command
@@ -172,7 +212,7 @@ def _kernel():
     compiler writes a temporary file that is renamed into place, so a
     concurrent build never loads a partial library.  A missing compiler, a
     failed or timed-out compile and an unwritable directory all give None,
-    and _row_maxima runs its numpy body.  Resolved once per process:
+    and _count_blocks runs its numpy body.  Resolved once per process:
     _sweep calls it before forking its workers, which inherit the result.
     """
     try:
@@ -196,15 +236,18 @@ def _kernel():
             for stale in _KERNEL_DIR.glob("_scan-*.so"):
                 if stale != path:
                     stale.unlink(missing_ok=True)
-        fn = ctypes.CDLL(str(path)).cdiff_row_maxima
+        fn = ctypes.CDLL(str(path)).cdiff_row_counts
     except (OSError, subprocess.SubprocessError):
         return None
-    i64 = ctypes.c_int64
-    i32s = np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS")
-    i64s = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
-    fn.argtypes = [i64, i64, i64, i32s, i32s, i32s, i64s, i64]
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    fn.argtypes = [i64, i64, i64, ptr, ptr, ptr, ptr, i64, ptr]
     fn.restype = None
     return fn
+
+
+def _kernel_name() -> str:
+    """The kernel path _count_blocks takes, for DEBUG records: C or numpy."""
+    return "numpy" if _kernel() is None else "C"
 
 
 def _check_ranks(name: str, arr: np.ndarray, q: int):
@@ -213,45 +256,11 @@ def _check_ranks(name: str, arr: np.ndarray, q: int):
         raise ValueError(f"{name} must be a 1-d array of ranks in [0, {q})")
 
 
-def _compiled_row_maxima(kernel, spec: FieldSpec, values, c: int, rows):
-    """_row_maxima through the compiled scan.  The C loop indexes without
-    checks, so values (q ranks) and rows (ranks) are checked here first."""
-    q = spec.q
-    values, rows = np.asarray(values), np.asarray(rows)
-    if values.shape != (q,):
-        raise ValueError(f"values must hold q = {q} ranks, not shape {values.shape}")
-    _check_ranks("values", values, q)
-    _check_ranks("rows", rows, q)
-    # four buffers, not ten arrays: each pointer argument costs about 3 µs,
-    # as much as a two-row scan itself
-    work = np.empty((5, q), dtype=np.int32)
-    v, w, vl, wl, _ = work   # the last row is the histogram
-    ncf = spec.neg_array(spec.scale_array(c, values))
-    m = spec._split or 0
-    if m:
-        # offsets into the flat HI and LO tables (see _scan.c)
-        np.divmod(values, m, out=(v, vl))
-        np.divmod(ncf, m, out=(w, wl))
-        v *= q // m
-        vl *= m
-        hi, lo = spec._hi.ravel(), spec._lo.ravel()
-    else:
-        v[:], w[:] = values, ncf
-        hi = lo = _UNUSED
-    io = np.empty((3, len(rows)), dtype=np.int64)
-    io[0] = rows
-    kernel(q, spec.p, m, work.ravel(), hi, lo, io.ravel(), len(rows))
-    return io[1], io[2]
-
-
 def _row_maxima(spec: FieldSpec, values, c: int, rows):
     """One pass over the shifts a in rows for a fixed c: the maximum of
-    each row's histogram over b, and the smallest b attaining it.  Runs the
-    compiled scan when _kernel loaded it; this numpy body is the fallback
-    and the reference the tests compare it with."""
-    kernel = _kernel()
-    if kernel is not None:
-        return _compiled_row_maxima(kernel, spec, values, c, rows)
+    each row's histogram over b, and the smallest b attaining it, reduced
+    in numpy from the blocks of _count_blocks (whichever kernel made
+    them)."""
     maxima, first_b = [], []
     for _, counts in _count_blocks(spec, values, c, rows):
         b = counts.argmax(axis=1)
@@ -399,11 +408,11 @@ def _sweep(F: FunctionTable, c_filter, threads: int):
     cs = admissible_c(spec, c_filter)
     rows, coset_min, rep = _symmetry(spec, values, cs)
     scanned = [c for c, (r, _, _) in rep.items() if r == c]
-    kernel = "numpy" if _kernel() is None else "C"   # resolved before the workers fork
+    # _kernel_name resolves the kernel before the workers fork
     _logger.debug("sweep over GF(%d^%d): |stabilizer| %d, rows scanned %d of %d, "
                   "c requested %d, c scanned %d, kernel %s", spec.p, spec.n,
                   (spec.q - 1) // (len(rows) - 1), len(rows), spec.q,
-                  len(cs), len(scanned), kernel)
+                  len(cs), len(scanned), _kernel_name())
     state = (spec, values, rows, coset_min)
     records = parallel_map(_scan, state, scanned, threads)
     return state, rep, dict(zip(scanned, records))
@@ -448,17 +457,18 @@ def uniformity(F: FunctionTable, c: int, conv: AConvention) -> UniformityResult:
     return spectrum(F, [c], conv).results[0]
 
 
+# the named c-sets admissible_c resolves; no01 is short for exclude_0_1
+C_SET_NAMES = ("all", "nonzero", "exclude_0_1", "no01")
+
+
 def admissible_c(spec: FieldSpec, c_filter) -> list:
-    """Resolve a c-set descriptor: 'all', 'nonzero', 'exclude_0_1' or an
-    explicit iterable of ranks."""
+    """Resolve a c-set descriptor: a name in C_SET_NAMES or an explicit
+    iterable of ranks."""
     if isinstance(c_filter, str):
-        if c_filter == "all":
-            return list(range(spec.q))
-        if c_filter == "nonzero":
-            return list(range(1, spec.q))
-        if c_filter in ("exclude_0_1", "no01"):
-            return [c for c in range(spec.q) if c not in (0, 1)]
-        raise ValueError(f"unknown c filter {c_filter!r}")
+        if c_filter not in C_SET_NAMES:
+            raise ValueError(f"unknown c filter {c_filter!r}")
+        skipped = {"all": (), "nonzero": (0,)}.get(c_filter, (0, 1))
+        return [c for c in range(spec.q) if c not in skipped]
     cs = sorted({int(c) for c in c_filter})
     for c in cs:
         if not 0 <= c < spec.q:

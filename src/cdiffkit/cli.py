@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import __version__
-from .cdiff import AConvention, dual_convention_max, spectrum, uniformity
+from .cdiff import C_SET_NAMES, AConvention, dual_convention_max, spectrum, uniformity
 from .errors import CdiffkitError, SizeGuardExceeded
 from .field import build_field
 from .functions import (_from_descriptor, from_monomial, from_polynomial, inverse_table,
@@ -89,7 +89,7 @@ def build_parser():
     _add_field_args(s)
     s.add_argument("--function", required=True)
     s.add_argument("--c-set", default="all",
-                   help="all | nonzero | no01 | comma separated ranks")
+                   help=" | ".join(C_SET_NAMES) + " | comma separated ranks")
     s.add_argument("--a-convention", choices=[conv.value for conv in AConvention],
                    required=True)
     s.add_argument("--format", choices=("json", "csv"), default="json")
@@ -151,7 +151,7 @@ def _cmd_spectrum(args):
     F = _parse_function(spec, args.function)
     conv = AConvention(args.a_convention)
     c_set = args.c_set
-    if c_set not in ("all", "nonzero", "no01"):
+    if c_set not in C_SET_NAMES:
         c_set = [int(t) for t in args.c_set.split(",")]
     rep = spectrum(F, c_set, conv, threads=args.threads)
     if args.format == "csv":

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdiff import BLOCK_ELEMENTS, _cosets, _count_blocks, _stabilizer, derivative_rows
+from .cdiff import BLOCK_ELEMENTS, _cosets, _count_blocks, _kernel_name, _stabilizer
 from .errors import NotRationalInteger, SizeGuardExceeded
 from .field import FieldSpec
 from .functions import FunctionTable
@@ -518,10 +518,15 @@ def apcn_statistic(F: FunctionTable, c: int,
 
 
 def counts_power_sums(F: FunctionTable, c: int, top: int) -> list:
-    """[sum_{a,b} n_F(a,b,c)^(j+1) for j = 1..top], from one pass."""
-    q = F.spec.q
+    """[sum_{a,b} n_F(a,b,c)^(j+1) for j = 1..top], from one pass.  Logs
+    one DEBUG record on the "cdiffkit" logger with the rows scanned and
+    the kernel path (C or numpy)."""
+    spec = F.spec
+    q = spec.q
+    _logger.debug("counts over GF(%d^%d): rows scanned %d, kernel %s",
+                  spec.p, spec.n, q, _kernel_name())
     freq = np.zeros(q + 1, dtype=np.int64)
-    for _, mult in _count_blocks(F.spec, F.values, c, np.arange(q)):
+    for _, mult in _count_blocks(spec, F.values, c, np.arange(q)):
         # mult[i, b] = n_F(a_i, b, c); freq[m] counts the (a, b) with n_F = m
         freq += np.bincount(mult.ravel(), minlength=q + 1)
     return _power_sums(freq, top)
@@ -561,11 +566,11 @@ def derivative_walsh_statistic(F: FunctionTable, c: int, a: int, delta: int) -> 
     _check_args(spec, c, delta)
     spec._check(a)
     q, p = spec.q, spec.p
-    dvals = derivative_rows(spec, F.values, c, [a])[0]
+    [(_, counts)] = _count_blocks(spec, F.values, c, np.array([a]))
     # the transform of D's value histogram is g[k] = sum_y #{x : D(x) = y}
     # zeta^<k, y>, and transforming again gives q #{x : D(x) = y} at the
     # digits of -y
     hist = np.zeros((q, p), dtype=np.int64)
-    hist[:, 0] = np.bincount(dvals, minlength=q)
+    hist[:, 0] = counts[0]
     ghat = _dft(_dft(hist, p), p)
     return _phi(delta, q, _power_sums(_count_frequencies(ghat, q), delta))

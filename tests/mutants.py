@@ -27,7 +27,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CDIFF = "src/cdiffkit/cdiff.py"
+SCAN = "src/cdiffkit/_scan.c"
 WALSH = "src/cdiffkit/walsh.py"
+TC = "tests/test_cdiff.py::"
 TW = "tests/test_walsh.py::"
 
 
@@ -67,9 +70,19 @@ MUTANTS = [
            "if ((arr[..., 1:] != arr[..., -1:]).any() or (value < 0).any()",
            "if ((value < 0).any()",
            (TW + "test_count_frequencies_rejects_non_counts",)),
-    Mutant("cosets: a = 0 left in the coset of 1", "src/cdiffkit/cdiff.py",
+    Mutant("cosets: a = 0 left in the coset of 1", CDIFF,
            "    coset_min[0] = 0\n", "",
-           ("tests/test_cdiff.py::test_orbit_dispatch_needs_frobenius_and_two_cs",)),
+           (TC + "test_orbit_dispatch_needs_frobenius_and_two_cs",)),
+    Mutant("kernel: a row's histogram not cleared first", SCAN,
+           "        memset(hist, 0, (size_t)q * sizeof *hist);\n", "",
+           (TC + "test_compiled_count_blocks_match_numpy",)),
+    Mutant("kernel: every row written at offset 0", SCAN,
+           "int32_t *hist = counts + i * q;", "int32_t *hist = counts;",
+           (TC + "test_compiled_count_blocks_match_numpy",)),
+    Mutant("maxima: the last b attaining the maximum, not the first", CDIFF,
+           "b = counts.argmax(axis=1)",
+           "b = counts.shape[1] - 1 - counts[:, ::-1].argmax(axis=1)",
+           (TC + "test_compiled_row_maxima_matches_numpy",)),
 ]
 
 

@@ -17,6 +17,7 @@ from cdiffkit import cdiff
 from cdiffkit.errors import DegenerateCs, SizeGuardExceeded, WitnessMismatch
 from cdiffkit.functions import table_from_json_dict, table_to_json_dict
 from cdiffkit.theorems import deca_trinomial
+from cdiffkit.walsh import counts_power_sums
 
 from oracles import brute_uniformity, ddt_counts, eval_poly, slow_field_like
 
@@ -315,7 +316,7 @@ def _require_compiled_scan():
 
 
 def _numpy_scan():
-    """Run the numpy body of _row_maxima, as when the compiled scan is missing."""
+    """Run the numpy body of _count_blocks, as when the compiled kernel is missing."""
     return mock.patch.object(cdiff, "_kernel", return_value=None)
 
 
@@ -698,6 +699,28 @@ def test_sweep_logs_the_numpy_kernel(caplog):
         _check_sweep_record(caplog, "numpy")
 
 
+def test_ddt_and_counts_log_the_compiled_kernel(caplog):
+    _require_compiled_scan()
+    _check_count_records(caplog, "C")
+
+
+def test_ddt_and_counts_log_the_numpy_kernel(caplog):
+    with _numpy_scan():
+        _check_count_records(caplog, "numpy")
+
+
+def _check_count_records(caplog, kernel):
+    F = from_monomial(build_field(3, 3), 5)
+    with caplog.at_level(logging.DEBUG, logger="cdiffkit"):
+        ddt_c(F, 2)
+        counts_power_sums(F, 2, 2)
+    records = [r for r in caplog.records if r.name == "cdiffkit"]
+    assert {r.levelno for r in records} == {logging.DEBUG}
+    assert [r.getMessage() for r in records] == [
+        f"ddt over GF(3^3): rows scanned 27, kernel {kernel}",
+        f"counts over GF(3^3): rows scanned 27, kernel {kernel}"]
+
+
 def _check_sweep_record(caplog, kernel):
     # the deca trinomial over GF(3^5) is even: Λ = {1, -1}, so row 0 and 121
     # coset rows; 25 c values as above
@@ -813,10 +836,12 @@ def test_derivative_rows_matches_literal_loop(case):
         for a in shifts]
 
 
-# -- the compiled row scan against the numpy body -----------------------------
+# -- the compiled histogram kernel against the numpy body --------------------
 
 SCAN_FIELDS = [(2, 1), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2),
                (5, 3), (7, 1), (7, 2), (7, 3)]
+# rows per block: 1 and 3 make most row lists span several blocks
+BLOCK_ROWS = st.sampled_from([1, 3, cdiff._MAX_BLOCK_ROWS])
 
 
 @st.composite
@@ -830,16 +855,63 @@ def scan_cases(draw):
     return spec, values, draw(st.sampled_from([0, 1]) | rank), rows
 
 
+def _block_rows(n):
+    return mock.patch.object(cdiff, "_MAX_BLOCK_ROWS", n)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(scan_cases(), BLOCK_ROWS)
+def test_compiled_count_blocks_match_numpy(case, block_rows):
+    _require_compiled_scan()
+    spec, values, c, rows = case
+
+    def blocks():
+        with _block_rows(block_rows):
+            return [(a_list.tolist(), counts.tolist())
+                    for a_list, counts in cdiff._count_blocks(spec, values, c, rows)]
+
+    compiled = blocks()
+    with _numpy_scan():
+        assert blocks() == compiled
+    assert [a for a_list, _ in compiled for a in a_list] == rows.tolist()
+    assert all(len(a_list) <= block_rows for a_list, _ in compiled)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(scan_cases())
 def test_compiled_row_maxima_matches_numpy(case):
+    # both kernels against a literal histogram of each row: the maximum and
+    # the smallest b attaining it
+    spec, values, c, rows = case
+    hists = [np.bincount(d, minlength=spec.q)
+             for d in cdiff.derivative_rows(spec, values, c, rows)]
+    want = [[int(h.max()) for h in hists], [int(h.argmax()) for h in hists]]
+    with _numpy_scan():
+        assert [x.tolist() for x in cdiff._row_maxima(spec, values, c, rows)] == want
+    _require_compiled_scan()
+    assert [x.tolist() for x in cdiff._row_maxima(spec, values, c, rows)] == want
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(scan_cases(), BLOCK_ROWS)
+def test_compiled_statistics_match_numpy(case, block_rows):
+    # ddt_c, counts_power_sums and derivative_walsh_statistic read the same
+    # counts from either kernel; the Walsh statistics refuse c = 1
     _require_compiled_scan()
     spec, values, c, rows = case
-    compiled = cdiff._row_maxima(spec, values, c, rows)
+    F = raw_table(spec, values)
+
+    def statistics():
+        with _block_rows(block_rows):
+            out = [ddt_c(F, c).tolist()]
+            if c != 1:
+                out.append(counts_power_sums(F, c, 3))
+                out += [derivative_walsh_statistic(F, c, int(a), 2) for a in rows[:3]]
+            return out
+
+    compiled = statistics()
     with _numpy_scan():
-        reference = cdiff._row_maxima(spec, values, c, rows)
-    for got, want in zip(compiled, reference):
-        assert got.tolist() == want.tolist()
+        assert statistics() == compiled
 
 
 def _payloads(F, c_set, conv):
@@ -915,6 +987,7 @@ def test_compiled_scan_checks_ranks_before_the_call(gf27):
            (np.full(27, 27), [0]), (np.full(27, -1), [0]), (np.zeros(26, dtype=np.int32), [0])]
     with mock.patch.object(cdiff, "_kernel", return_value=kernel):
         for values, rows in bad:
-            with pytest.raises(ValueError):
-                cdiff._row_maxima(gf27, values, 1, np.array(rows))
+            for call in (cdiff._row_maxima, lambda *args: list(cdiff._count_blocks(*args))):
+                with pytest.raises(ValueError):
+                    call(gf27, values, 1, np.array(rows))
     kernel.assert_not_called()

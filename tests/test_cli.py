@@ -83,6 +83,23 @@ def test_spectrum_threads_identical_payload(capsys):
     assert json.loads(out1)["payload"]["overall_max"] == 5
 
 
+@pytest.mark.parametrize("name, first", [("all", 0), ("nonzero", 1),
+                                         ("exclude_0_1", 2), ("no01", 2)])
+def test_spectrum_accepts_every_c_set_name(capsys, name, first):
+    argv = ["spectrum", "--p", "3", "--n", "2", "--function", "monomial:5",
+            "--a-convention", "include-zero", "--c-set"]
+    code, out, _ = run(capsys, *argv, name)
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["c_set"] == name
+    assert [r["c_rank"] for r in payload["results"]] == list(range(first, 9))
+    code, out, _ = run(capsys, *argv, ",".join(map(str, range(first, 9))))
+    assert json.loads(out)["payload"]["results"] == payload["results"]
+    with pytest.raises(SystemExit):
+        main(["spectrum", "--help"])
+    assert name in capsys.readouterr().out
+
+
 def test_threads_below_one_exits_2(capsys):
     code, _, err = run(capsys, "spectrum", "--p", "2", "--n", "3",
                        "--function", "monomial:3", "--c-set", "nonzero",
