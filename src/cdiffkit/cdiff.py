@@ -285,35 +285,24 @@ def _stabilizer(spec: FieldSpec, values):
     q = spec.q
     nonzero = np.flatnonzero(values)
     if not len(nonzero):
-        return 1, int(spec._exp[1])
+        return 1, spec.primitive_rank
     x, x0 = np.arange(q), int(nonzero[0])
     inv0 = int(spec._inv[values[x0]])
 
-    def multiplier(lam):
-        return spec.mul(int(values[spec.mul(lam, x0)]), inv0)
+    def multiplier(lam_x):   # μ_λ, from λx over every x
+        return spec.mul(int(values[lam_x[x0]]), inv0)
 
-    def stabilizes(lam):
-        return np.array_equal(values[spec.scale_array(lam, x)],
-                              spec.scale_array(multiplier(lam), values))
+    def stabilizes(k):   # λ = g^k
+        lam_x = spec.mul_gen_power(x, k)
+        return np.array_equal(values[lam_x], spec.scale_array(multiplier(lam_x), values))
 
     order = 1
     for r in _prime_factors(q - 1):
         s = r
-        while (q - 1) % s == 0 and stabilizes(int(spec._exp[(q - 1) // s])):
+        while (q - 1) % s == 0 and stabilizes((q - 1) // s):
             order, s = order * r, s * r
     m = (q - 1) // order
-    return m, multiplier(int(spec._exp[m]))
-
-
-def _cosets(spec: FieldSpec, m: int):
-    """(reps, coset_min) for the cosets of <g^m> in GF(q)^*, m | q - 1:
-    coset_min[a] is the smallest rank of a<g^m> (coset_min[0] = 0), and
-    reps, ascending, are 0 and the smallest rank of each coset."""
-    q = spec.q
-    # g^j lies in coset j mod m
-    coset_min = spec._exp[:q - 1].reshape((q - 1) // m, m).min(axis=0)[spec._log % m]
-    coset_min[0] = 0
-    return np.flatnonzero(coset_min == np.arange(q)), coset_min
+    return m, multiplier(spec.mul_gen_power(x, m))
 
 
 def _symmetry(spec: FieldSpec, values, cs):
@@ -337,14 +326,14 @@ def _symmetry(spec: FieldSpec, values, cs):
       commutes with Frobenius: row a of r has the maximum of row
       ±a^(p^k) of c, and a = 0 maps to a = 0.  c = 0 represents itself.
 
-    Λ comes from _stabilizer, and rows and coset_min from _cosets.  Power
+    Λ comes from _stabilizer, and rows and coset_min from spec.cosets.  Power
     maps A*x^d have Λ = GF(q)^* and scan rows 0 and 1; F = 0 has
     Λ = GF(q)^* too.  The Frobenius test, values[frob] == frob[values],
     needs n > 1 and at least two cs.  Every test reads the values only,
     never the origin descriptor.
     """
     frob, inv = spec._frob, spec._inv
-    rows, coset_min = _cosets(spec, _stabilizer(spec, values)[0])
+    rows, coset_min = spec.cosets(_stabilizer(spec, values)[0])
     frobenius = (spec.n > 1 and len(cs) > 1
                  and np.array_equal(values[frob], frob[values]))
     # frob[0] = inv[0] = 0, so c = 0 represents itself

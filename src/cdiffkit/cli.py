@@ -60,12 +60,11 @@ def _field_from_args(args):
     return build_field(args.p, args.n, modulus)
 
 
-def _add_field_args(sub, with_modulus=True):
+def _add_field_args(sub):
     sub.add_argument("--p", type=int, required=True, help="prime characteristic")
     sub.add_argument("--n", type=int, required=True, help="extension degree")
-    if with_modulus:
-        sub.add_argument("--modulus", type=str, default=None,
-                         help="comma separated coefficients, constant term first")
+    sub.add_argument("--modulus", type=str, default=None,
+                     help="comma separated coefficients, constant term first")
 
 
 def build_parser():

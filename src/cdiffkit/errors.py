@@ -20,7 +20,7 @@ class DegreeMismatch(CdiffkitError):
 
 
 class DivisionByZero(CdiffkitError, ZeroDivisionError):
-    """Inverse (or negative power) of the zero element."""
+    """Inverse, negative power or logarithm of the zero element."""
 
 
 class NonDivisorSubfieldDegree(CdiffkitError):

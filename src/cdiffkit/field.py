@@ -12,13 +12,17 @@ n = 1 it is addition mod p, and otherwise each rank splits as h*m + l with
 m = p^ceil(n/2), so x + y = HI[h_x, h_y] + LO[l_x, l_y] from two digit-sum
 tables.  LO has m^2 entries (q for even n, p*q for odd n) and HI at most q.
 Multiplication, inversion, powers, Frobenius and trace read log/antilog
-tables built for every field; fields above LOG_TABLE_BOUND are refused.
+tables built for every field.  No other module reads them: it multiplies by
+powers of the generator g through mul_gen_power, log and cosets.  Fields
+above LOG_TABLE_BOUND, or whose LO table would hold more than
+8 LOG_TABLE_BOUND entries, are refused before any table is built.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 
 import numpy as np
 
@@ -47,11 +51,16 @@ def _digit_sum_table(p: int, k: int):
     return t
 
 
-def _json_int(value, what: str) -> int:
-    """value, which must be an integer: int() would pass 1.5, true and "3"."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise SchemaViolation(f"{what} must be an integer, got {value!r}")
-    return int(value)
+def _integer(value, what: str, error=SchemaViolation) -> int:
+    """value as an int: Python and numpy integers pass, while bool, float and
+    str raise error (int() would pass 1.5, true and "3")."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got "
+                    f"{type(value).__name__} {value!r}") from None
 
 
 def is_prime(p: int) -> bool:
@@ -235,9 +244,11 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, n: int, modulus=None):
-        if not isinstance(p, int) or not is_prime(p):
+        p = _integer(p, "p", NonPrimeCharacteristic)
+        n = _integer(n, "extension degree n", DegreeMismatch)
+        if not is_prime(p):
             raise NonPrimeCharacteristic(f"p = {p} is not prime")
-        if not isinstance(n, int) or n < 1:
+        if n < 1:
             raise DegreeMismatch(f"extension degree n = {n} must be >= 1")
         self.p = p
         self.n = n
@@ -245,6 +256,12 @@ class FieldSpec:
         if self.q > LOG_TABLE_BOUND:
             raise SizeGuardExceeded(
                 f"field tables need q <= {LOG_TABLE_BOUND}; q = {self.q}")
+        # the split tables below: LO holds m^2 entries, p*q for odd n
+        split = p ** ((n + 1) // 2) if p != 2 and n > 1 else None
+        if split is not None and split ** 2 > 8 * LOG_TABLE_BOUND:
+            raise SizeGuardExceeded(
+                f"addition tables need m^2 <= {8 * LOG_TABLE_BOUND}; "
+                f"m^2 = {split ** 2} for GF({p}^{n})")
         if modulus is None:
             modulus = find_default_modulus(p, n)
         modulus = [int(c) % p for c in modulus]
@@ -262,11 +279,11 @@ class FieldSpec:
 
         # odd p, n > 1: rank r = h*m + l, and x + y = HI[h_x, h_y] + LO[l_x, l_y]
         self._split = self._hi = self._lo = None
-        if p != 2 and n > 1:
+        if split is not None:
             k = (n + 1) // 2
-            self._split = m = p ** k
+            self._split = split
             self._lo = _digit_sum_table(p, k)
-            self._hi = _digit_sum_table(p, n - k) * m
+            self._hi = _digit_sum_table(p, n - k) * split
             for t in (self._lo, self._hi):
                 t.setflags(write=False)
 
@@ -418,11 +435,34 @@ class FieldSpec:
             return True
         return int(self._log[x]) % 2 == 0
 
+    def log(self, x: int) -> int:
+        """The discrete log e of x to the base g = primitive_rank, 0 <= e < q - 1."""
+        if self._check(x) == 0:
+            raise DivisionByZero("the logarithm of 0")
+        return int(self._log[x])
+
     def elements(self) -> range:
         """All q element ranks in increasing order."""
         return range(self.q)
 
     # -- vectorized operations (arrays of ranks) ------------------------------
+
+    def mul_gen_power(self, xs, e):
+        """g^e * x (g = primitive_rank) as int32, for ranks xs and exponents
+        0 <= e < q that broadcast; 0 stays 0.  _exp holds two periods, so no
+        reduction; the placeholder _log[0] gathers g^e, put back to 0 here."""
+        out = np.asarray(self._exp[self._log[xs] + e])   # 0-d xs gathers a scalar
+        np.copyto(out, 0, where=np.asarray(xs) == 0)
+        return out
+
+    def cosets(self, m: int):
+        """(reps, coset_min) for the cosets of <g^m> in GF(q)^*, m | q - 1:
+        coset_min[a] is the smallest rank of a<g^m> (coset_min[0] = 0), and
+        reps, ascending, are 0 and the smallest rank of each coset."""
+        q, g_j = self.q, self._exp[:self.q - 1].reshape(-1, m)   # column j: coset j
+        coset_min = np.zeros(q, dtype=np.int32)
+        coset_min[g_j] = g_j.min(axis=0)
+        return np.flatnonzero(coset_min == np.arange(q)), coset_min
 
     def add_arrays(self, xs, ys):
         if self.p == 2:
@@ -452,24 +492,16 @@ class FieldSpec:
                 + self._lo[la][:, None, :]).reshape(len(a), self.q)
 
     def scale_array(self, c: int, xs):
-        """c * xs elementwise for a constant c."""
+        """c * xs elementwise for a constant c, in xs's dtype and shape."""
         c = self._check(c)
         xs = np.asarray(xs)
         if c == 0:
             return np.zeros_like(xs)
-        if c == 1:
-            return xs.copy()
-        out = np.zeros_like(xs)
-        nz = xs != 0
-        out[nz] = self._exp[self._log[c] + self._log[xs[nz]]]
-        return out
+        return self.mul_gen_power(xs, self._log[c]).astype(xs.dtype, copy=False)
 
     def mul_arrays(self, xs, ys):
-        xs, ys = np.broadcast_arrays(np.asarray(xs), np.asarray(ys))
-        out = np.zeros(xs.shape, dtype=np.int32)
-        nz = (xs != 0) & (ys != 0)
-        out[nz] = self._exp[self._log[xs[nz]] + self._log[ys[nz]]]
-        return out
+        # x * y = g^log(y) x, with x taken as 0 where y = 0
+        return self.mul_gen_power(np.multiply(xs, np.not_equal(ys, 0)), self._log[ys])
 
     def pow_all(self, e: int):
         """Vector of x^e over all ranks x (0^e = 0 for e >= 1)."""
@@ -479,10 +511,9 @@ class FieldSpec:
         q = self.q
         if e == 0:
             return np.ones(q, dtype=np.int32)
-        out = np.zeros(q, dtype=np.int32)
-        idx = np.arange(1, q)
-        out[idx] = self._exp[(self._log[idx].astype(np.int64) * (e % (q - 1))) % (q - 1)]
-        return out
+        # x^e = g^((e - 1) log x) x
+        k = self._log.astype(np.int64) * ((e - 1) % (q - 1)) % (q - 1)
+        return self.mul_gen_power(np.arange(q), k)
 
     def trace_all(self):
         """Vector of absolute traces over all ranks."""
@@ -498,8 +529,8 @@ class FieldSpec:
         """The field of a {"p", "n", "modulus"} block of integers; any other
         value or a missing key raises SchemaViolation."""
         try:
-            return build_field(_json_int(blob["p"], "p"), _json_int(blob["n"], "n"),
-                               [_json_int(c, "modulus coefficient")
+            return build_field(_integer(blob["p"], "p"), _integer(blob["n"], "n"),
+                               [_integer(c, "modulus coefficient")
                                 for c in blob["modulus"]])
         except (KeyError, TypeError) as exc:
             raise SchemaViolation(f"malformed field block: {exc}") from exc
@@ -527,10 +558,11 @@ def build_field(p: int, n: int, modulus=None) -> FieldSpec:
     polynomial (coefficient vectors ordered as base-p integers, constant
     term least significant), so repeated builds agree across runs.
     The 32 most recently used fields are cached; treat the returned
-    FieldSpec as read-only.  Raises SizeGuardExceeded for q above
-    LOG_TABLE_BOUND.
+    FieldSpec as read-only.  p and n may be Python or numpy integers.
+    Raises SizeGuardExceeded for q above LOG_TABLE_BOUND, or for a LO
+    addition table above 8 LOG_TABLE_BOUND entries.
     """
-    if not isinstance(p, int) or not is_prime(p):
-        raise NonPrimeCharacteristic(f"p = {p} is not prime")
+    p = _integer(p, "p", NonPrimeCharacteristic)
+    n = _integer(n, "extension degree n", DegreeMismatch)
     key = None if modulus is None else tuple(int(c) for c in modulus)
     return _build_cached(p, n, key)

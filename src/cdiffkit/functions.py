@@ -19,7 +19,7 @@ from .errors import (
     RankOutOfRange,
     SchemaViolation,
 )
-from .field import FieldSpec, _json_int
+from .field import FieldSpec, _integer
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ def table_from_json_dict(blob: dict, spec: FieldSpec | None = None) -> FunctionT
     if not isinstance(values, list) or len(values) != spec.q:
         raise SchemaViolation(
             f"values must be a list of exactly q = {spec.q} ranks")
-    values = [_json_int(v, "value rank") for v in values]
+    values = [_integer(v, "value rank") for v in values]
     if any(v < 0 or v >= spec.q for v in values):
         raise RankOutOfRange("value rank outside [0, q)")
     origin = blob["origin"]
@@ -177,12 +177,12 @@ def table_from_json_dict(blob: dict, spec: FieldSpec | None = None) -> FunctionT
         if not isinstance(coeffs, dict):
             raise SchemaViolation(f"polynomial origin without coeffs: {origin!r}")
         try:
-            origin["coeffs"] = {int(e): _json_int(c, "coefficient")
+            origin["coeffs"] = {int(e): _integer(c, "coefficient")
                                 for e, c in coeffs.items()}
         except ValueError as exc:
             raise SchemaViolation(f"malformed coeffs exponent: {exc}") from exc
     if origin["kind"] == "monomial":
-        origin["d"] = _json_int(origin.get("d"), "monomial exponent d")
+        origin["d"] = _integer(origin.get("d"), "monomial exponent d")
     return FunctionTable(spec, np.array(values, dtype=np.int32), origin)
 
 

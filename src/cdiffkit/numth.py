@@ -231,10 +231,10 @@ def _sqrt(spec: FieldSpec, x: int) -> int:
     """A square root of a known square, odd characteristic."""
     if x == 0:
         return 0
-    lg = int(spec._log[x])
+    lg = spec.log(x)
     if lg % 2:
         raise AssertionError(f"{x} has odd logarithm {lg}: not a square")
-    return int(spec._exp[lg // 2])
+    return int(spec.mul_gen_power(1, lg // 2))
 
 
 def chebyshev_eval(spec: FieldSpec, ell: int, y: int) -> int:

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdiff import BLOCK_ELEMENTS, _cosets, _count_blocks, _kernel_name, _stabilizer
+from .cdiff import BLOCK_ELEMENTS, _count_blocks, _kernel_name, _stabilizer
 from .errors import NotRationalInteger, SizeGuardExceeded
 from .field import FieldSpec
 from .functions import FunctionTable
@@ -228,11 +228,9 @@ class _Columns:
         col, shift = self.index[vs], self.shift[vs]
         flat = arr.reshape(-1, *arr.shape[2:])   # [u, j] at u len(cols) + j
         out = np.empty((q, len(vs)) + arr.shape[2:], dtype=arr.dtype)
-        rows = max(1, BLOCK_ELEMENTS // len(vs))
+        rows, x = max(1, BLOCK_ELEMENTS // len(vs)), np.arange(q)[:, None]
         for u in range(0, q, rows):
-            us = spec._exp[spec._log[u:u + rows, None] + shift]   # λ^-1 u
-            if u == 0:
-                us[0] = 0   # _log[0] is a placeholder; λ^-1 0 = 0
+            us = spec.mul_gen_power(x[u:u + rows], shift)   # λ^-1 u
             np.take(flat, us * len(self.cols) + col, axis=0, out=out[u:u + rows],
                     mode="clip")   # in range: "raise" would buffer out
         return out
@@ -244,14 +242,13 @@ class _Columns:
         G(u, r μ_λ) = G(λ^-1 u, r) gives H(t(s), r μ_λ) = H(t(λs), r)."""
         spec = self.spec
         q = spec.q
-        t, log_s = _labels(spec), spec._log[self.rows]
+        t, lam = _labels(spec), -self.shift % (q - 1)   # λ = g^lam[v]
         flat = H.reshape(-1, *H.shape[2:])   # [k, j] at k len(cols) + j
         out = np.empty((q, len(self.rows)) + H.shape[2:], dtype=H.dtype)
         block = max(1, BLOCK_ELEMENTS // out[0].size)   # coefficients, as in _g_columns
         for v in range(0, q, block):
             vs = slice(v, v + block)
-            s = spec._exp[(log_s - self.shift[vs, None]) % (q - 1)]   # λs
-            s[:, 0] = 0   # rows[0] = 0 = λ 0
+            s = spec.mul_gen_power(self.rows, lam[vs, None])   # λs
             np.take(flat, t[s] * len(self.cols) + self.index[vs, None], axis=0,
                     out=out[vs], mode="clip")
         return out
@@ -272,11 +269,11 @@ def _column_map(spec: FieldSpec, values) -> _Columns:
     columns transformed and the rows of hat G read."""
     q = spec.q
     m, mu = _stabilizer(spec, values)      # Λ = <g^m>
-    e = int(spec._log[mu])                 # μ = g^e generates M = <g^gcd(e, q - 1)>
-    cols, rows = _cosets(spec, math.gcd(e, q - 1))[0], _cosets(spec, m)[0]
+    e = spec.log(mu)                       # μ = g^e generates M = <g^gcd(e, q - 1)>
+    cols, rows = spec.cosets(math.gcd(e, q - 1))[0], spec.cosets(m)[0]
     # λ = g^(m k) has μ_λ = μ^k, so v = r μ^k covers each nonzero v once
     k = np.arange((q - 1) // (len(cols) - 1))[:, None]
-    v = spec._exp[(spec._log[cols[1:]] + e * k) % (q - 1)]
+    v = spec.mul_gen_power(cols[1:], e * k % (q - 1))
     index, shift = np.zeros((2, q), dtype=np.intp)
     index[v] = np.arange(1, len(cols))
     shift[v] = (-m * k) % (q - 1)

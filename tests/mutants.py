@@ -28,9 +28,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CDIFF = "src/cdiffkit/cdiff.py"
+FIELD = "src/cdiffkit/field.py"
 SCAN = "src/cdiffkit/_scan.c"
 WALSH = "src/cdiffkit/walsh.py"
 TC = "tests/test_cdiff.py::"
+TF = "tests/test_field.py::"
 TW = "tests/test_walsh.py::"
 
 
@@ -45,8 +47,8 @@ class Mutant:
 
 MUTANTS = [
     Mutant("rows: λ^-1 s for λ s in the row gather", WALSH,
-           "(log_s - self.shift[vs, None]) % (q - 1)",
-           "(log_s + self.shift[vs, None]) % (q - 1)",
+           "spec.mul_gen_power(self.rows, lam[vs, None])",
+           "spec.mul_gen_power(self.rows, self.shift[vs, None])",
            (TW + "test_hat_g_coset_rows",)),
     Mutant("rows: coset rows not weighted by |Λ|", WALSH,
            "h + columns.order * r", "h + r",
@@ -56,8 +58,8 @@ MUTANTS = [
            "np.take(flat, s * len(self.cols)",
            (TW + "test_hat_g_coset_rows", TW + "test_transformed_g_is_q2_times_ddt")),
     Mutant("columns: λ u for λ^-1 u in _Columns.take", WALSH,
-           "spec._exp[spec._log[u:u + rows, None] + shift]",
-           "spec._exp[spec._log[u:u + rows, None] - shift]",
+           "spec.mul_gen_power(x[u:u + rows], shift)",
+           "spec.mul_gen_power(x[u:u + rows], -shift % (q - 1))",
            (TW + "test_column_reduction_matches_generic",)),
     Mutant("exponents: 0 not kept as q - 1", "src/cdiffkit/functions.py",
            "(e % (q - 1) or q - 1) if q > 2 else 1",
@@ -70,9 +72,18 @@ MUTANTS = [
            "if ((arr[..., 1:] != arr[..., -1:]).any() or (value < 0).any()",
            "if ((value < 0).any()",
            (TW + "test_count_frequencies_rejects_non_counts",)),
-    Mutant("cosets: a = 0 left in the coset of 1", CDIFF,
-           "    coset_min[0] = 0\n", "",
+    Mutant("cosets: a = 0 left in the coset of 1", FIELD,
+           "coset_min = np.zeros(q, dtype=np.int32)",
+           "coset_min = np.ones(q, dtype=np.int32)",
            (TC + "test_orbit_dispatch_needs_frobenius_and_two_cs",)),
+    Mutant("g^e x: zeros not restored", FIELD,
+           "        np.copyto(out, 0, where=np.asarray(xs) == 0)\n", "",
+           (TF + "test_mul_gen_power_matches_oracle",)),
+    Mutant("log: the discrete log of 0 accepted", FIELD,
+           "        if self._check(x) == 0:\n"
+           "            raise DivisionByZero(\"the logarithm of 0\")\n",
+           "        self._check(x)\n",
+           (TF + "test_discrete_log_round_trip",)),
     Mutant("kernel: a row's histogram not cleared first", SCAN,
            "        memset(hist, 0, (size_t)q * sizeof *hist);\n", "",
            (TC + "test_compiled_count_blocks_match_numpy",)),

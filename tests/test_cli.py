@@ -163,6 +163,7 @@ def test_walsh_check_rejects_delta_before_any_statistic(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["walsh-check", "--p", "2", "--n", "12", "--function", "monomial:2", "--c", "2"],
     ["field-info", "--p", "2", "--n", "21"],
+    pytest.param(["field-info", "--p", "101", "--n", "3"], id="field-info-split-tables"),
 ], ids=lambda argv: argv[0])
 def test_walsh_check_size_guard_exit_3(capsys, argv):
     code, _, err = run(capsys, *argv)

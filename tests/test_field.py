@@ -1,3 +1,4 @@
+import json
 import sys
 import time
 
@@ -10,7 +11,8 @@ from cdiffkit.errors import (DegreeMismatch, DivisionByZero,
                              NonDivisorSubfieldDegree, NonPrimeCharacteristic,
                              ReducibleModulus, SchemaViolation,
                              SizeGuardExceeded)
-from cdiffkit.field import FieldSpec, _build_cached, is_irreducible
+from cdiffkit import field
+from cdiffkit.field import LOG_TABLE_BOUND, FieldSpec, _build_cached, is_irreducible
 
 from oracles import SlowField, slow_field_like
 
@@ -222,6 +224,115 @@ def test_field_above_table_bound_is_refused():
         with pytest.raises(SizeGuardExceeded):
             make(p, n)
         assert time.perf_counter() - start < 1
+
+
+class _Reached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("p,n,refused", [(53, 3, False), (59, 3, True), (101, 3, True),
+                                         (13, 5, False), (7, 7, False), (3, 11, False)])
+def test_split_tables_are_counted_by_the_guard(monkeypatch, p, n, refused):
+    # odd n: LO holds p*q entries, refused above 8 LOG_TABLE_BOUND before the
+    # modulus search and any table (GF(101^3) would need 104,060,401 entries)
+    def reached(*args):
+        raise _Reached
+    monkeypatch.setattr(field, "find_default_modulus", reached)
+    monkeypatch.setattr(field, "_digit_sum_table", reached)
+    assert p ** n <= LOG_TABLE_BOUND
+    assert (p * p ** n > 8 * LOG_TABLE_BOUND) == refused
+    with pytest.raises(SizeGuardExceeded if refused else _Reached):
+        FieldSpec(p, n)
+
+
+@pytest.mark.parametrize("p,n", [(np.int64(3), 2), (3, np.int64(2)), (np.int32(3), np.uint8(2))],
+                         ids=["numpy p", "numpy n", "numpy p and n"])
+def test_numpy_integers_build_the_field(p, n):
+    spec = build_field(p, n)
+    assert spec is build_field(3, 2)
+    direct = FieldSpec(p, n)
+    assert (type(direct.p), type(direct.n)) == (int, int)
+    assert json.dumps(direct.to_json_dict()) == '{"p": 3, "n": 2, "modulus": [2, 1, 1]}'
+
+
+@pytest.mark.parametrize("p,n,error,named", [
+    (True, 2, NonPrimeCharacteristic, "bool"),
+    (3.0, 2, NonPrimeCharacteristic, "float"),
+    ("3", 2, NonPrimeCharacteristic, "str"),
+    (3, True, DegreeMismatch, "bool"),
+    (3, 2.0, DegreeMismatch, "float"),
+    (3, "2", DegreeMismatch, "str"),
+], ids=["bool p", "float p", "str p", "bool n", "float n", "str n"])
+def test_non_integer_p_or_n_rejected(p, n, error, named):
+    for make in (build_field, FieldSpec):
+        with pytest.raises(error, match=f"must be an integer, got {named} "):
+            make(p, n)
+
+
+# -- the log domain against the schoolbook oracle ------------------------------
+
+# x^2 + 1 over F_3 is irreducible but not primitive (x has order 4), so its
+# generator comes from the search, not from the class of x
+LOG_FIELDS = [(2, 4, None), (3, 3, None), (5, 2, None), (7, 2, None), (3, 2, [1, 0, 1])]
+
+
+@pytest.mark.parametrize("p,n,modulus", LOG_FIELDS)
+def test_mul_gen_power_matches_oracle(p, n, modulus):
+    spec = build_field(p, n, modulus)
+    slow = slow_field_like(spec)
+    q, g = spec.q, spec.primitive_rank
+    assert len({slow.pow(g, k) for k in range(q - 1)}) == q - 1
+    x = e = np.arange(q)   # every rank, zeros included, and every 0 <= e < q
+    want = [[slow.mul(slow.pow(g, int(k)), int(r)) for k in e] for r in x]
+    assert spec.mul_gen_power(x[:, None], e[None, :]).tolist() == want
+    assert spec.mul_gen_power(x[None, :], e[:, None]).T.tolist() == want
+    assert spec.mul_gen_power(x, 0).tolist() == x.tolist()
+    for r, k in [(0, 0), (0, q - 1), (1, 1), (q - 1, q - 2), (2, q - 1)]:
+        got = spec.mul_gen_power(r, k)
+        assert (got.shape, got.dtype, int(got)) == ((), np.int32, want[r][k])
+
+
+@pytest.mark.parametrize("p,n,modulus", LOG_FIELDS)
+def test_discrete_log_round_trip(p, n, modulus):
+    spec = build_field(p, n, modulus)
+    slow = slow_field_like(spec)
+    logs = [spec.log(x) for x in range(1, spec.q)]
+    assert sorted(logs) == list(range(spec.q - 1))
+    assert [slow.pow(spec.primitive_rank, e) for e in logs] == list(range(1, spec.q))
+    assert [int(spec.mul_gen_power(1, e)) for e in logs] == list(range(1, spec.q))
+    with pytest.raises(DivisionByZero):
+        spec.log(0)
+    with pytest.raises(ValueError):
+        spec.log(spec.q)
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (2, 4), (2, 6), (3, 2), (3, 3),
+                                 (3, 4), (5, 2), (7, 2), (11, 1), (13, 1)])
+def test_cosets_match_brute_force_orbits(p, n):
+    spec = build_field(p, n)
+    slow = slow_field_like(spec)
+    q, g = spec.q, spec.primitive_rank
+    for m in [m for m in range(1, q) if (q - 1) % m == 0]:
+        group = {slow.pow(g, m * k) for k in range((q - 1) // m)}
+        want = [0] + [min(slow.mul(a, h) for h in group) for a in range(1, q)]
+        reps, coset_min = spec.cosets(m)
+        assert coset_min.tolist() == want, m
+        assert reps.tolist() == sorted(set(want)), m
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint16])
+@pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+def test_scale_array_keeps_dtype_and_shape(gf27, dtype, shape):
+    slow = slow_field_like(gf27)
+    rng = np.random.default_rng(len(shape))
+    xs = rng.integers(1, 27, shape).astype(dtype)
+    if xs.size > 1:
+        xs.flat[0] = 0
+    for c in (0, 1, gf27.primitive_rank, int(rng.integers(2, 27))):
+        got = gf27.scale_array(c, xs)
+        assert isinstance(got, np.ndarray)
+        assert (got.dtype, got.shape) == (np.dtype(dtype), shape)
+        assert got.ravel().tolist() == [slow.mul(c, int(x)) for x in xs.ravel()]
 
 
 def test_json_roundtrip(gf9):
