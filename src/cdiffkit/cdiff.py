@@ -9,12 +9,13 @@ explicitly (AConvention): INCLUDE_A_ZERO admits a = 0 whenever c != 1
 (the a = 0 row measures how far F is from a permutation), NONZERO_ONLY
 never does.  Every report records the convention that produced it.
 
-Every uniformity query goes through one sweep (_sweep) and one symmetry
-dispatch (_symmetry), which applies two proved identities: rows a and λa
-share their maximum for λ in the multiplicative stabilizer Λ of F, and c
-shares its maxima with 1/c (and with c^p when F commutes with Frobenius).
-So the sweep scans row 0 and one row per coset aΛ, for one c per orbit,
-and rebuilds every other c's witness from its representative's record.
+Every uniformity query goes through one sweep (_sweep), which applies two
+proved identities: rows a and λa share their maximum for λ in the
+multiplicative stabilizer Λ of F, and c shares its maxima with 1/c (and
+with c^p when F commutes with Frobenius).  So the sweep scans row 0 and one
+row per coset aΛ, for one c per orbit (_c_orbits), and rebuilds every other
+c's witness from its representative's record.  Λ is held in one record per
+query (Symmetry), which the count and Walsh sides of walsh.py read too.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateCs, SizeGuardExceeded, WitnessMismatch
-from .field import FieldSpec, _prime_factors
+from .field import FieldSpec, _integer, _prime_factors
 from .functions import FunctionTable
 from .parallel import parallel_map
 
@@ -305,35 +306,43 @@ def _stabilizer(spec: FieldSpec, values):
     return m, multiplier(spec.mul_gen_power(x, m))
 
 
-def _symmetry(spec: FieldSpec, values, cs):
-    """The one symmetry dispatch, for _sweep: which rows and which c values
-    decide every maximum over the requested cs (ascending).  Returns
-    (rows, coset_min, rep):
+@dataclass(frozen=True)
+class Symmetry:
+    """F's multiplicative stabilizer Λ = {λ != 0 : F(λx) = μ_λ F(x) for
+    every x}, the one record the sweep, the count side and the Walsh side
+    read.  Putting x = λy gives F(x + λa) - c*F(x) = μ_λ (F(y + a) -
+    c*F(y)), so n_F(λa, μ_λ b, c) = n_F(a, b, c) for every c: the rows of a
+    coset aΛ share their maximum and their histogram, and the smallest row
+    attaining a maximum is a coset minimum."""
 
-    * rows, ascending: 0 and the smallest rank of each coset aΛ, where Λ is
-      the stabilizer {λ != 0 : F(λx) = μ_λ F(x) for every x}.  Putting
-      x = λy gives F(x + λa) - c*F(x) = μ_λ (F(y + a) - c*F(y)), so row λa
-      is row a relabelled by b -> μ_λ b, for every c: the rows of a coset
-      share their maximum, and the smallest row attaining a maximum is a
-      coset minimum.
-    * coset_min[a]: the smallest rank of aΛ (coset_min[0] = 0).
-    * rep: c -> (r, k, neg) with c = (r^(p^k))^(-1 if neg else 1), where r
-      is the smallest requested c on c's orbit under c -> 1/c, and under
-      Frobenius c -> c^p when F(x^p) = F(x)^p for every x.  Putting
-      y = x + a in F(x + a) - c*F(x) = b gives n_F(a, b, c) =
-      n_F(-a, -b/c, 1/c) for every F and c != 0, and raising the equation
-      to the p-th power gives n_F(a, b, c) = n_F(a^p, b^p, c^p) when F
-      commutes with Frobenius: row a of r has the maximum of row
-      ±a^(p^k) of c, and a = 0 maps to a = 0.  c = 0 represents itself.
+    m: int                 # Λ = <g^m>, g the field's generator
+    mu: int                # μ_(g^m), which generates M = {μ_λ} when F != 0
+    order: int             # |Λ| = (q - 1) / m, the rows per coset
+    rows: np.ndarray       # 0, then the smallest rank of each coset aΛ, ascending
+    coset_min: np.ndarray  # coset_min[a]: the smallest rank of aΛ; coset_min[0] = 0
 
-    Λ comes from _stabilizer, and rows and coset_min from spec.cosets.  Power
-    maps A*x^d have Λ = GF(q)^* and scan rows 0 and 1; F = 0 has
-    Λ = GF(q)^* too.  The Frobenius test, values[frob] == frob[values],
-    needs n > 1 and at least two cs.  Every test reads the values only,
-    never the origin descriptor.
-    """
+
+def _symmetry(spec: FieldSpec, values) -> Symmetry:
+    """F's symmetry record, from the one stabilizer search.  Power maps
+    A*x^d have Λ = GF(q)^* and rows 0 and 1; F = 0 has Λ = GF(q)^* too."""
+    m, mu = _stabilizer(spec, values)
+    rows, coset_min = spec.cosets(m)
+    return Symmetry(m, mu, (spec.q - 1) // m, rows, coset_min)
+
+
+def _c_orbits(spec: FieldSpec, values, cs):
+    """The c values that decide every maximum over the requested cs
+    (ascending): c -> (r, k, neg) with c = (r^(p^k))^(-1 if neg else 1),
+    where r is the smallest requested c on c's orbit under c -> 1/c, and
+    under Frobenius c -> c^p when F(x^p) = F(x)^p for every x.  Putting
+    y = x + a in F(x + a) - c*F(x) = b gives n_F(a, b, c) =
+    n_F(-a, -b/c, 1/c) for every F and c != 0, and raising the equation
+    to the p-th power gives n_F(a, b, c) = n_F(a^p, b^p, c^p) when F
+    commutes with Frobenius: row a of r has the maximum of row ±a^(p^k)
+    of c, and a = 0 maps to a = 0.  c = 0 represents itself.  The
+    Frobenius test, values[frob] == frob[values], needs n > 1 and at
+    least two cs; it reads the values only, never the origin descriptor."""
     frob, inv = spec._frob, spec._inv
-    rows, coset_min = spec.cosets(_stabilizer(spec, values)[0])
     frobenius = (spec.n > 1 and len(cs) > 1
                  and np.array_equal(values[frob], frob[values]))
     # frob[0] = inv[0] = 0, so c = 0 represents itself
@@ -347,7 +356,7 @@ def _symmetry(spec: FieldSpec, values, cs):
                 if image in requested and image not in rep:
                     rep[image] = (c, k, neg)
             y = int(frob[y])
-    return rows, coset_min, {c: rep[c] for c in cs}
+    return {c: rep[c] for c in cs}
 
 
 def _solutions(spec: FieldSpec, values, c: int, a: int, b: int):
@@ -356,7 +365,7 @@ def _solutions(spec: FieldSpec, values, c: int, a: int, b: int):
 
 
 def _scan(state, c: int):
-    """The scan record of one c over the dispatch rows (see _symmetry): for
+    """The scan record of one c over the stabilizer rows (see Symmetry): for
     a >= 0 and for a >= 1, (the maximum, the scanned rows attaining it
     ascending, the smallest b attaining it in the first row attaining it).
 
@@ -384,25 +393,26 @@ def _scan(state, c: int):
 def _sweep(F: FunctionTable, c_filter, threads: int):
     """The one dispatch point of every uniformity query.
 
-    Resolves the c-set, asks _symmetry for the rows that decide each scan
-    and the c values to scan, and scans each representative once, in one
-    parallel map.  Logs one DEBUG record on the "cdiffkit" logger with
-    |Λ|, the rows scanned, the c values requested and scanned, and the
-    kernel path (C or numpy, see _kernel).  Returns
-    the sweep state (spec, values, rows, coset_min), the map
-    {c: (r, k, neg)} over the c-set ascending, and {r: scan record} (see
-    _scan).
+    Resolves the c-set, reads the rows that decide each scan from F's
+    symmetry record and the c values to scan from _c_orbits, and scans
+    each representative once, in one parallel map.
+    Logs one DEBUG record on the "cdiffkit" logger with |Λ|, the rows
+    scanned, the c values requested and scanned, and the kernel path (C or
+    numpy, see _kernel).  Returns the sweep state (spec, values, rows,
+    coset_min), the map {c: (r, k, neg)} over the c-set ascending, and
+    {r: scan record} (see _scan).
     """
     spec, values = F.spec, F.values
     cs = admissible_c(spec, c_filter)
-    rows, coset_min, rep = _symmetry(spec, values, cs)
+    sym = _symmetry(spec, values)
+    rep = _c_orbits(spec, values, cs)
     scanned = [c for c, (r, _, _) in rep.items() if r == c]
     # _kernel_name resolves the kernel before the workers fork
     _logger.debug("sweep over GF(%d^%d): |stabilizer| %d, rows scanned %d of %d, "
                   "c requested %d, c scanned %d, kernel %s", spec.p, spec.n,
-                  (spec.q - 1) // (len(rows) - 1), len(rows), spec.q,
-                  len(cs), len(scanned), _kernel_name())
-    state = (spec, values, rows, coset_min)
+                  sym.order, len(sym.rows), spec.q, len(cs), len(scanned),
+                  _kernel_name())
+    state = (spec, values, sym.rows, sym.coset_min)
     records = parallel_map(_scan, state, scanned, threads)
     return state, rep, dict(zip(scanned, records))
 
@@ -410,7 +420,7 @@ def _sweep(F: FunctionTable, c_filter, threads: int):
 def _result(state, conv: AConvention, c: int, k: int, neg: bool,
             record) -> UniformityResult:
     """The result for c = (r^(p^k))^(-1 if neg else 1) from the scan record
-    of r (see _symmetry); k = 0 and neg False mean c was scanned itself.
+    of r (see _c_orbits); k = 0 and neg False mean c was scanned itself.
 
     Row a of r has the maximum of row ±a^(p^k) of c, and a coset aΛ maps
     to a coset, so c's witness row is the smallest coset minimum of the
@@ -458,7 +468,7 @@ def admissible_c(spec: FieldSpec, c_filter) -> list:
             raise ValueError(f"unknown c filter {c_filter!r}")
         skipped = {"all": (), "nonzero": (0,)}.get(c_filter, (0, 1))
         return [c for c in range(spec.q) if c not in skipped]
-    cs = sorted({int(c) for c in c_filter})
+    cs = sorted({_integer(c, "c rank", ValueError) for c in c_filter})
     for c in cs:
         if not 0 <= c < spec.q:
             raise ValueError(f"c rank {c} outside [0, q)")

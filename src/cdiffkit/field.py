@@ -368,10 +368,13 @@ class FieldSpec:
 
     # -- scalar operations ----------------------------------------------------
 
-    def _check(self, x):
+    def _check(self, x) -> int:
+        """x as an int rank: ValueError for a non-integer (bool, float,
+        str) and for an integer outside [0, q)."""
+        x = _integer(x, "rank", ValueError)
         if not 0 <= x < self.q:
             raise ValueError(f"rank {x} outside [0, {self.q})")
-        return int(x)
+        return x
 
     def add(self, x: int, y: int) -> int:
         x, y = self._check(x), self._check(y)

@@ -33,7 +33,8 @@ Parseval), reads one histogram of hat G(s, t) = q^2 n_F(s, -t, c).  When F
 has a multiplicative stabilizer Λ, F(λx) = μ_λ F(x) (power maps have one of
 order q - 1), W(λu, μ_λ v) = W(u, v): only column 0 and one column v per
 coset of the multipliers μ_λ are transformed, and only row 0 and one row s
-per coset sΛ of hat G.
+per coset sΛ of hat G.  Λ comes from cdiff.Symmetry; counts_power_sums
+scans the same rows, and both sides count a coset row |Λ| times.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdiff import BLOCK_ELEMENTS, _count_blocks, _kernel_name, _stabilizer
+from .cdiff import BLOCK_ELEMENTS, Symmetry, _count_blocks, _kernel_name, _symmetry
 from .errors import NotRationalInteger, SizeGuardExceeded
 from .field import FieldSpec
 from .functions import FunctionTable
@@ -196,23 +197,27 @@ class WalshTable:
 @dataclass(frozen=True)
 class _Columns:
     """Which columns v of a Walsh array are transformed, how the others
-    follow from them, and which rows of hat G a statistic reads.
+    follow from them, and the labels the arrays are written and read with.
 
-    With Λ the stabilizer of F and μ_λ its multipliers (see
-    cdiff._stabilizer), putting x = λy in W_F gives W_F(λu, μ_λ v) =
-    W_F(u, v), and so G(λu, μ_λ v) = G(u, v) for G(u, v) = W(u, v)
-    conj(W(u, cv)).  Such an array is fixed by its column 0 and one column
-    per coset rM of M = {μ_λ}: for v = r μ_λ, column v is column r with row
-    u read at λ^-1 u.  Row λs of hat G(s, t) = q^2 n_F(s, -t, c) is row s
-    relabelled by t -> μ_λ t: the rows of a coset sΛ share one histogram.
+    With Λ the stabilizer of F and μ_λ its multipliers (see cdiff.Symmetry),
+    putting x = λy in W_F gives W_F(λu, μ_λ v) = W_F(u, v), and so
+    G(λu, μ_λ v) = G(u, v) for G(u, v) = W(u, v) conj(W(u, cv)).  Such an
+    array is fixed by its column 0 and one column per coset rM of
+    M = {μ_λ}: for v = r μ_λ, column v is column r with row u read at
+    λ^-1 u.  Row λs of hat G(s, t) = q^2 n_F(s, -t, c) is row s relabelled
+    by t -> μ_λ t: the rows of a coset sΛ, sym.rows, share one histogram.
     """
 
     spec: FieldSpec
+    sym: Symmetry       # F's stabilizer: its rows are the rows of hat G read
     cols: np.ndarray    # 0, then the smallest rank of each coset of M, ascending
     index: np.ndarray   # index[v]: the position in cols of v's representative r
     shift: np.ndarray   # shift[v]: the log of λ^-1, for v = r μ_λ
-    rows: np.ndarray    # 0, then the smallest rank of each coset of Λ, ascending
-    order: int          # |Λ|, the rows per coset
+    labels: np.ndarray  # t, see _labels
+
+    @property
+    def width(self) -> int:   # the columns of the widest array a statistic holds
+        return max(len(self.cols), len(self.sym.rows))
 
     def take(self, arr, vs=None):
         """Columns vs (every column when None) of the (q, q, ...) array whose
@@ -236,21 +241,20 @@ class _Columns:
         return out
 
     def take_rows(self, H):
-        """(q, len(rows), p): [v, i] is H(t(s), v), s = rows[i], gathered a
-        block of v at a time from H, the columns cols transformed along u:
-        H(t(s), r) = sum_u zeta^Tr(s u) G(u, r) (see _labels), and
+        """(q, len(sym.rows), p): [v, i] is H(t(s), v), s = sym.rows[i],
+        gathered a block of v at a time from H, the columns cols transformed
+        along u: H(t(s), r) = sum_u zeta^Tr(s u) G(u, r) (see _labels), and
         G(u, r μ_λ) = G(λ^-1 u, r) gives H(t(s), r μ_λ) = H(t(λs), r)."""
-        spec = self.spec
-        q = spec.q
-        t, lam = _labels(spec), -self.shift % (q - 1)   # λ = g^lam[v]
+        spec, rows = self.spec, self.sym.rows
+        lam = -self.shift % (spec.q - 1)   # λ = g^lam[v]
         flat = H.reshape(-1, *H.shape[2:])   # [k, j] at k len(cols) + j
-        out = np.empty((q, len(self.rows)) + H.shape[2:], dtype=H.dtype)
+        out = np.empty((spec.q, len(rows)) + H.shape[2:], dtype=H.dtype)
         block = max(1, BLOCK_ELEMENTS // out[0].size)   # coefficients, as in _g_columns
-        for v in range(0, q, block):
+        for v in range(0, spec.q, block):
             vs = slice(v, v + block)
-            s = spec.mul_gen_power(self.rows, lam[vs, None])   # λs
-            np.take(flat, t[s] * len(self.cols) + self.index[vs, None], axis=0,
-                    out=out[vs], mode="clip")
+            s = spec.mul_gen_power(rows, lam[vs, None])   # λs
+            np.take(flat, self.labels[s] * len(self.cols) + self.index[vs, None],
+                    axis=0, out=out[vs], mode="clip")
         return out
 
 
@@ -262,15 +266,15 @@ def _labels(spec: FieldSpec) -> np.ndarray:
     return sum(tr[spec.scale_array(p ** i, x)] * p ** i for i in range(spec.n))
 
 
-def _column_map(spec: FieldSpec, values) -> _Columns:
-    """The columns and rows of F's Walsh arrays (see _Columns): for A x^d,
-    1 + gcd(d, q - 1) columns and rows 0 and 1; for a trivial M or Λ, all
-    q.  Logs one DEBUG record on the "cdiffkit" logger with |Λ|, the
-    columns transformed and the rows of hat G read."""
-    q = spec.q
-    m, mu = _stabilizer(spec, values)      # Λ = <g^m>
-    e = spec.log(mu)                       # μ = g^e generates M = <g^gcd(e, q - 1)>
-    cols, rows = spec.cosets(math.gcd(e, q - 1))[0], spec.cosets(m)[0]
+def _column_map(spec: FieldSpec, sym: Symmetry) -> _Columns:
+    """The columns of F's Walsh arrays (see _Columns) from its symmetry
+    record: for A x^d, 1 + gcd(d, q - 1) columns (and rows 0 and 1 of
+    hat G); for a trivial M, all q.  Logs one DEBUG record on the
+    "cdiffkit" logger with |Λ|, the columns transformed and the rows of
+    hat G read."""
+    q, m = spec.q, sym.m                   # Λ = <g^m>
+    e = spec.log(sym.mu)                   # μ = g^e generates M = <g^gcd(e, q - 1)>
+    cols = spec.cosets(math.gcd(e, q - 1))[0]
     # λ = g^(m k) has μ_λ = μ^k, so v = r μ^k covers each nonzero v once
     k = np.arange((q - 1) // (len(cols) - 1))[:, None]
     v = spec.mul_gen_power(cols[1:], e * k % (q - 1))
@@ -279,37 +283,38 @@ def _column_map(spec: FieldSpec, values) -> _Columns:
     shift[v] = (-m * k) % (q - 1)
     _logger.debug("walsh array over GF(%d^%d): |stabilizer| %d, columns "
                   "transformed %d of %d, rows of hat G %d of %d", spec.p,
-                  spec.n, (q - 1) // m, len(cols), q, len(rows), q)
-    return _Columns(spec, cols, index, shift, rows, (q - 1) // m)
+                  spec.n, sym.order, len(cols), q, len(sym.rows), q)
+    return _Columns(spec, sym, cols, index, shift, _labels(spec))
 
 
-def _over_guard(spec: FieldSpec, size_guard: int | None) -> bool:
-    """The one Walsh guard: q^2 p entries above size_guard (None: no guard)."""
-    return size_guard is not None and spec.q ** 2 * spec.p > size_guard
+def _over_guard(spec: FieldSpec, size_guard: int | None, width: int) -> bool:
+    """The one Walsh guard: an array of q x width x p entries above
+    size_guard (None: no guard)."""
+    return size_guard is not None and spec.q * width * spec.p > size_guard
 
 
-def _walsh_columns(F: FunctionTable, size_guard: int | None = WALSH_ENTRY_GUARD):
-    """(columns, W): the transformed columns of F's Walsh array (see
-    _Columns), W an int64 array of shape (q, len(columns.cols), p) whose
-    entry [u, j] is the exponent-count vector of W_F(u, columns.cols[j]).
-    Every Walsh array starts here; above the guard (see _over_guard) it
-    raises before anything is made, however few the columns."""
+def _walsh_columns(F: FunctionTable, columns: _Columns, size_guard: int | None,
+                   width: int) -> np.ndarray:
+    """W, an int64 array of shape (q, len(columns.cols), p) whose entry
+    [u, j] is the exponent-count vector of W_F(u, columns.cols[j]): the
+    transformed columns (see _Columns).  Every Walsh array starts here;
+    when the caller's arrays of q x width x p entries are over the guard
+    (see _over_guard), it raises before anything is made."""
     spec = F.spec
     q, p = spec.q, spec.p
-    if _over_guard(spec, size_guard):
+    if _over_guard(spec, size_guard, width):
         raise SizeGuardExceeded(
-            f"a Walsh array over GF({p}^{spec.n}) holds q^2 p = "
-            f"{q * q * p} entries, above the guard of {size_guard}")
-    columns = _column_map(spec, F.values)
+            f"a Walsh array over GF({p}^{spec.n}) holds q x {width} x p = "
+            f"{q * width * p} entries, above the guard of {size_guard}")
     # the one place the trace form enters: the one-hot of zeta^Tr(v F(x))
     # goes to row y = t(-x) (see _labels); <u, y> = Tr(-u x), so the
     # transform puts W_F(u, v) at row u
     tr = spec.trace_all()
-    y = _labels(spec)[spec.neg_array(np.arange(q))]
+    y = columns.labels[spec.neg_array(np.arange(q))]
     W = np.zeros((q, len(columns.cols), p), dtype=np.int64)
     for j, v in enumerate(columns.cols.tolist()):
         W[y, j, tr[spec.scale_array(v, F.values)]] = 1
-    return columns, _dft(W, p)
+    return _dft(W, p)
 
 
 def _walsh_array(F: FunctionTable,
@@ -317,14 +322,16 @@ def _walsh_array(F: FunctionTable,
     """All Walsh values as an int64 array of shape (q, q, p); entry [u, v]
     is the exponent-count vector of W_F(u, v), gathered from the
     transformed columns (see _walsh_columns)."""
-    columns, W = _walsh_columns(F, size_guard)
-    return columns.take(W)
+    columns = _column_map(F.spec, _symmetry(F.spec, F.values))
+    return columns.take(_walsh_columns(F, columns, size_guard, F.spec.q))
 
 
 def walsh_table(F: FunctionTable) -> WalshTable:
-    """All Walsh values of F; equal entries share one CyclotomicInt."""
-    columns, W = _walsh_columns(F)
-    p = F.spec.p
+    """All Walsh values of F; equal entries share one CyclotomicInt.  It
+    holds q^2 references, so the guard counts all q columns."""
+    spec, p = F.spec, F.spec.p
+    columns = _column_map(spec, _symmetry(spec, F.values))
+    W = _walsh_columns(F, columns, WALSH_ENTRY_GUARD, spec.q)
     shared = {}
 
     def entry(coeffs):
@@ -366,6 +373,16 @@ def _power_sums(freq, top: int) -> list:
     """[sum_m freq[m] * m^(j+1) for j = 1..top], in Python integers."""
     hits = [(m, int(f)) for m, f in enumerate(freq) if f]
     return [sum(f * m ** (j + 1) for m, f in hits) for j in range(1, top + 1)]
+
+
+def _all_rows(head, rest, order: int) -> np.ndarray:
+    """The histogram over every row from those of row 0 (head) and of the
+    coset rows (rest), each of which stands for the order = |Λ| rows of its
+    coset (see cdiff.Symmetry)."""
+    freq = np.zeros(max(len(head), len(rest)), dtype=np.int64)
+    freq[:len(head)] += head
+    freq[:len(rest)] += order * rest
+    return freq
 
 
 def _g_columns(columns: _Columns, W: np.ndarray, c: int) -> np.ndarray:
@@ -420,21 +437,24 @@ def _dft(arr: np.ndarray, p: int) -> np.ndarray:
     return bufs[0]
 
 
-def _hat_g_rows(F: FunctionTable, c: int, size_guard: int | None = WALSH_ENTRY_GUARD):
-    """(columns, R): R[t(t), i] = hat G(s, t) = q^2 n_F(s, -t, c) for
-    s = columns.rows[i] (t as in _labels), shape (q, len(columns.rows), p).
-    G's columns are transformed along u, and the rows gathered from them
-    (see _Columns.take_rows) along v.  Rebinding arr frees each input that
-    _dft returns as its buffer, so at most two arrays are live."""
+def _hat_g_rows(F: FunctionTable, c: int, columns: _Columns,
+                size_guard: int | None = WALSH_ENTRY_GUARD) -> np.ndarray:
+    """R[t(t), i] = hat G(s, t) = q^2 n_F(s, -t, c) for s = columns.sym.rows[i]
+    (t as in _labels), shape (q, len(columns.sym.rows), p).  G's columns
+    are transformed along u, and the rows gathered from them (see
+    _Columns.take_rows) along v.  Rebinding arr frees each input that _dft
+    returns as its buffer, so at most two arrays are live, of at most
+    columns.width columns: the guard counts those."""
     p = F.spec.p
-    columns, arr = _walsh_columns(F, size_guard)
+    arr = _walsh_columns(F, columns, size_guard, columns.width)
     arr = _dft(_g_columns(columns, arr, c), p)
     arr = columns.take_rows(arr)
-    return columns, _dft(arr, p)
+    return _dft(arr, p)
 
 
 def _walsh_power_sums(F: FunctionTable, c: int, top: int,
-                      size_guard: int | None = WALSH_ENTRY_GUARD) -> list:
+                      size_guard: int | None = WALSH_ENTRY_GUARD,
+                      columns: _Columns | None = None) -> list:
     """[sum_{a,b} n_F(a,b,c)^(j+1) for j = 1..top], from the rows of hat G.
 
     The (j+1)-fold convolution tensor (W_F W_F^c)^{tensor (j+1)} (0, 0), the
@@ -444,13 +464,16 @@ def _walsh_power_sums(F: FunctionTable, c: int, top: int,
     G(u, v) = W(u, v) conj(W)(u, c v).  Expanding G gives
     hat G(s, t) = q^2 n_F(s, -t, c), a rational integer, so every j comes
     from the histogram of the checked counts hat G / q^2, row 0 counted
-    once and each coset row |Λ| times (see _Columns).  c is checked first.
+    once and each coset row |Λ| times (_all_rows).  c is checked first;
+    columns (F's column map) is made when None.
     """
-    _check_args(F.spec, c)
-    columns, R = _hat_g_rows(F, c, size_guard)
-    head, rest = (_power_sums(_count_frequencies(part, F.spec.q ** 2), top)
-                  for part in (R[:, :1], R[:, 1:]))
-    return [h + columns.order * r for h, r in zip(head, rest)]
+    spec = F.spec
+    _check_args(spec, c)
+    if columns is None:
+        columns = _column_map(spec, _symmetry(spec, F.values))
+    R = _hat_g_rows(F, c, columns, size_guard)
+    head, rest = (_count_frequencies(part, spec.q ** 2) for part in (R[:, :1], R[:, 1:]))
+    return _power_sums(_all_rows(head, rest, columns.sym.order), top)
 
 
 def phi_coefficients(delta: int) -> list:
@@ -507,7 +530,8 @@ def apcn_statistic(F: FunctionTable, c: int,
       sum conj(W)(u1+u2, v1+v2) W(u1+u2, c(v1+v2))
           * prod_i W(u_i, v_i) conj(W)(u_i, c v_i)
     and rhs = 3 p^(2n) * pcn_power_sum - 2 p^(6n).  size_guard bounds the
-    q^2 p entries of a Walsh array (see _over_guard); None lifts it.
+    q x (columns or rows held) x p entries of a Walsh array (see
+    _walsh_power_sums); None lifts it.
     """
     q = F.spec.q
     s1, s2 = _walsh_power_sums(F, c, 2, size_guard)
@@ -515,18 +539,26 @@ def apcn_statistic(F: FunctionTable, c: int,
 
 
 def counts_power_sums(F: FunctionTable, c: int, top: int) -> list:
-    """[sum_{a,b} n_F(a,b,c)^(j+1) for j = 1..top], from one pass.  Logs
-    one DEBUG record on the "cdiffkit" logger with the rows scanned and
-    the kernel path (C or numpy)."""
+    """[sum_{a,b} n_F(a,b,c)^(j+1) for j = 1..top] (see _counts_power_sums)."""
+    return _counts_power_sums(F, c, top, _symmetry(F.spec, F.values))
+
+
+def _counts_power_sums(F: FunctionTable, c: int, top: int, sym: Symmetry) -> list:
+    """The count side: one _count_blocks pass over sym.rows, weighted as
+    the Walsh side's rows (_all_rows).  Logs one DEBUG record on the
+    "cdiffkit" logger with |Λ|, the rows scanned and the kernel path."""
     spec = F.spec
     q = spec.q
-    _logger.debug("counts over GF(%d^%d): rows scanned %d, kernel %s",
-                  spec.p, spec.n, q, _kernel_name())
-    freq = np.zeros(q + 1, dtype=np.int64)
-    for _, mult in _count_blocks(spec, F.values, c, np.arange(q)):
-        # mult[i, b] = n_F(a_i, b, c); freq[m] counts the (a, b) with n_F = m
-        freq += np.bincount(mult.ravel(), minlength=q + 1)
-    return _power_sums(freq, top)
+    _logger.debug("counts over GF(%d^%d): |stabilizer| %d, rows scanned %d of %d, "
+                  "kernel %s", spec.p, spec.n, sym.order, len(sym.rows), q,
+                  _kernel_name())
+    freq = np.zeros(2 * (q + 1), dtype=np.int64)
+    for a_list, mult in _count_blocks(spec, F.values, c, sym.rows):
+        # mult[i, b] = n_F(a_i, b, c); freq[k (q + 1) + m] counts the (a, b)
+        # with n_F = m, k = 0 for row 0 and 1 for the coset rows
+        freq += np.bincount((mult + (a_list != 0)[:, None] * (q + 1)).ravel(),
+                            minlength=2 * (q + 1))
+    return _power_sums(_all_rows(freq[:q + 1], freq[q + 1:], sym.order), top)
 
 
 def convolution_statistic(F: FunctionTable, c: int, delta: int):
@@ -536,17 +568,19 @@ def convolution_statistic(F: FunctionTable, c: int, delta: int):
     sum_{a,b} n_F phi(n_F) since sum_{a,b} n_F = p^(2n); nonnegative, zero
     iff the c-differential uniformity is at most delta (a = 0 admissible).
     walsh_side evaluates the identical quantity through the Walsh
-    convolution tensors (see _walsh_power_sums) and is None when the Walsh
+    convolution tensors (see _walsh_power_sums) and is None when its
     arrays would exceed WALSH_ENTRY_GUARD; whenever both sides are computed
-    they are equal integers.
+    they are equal integers.  Both sides read one symmetry record.
     """
     spec = F.spec
     _check_args(spec, c, delta)
     base = spec.q ** 2
-    count_side = _phi(delta, base, counts_power_sums(F, c, delta))
-    if _over_guard(spec, WALSH_ENTRY_GUARD):
+    sym = _symmetry(spec, F.values)
+    count_side = _phi(delta, base, _counts_power_sums(F, c, delta, sym))
+    columns = _column_map(spec, sym)
+    if _over_guard(spec, WALSH_ENTRY_GUARD, columns.width):
         return count_side, None
-    return count_side, _phi(delta, base, _walsh_power_sums(F, c, delta))
+    return count_side, _phi(delta, base, _walsh_power_sums(F, c, delta, columns=columns))
 
 
 def derivative_walsh_statistic(F: FunctionTable, c: int, a: int, delta: int) -> int:

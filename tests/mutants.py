@@ -47,20 +47,36 @@ class Mutant:
 
 MUTANTS = [
     Mutant("rows: λ^-1 s for λ s in the row gather", WALSH,
-           "spec.mul_gen_power(self.rows, lam[vs, None])",
-           "spec.mul_gen_power(self.rows, self.shift[vs, None])",
+           "spec.mul_gen_power(rows, lam[vs, None])",
+           "spec.mul_gen_power(rows, self.shift[vs, None])",
            (TW + "test_hat_g_coset_rows",)),
     Mutant("rows: coset rows not weighted by |Λ|", WALSH,
-           "h + columns.order * r", "h + r",
-           (TW + "test_count_walsh_duality",)),
+           "freq[:len(rest)] += order * rest", "freq[:len(rest)] += rest",
+           (TW + "test_column_reduction_matches_generic",
+            TW + "test_count_side_matches_every_row")),
+    Mutant("count side: coset rows weighted 1", WALSH,
+           "_all_rows(freq[:q + 1], freq[q + 1:], sym.order)",
+           "_all_rows(freq[:q + 1], freq[q + 1:], 1)",
+           (TW + "test_count_side_matches_every_row",)),
+    Mutant("count side: row 0 weighted |Λ|", WALSH,
+           "(mult + (a_list != 0)[:, None] * (q + 1))",
+           "(mult + (a_list >= 0)[:, None] * (q + 1))",
+           (TW + "test_count_side_matches_every_row",)),
     Mutant("rows: gathered at s, not at the label t(s)", WALSH,
-           "np.take(flat, t[s] * len(self.cols)",
+           "np.take(flat, self.labels[s] * len(self.cols)",
            "np.take(flat, s * len(self.cols)",
            (TW + "test_hat_g_coset_rows", TW + "test_transformed_g_is_q2_times_ddt")),
     Mutant("columns: λ u for λ^-1 u in _Columns.take", WALSH,
            "spec.mul_gen_power(x[u:u + rows], shift)",
            "spec.mul_gen_power(x[u:u + rows], -shift % (q - 1))",
            (TW + "test_column_reduction_matches_generic",)),
+    Mutant("guard: the statistics counted at q^2 p", WALSH,
+           "_walsh_columns(F, columns, size_guard, columns.width)",
+           "_walsh_columns(F, columns, size_guard, F.spec.q)",
+           (TW + "test_apcn_size_guard", TW + "test_convolution_walsh_guard")),
+    Mutant("ranks: a float truncated by int()", FIELD,
+           "x = _integer(x, \"rank\", ValueError)", "x = int(x)",
+           (TF + "test_scalar_operations_reject_non_integer_ranks",)),
     Mutant("exponents: 0 not kept as q - 1", "src/cdiffkit/functions.py",
            "(e % (q - 1) or q - 1) if q > 2 else 1",
            "(e % (q - 1)) if q > 2 else 1",

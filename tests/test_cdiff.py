@@ -262,6 +262,20 @@ def test_shift_out_of_range_rejected(pn, shift):
             call()
 
 
+@pytest.mark.parametrize("rank", [2.7, 2.0, "2", True, np.float64(2), None])
+def test_non_integer_ranks_rejected(gf9, rank):
+    # int() would truncate 2.7, parse "2" and read True as 1
+    F = from_monomial(gf9, 2)
+    for call in (lambda: cdiff.admissible_c(gf9, [rank]),
+                 lambda: spectrum(F, [1, rank], INC),
+                 lambda: uniformity(F, rank, INC),
+                 lambda: dual_convention_max(F, [rank]),
+                 lambda: c_derivative(F, 2, rank)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+    assert cdiff.admissible_c(gf9, [np.int64(2), np.uint8(3), 2]) == [2, 3]
+
+
 def test_spectrum_report_serialization(gf9):
     F = from_monomial(gf9, 2)
     rep = spectrum(F, "nonzero", INC)
@@ -355,9 +369,12 @@ def _check_inflated_scan_raises(gf27):
 
 # -- the symmetry dispatch against the scan of every row and every c ---------
 
-def _every_row_and_c(spec, values, cs):
-    every = np.arange(spec.q)
-    return every, every, {c: (c, 0, False) for c in cs}
+def _every_row_and_c():
+    """The scan of every row and every c: a trivial stabilizer (so every
+    row is its own coset) and no c orbits."""
+    return mock.patch.multiple(
+        cdiff, _stabilizer=lambda spec, values: (spec.q - 1, 1),
+        _c_orbits=lambda spec, values, cs: {c: (c, 0, False) for c in cs})
 
 
 def _stabilizer_rows(spec, values):
@@ -394,7 +411,8 @@ def _check_dispatch(F, invariant, c_set, conv):
     every c, at threads 1 and 2 and, for q <= 27, the brute-force oracle."""
     spec = F.spec
     cs = cdiff.admissible_c(spec, c_set)
-    rows, coset_min, rep = cdiff._symmetry(spec, F.values, cs)
+    sym = cdiff._symmetry(spec, F.values)
+    rows, coset_min, rep = sym.rows, sym.coset_min, cdiff._c_orbits(spec, F.values, cs)
     assert rows.tolist() == _stabilizer_rows(spec, F.values)
     assert coset_min[rows].tolist() == rows.tolist()
     for c, (r, k, neg) in rep.items():
@@ -406,7 +424,7 @@ def _check_dispatch(F, invariant, c_set, conv):
     fast_dual = dual_convention_max(F, c_set)
     assert spectrum(F, c_set, conv, threads=2).to_json_dict() == fast.to_json_dict()
     assert dual_convention_max(F, c_set, threads=2) == fast_dual
-    with mock.patch.object(cdiff, "_symmetry", _every_row_and_c):
+    with _every_row_and_c():
         every = spectrum(F, c_set, conv, threads=1)
         every_dual = dual_convention_max(F, c_set)
     assert fast.to_json_dict() == every.to_json_dict()
@@ -497,7 +515,8 @@ def _with_examples_both_conventions(test):
 def test_dispatch_scan_matches_generic(case):
     F, power_map = case
     spec, q = F.spec, F.spec.q
-    rows, coset_min, _ = cdiff._symmetry(spec, F.values, [])
+    sym = cdiff._symmetry(spec, F.values)
+    rows, coset_min = sym.rows, sym.coset_min
     if power_map:
         assert rows.tolist() == [0, 1]
     assert rows.tolist() == _stabilizer_rows(spec, F.values)
@@ -520,7 +539,7 @@ def test_dispatch_payloads_match_generic(case, conv):
     fast_dual = dual_convention_max(F, "all")
     assert spectrum(F, "all", conv, threads=2).to_json_dict() == fast.to_json_dict()
     assert dual_convention_max(F, "all", threads=2) == fast_dual
-    with mock.patch.object(cdiff, "_symmetry", _every_row_and_c):
+    with _every_row_and_c():
         generic = spectrum(F, "all", conv, threads=1)
         generic_dual = dual_convention_max(F, "all")
     assert fast.to_json_dict() == generic.to_json_dict()
@@ -615,7 +634,7 @@ def test_orbit_dispatch_needs_frobenius_and_two_cs():
     for spec, cs in [(build_field(2, 1), [0, 1]), (build_field(7, 1), list(range(7))),
                      (build_field(3, 3), [2])]:
         F = from_monomial(spec, 2)
-        rep = cdiff._symmetry(spec, F.values, cs)[2]
+        rep = cdiff._c_orbits(spec, F.values, cs)
         assert all(k == 0 for _, k, _ in rep.values())
         assert (rep == {c: (c, 0, False) for c in cs}) == (spec.q != 7)
         for conv in (INC, NZ):
@@ -625,18 +644,18 @@ def test_orbit_dispatch_needs_frobenius_and_two_cs():
 def test_orbit_representative_is_smallest_requested_member(gf27):
     F = deca_trinomial(gf27, 1)
     assert sorted(_orbit(gf27, 9)) == [9, 13, 16, 20, 22, 25]
-    assert (cdiff._symmetry(gf27, F.values, [2, 13, 16])[2]
+    assert (cdiff._c_orbits(gf27, F.values, [2, 13, 16])
             == {2: (2, 0, False), 13: (13, 0, False), 16: (13, 1, False)})
     # 20 = 1/16 and 22 = 1/13 = 1/16^9
-    assert (cdiff._symmetry(gf27, F.values, [2, 16, 20, 22])[2]
+    assert (cdiff._c_orbits(gf27, F.values, [2, 16, 20, 22])
             == {2: (2, 0, False), 16: (16, 0, False), 20: (16, 0, True),
                 22: (16, 2, True)})
 
 
 def test_orbit_image_is_recounted(gf27):
     F = deca_trinomial(gf27, 1)
-    rows, coset_min, _ = cdiff._symmetry(gf27, F.values, [13])
-    state = (gf27, F.values, rows, coset_min)
+    sym = cdiff._symmetry(gf27, F.values)
+    state = (gf27, F.values, sym.rows, sym.coset_min)
     record = cdiff._scan(state, 13)
     # 16 = 13^3 and 22 = 1/13; a single c is scanned directly
     for c, k, neg in ((16, 1, False), (22, 0, True)):
@@ -718,7 +737,7 @@ def _check_count_records(caplog, kernel):
     assert {r.levelno for r in records} == {logging.DEBUG}
     assert [r.getMessage() for r in records] == [
         f"ddt over GF(3^3): rows scanned 27, kernel {kernel}",
-        f"counts over GF(3^3): rows scanned 27, kernel {kernel}"]
+        f"counts over GF(3^3): |stabilizer| 26, rows scanned 2 of 27, kernel {kernel}"]
 
 
 def _check_sweep_record(caplog, kernel):
@@ -781,7 +800,7 @@ def symmetry_cases(draw):
 @example((from_polynomial(build_field(7, 2), {7: 1, 4: 1}), True, [2, 3, 9, 30], 3), INC)
 def test_symmetry_dispatch_matches_every_row_and_c(case, conv):
     F, invariant, c_set, g = case
-    rows = cdiff._symmetry(F.spec, F.values, [])[0]
+    rows = cdiff._symmetry(F.spec, F.values).rows
     assert (F.spec.q - 1) // (len(rows) - 1) % g == 0
     _check_dispatch(F, invariant, c_set, conv)
 
@@ -806,8 +825,10 @@ def test_stabilizer_generator_and_multiplier(pn):
         lam = oracle.pow(g, m)
         vals = [int(v) for v in F.values]
         assert all(vals[oracle.mul(lam, x)] == oracle.mul(mu, vals[x]) for x in range(q))
-        # _symmetry's rows and coset minima are those of Λ = <g^m>
-        rows, coset_min, _ = cdiff._symmetry(spec, F.values, [])
+        # the record's rows and coset minima are those of Λ = <g^m>
+        sym = cdiff._symmetry(spec, F.values)
+        assert (sym.m, sym.mu, sym.order) == (m, mu, order)
+        rows, coset_min = sym.rows, sym.coset_min
         assert rows.tolist() == _stabilizer_rows(spec, F.values)
         stab = [oracle.pow(lam, k) for k in range(order)]
         assert coset_min.tolist() == [min(oracle.mul(s, a) for s in stab) for a in range(q)]

@@ -108,6 +108,16 @@ def test_threads_below_one_exits_2(capsys):
     assert "threads" in err
 
 
+@pytest.mark.parametrize("c_set", ["2.5", "2,x", "9"])
+def test_bad_c_set_exits_2(capsys, c_set):
+    # not integers, or a rank outside [0, q)
+    code, out, err = run(capsys, "spectrum", "--p", "3", "--n", "2",
+                         "--function", "monomial:2", "--c-set", c_set,
+                         "--a-convention", "nonzero")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_function_spec_inverse_and_table(tmp_path, capsys):
     spec = build_field(2, 4)
     path = tmp_path / "f.json"
@@ -161,7 +171,8 @@ def test_walsh_check_rejects_delta_before_any_statistic(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ["walsh-check", "--p", "2", "--n", "12", "--function", "monomial:2", "--c", "2"],
+    # x^3 + x has a trivial stabilizer: every column and row is held
+    ["walsh-check", "--p", "2", "--n", "12", "--function", "poly:3=1,1=1", "--c", "2"],
     ["field-info", "--p", "2", "--n", "21"],
     pytest.param(["field-info", "--p", "101", "--n", "3"], id="field-info-split-tables"),
 ], ids=lambda argv: argv[0])

@@ -104,6 +104,17 @@ def test_inv_and_pow_errors(gf9):
     assert gf9.pow(0, 5) == 0
 
 
+@pytest.mark.parametrize("bad", [2.9, 2.0, "2", True, np.float64(2), None])
+def test_scalar_operations_reject_non_integer_ranks(gf9, bad):
+    # int() would truncate 2.9 and read True as 1
+    for call in (lambda: gf9.mul(bad, 3), lambda: gf9.add(3, bad), lambda: gf9.neg(bad),
+                 lambda: gf9.inv(bad), lambda: gf9.frobenius(bad), lambda: gf9.log(bad)):
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            call()
+    assert gf9.mul(np.int64(2), np.uint8(3)) == gf9.mul(2, 3)
+    assert type(gf9.neg(np.int32(2))) is int
+
+
 def test_pow_negative_exponent(gf9):
     for x in range(1, 9):
         assert gf9.pow(x, -1) == gf9.inv(x)

@@ -12,9 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdiffkit import (AConvention, CyclotomicInt, apcn_statistic, build_field,
-                      convolution_statistic, ddt_c, derivative_walsh_statistic,
-                      from_monomial, from_polynomial, pcn_power_sum, raw_table,
-                      uniformity, walsh_table, walsh_value)
+                      cdiff, convolution_statistic, ddt_c,
+                      derivative_walsh_statistic, dual_convention_max,
+                      from_monomial, from_polynomial, inverse_table,
+                      pcn_power_sum, raw_table, spectrum, uniformity,
+                      walsh_table, walsh_value)
 from cdiffkit.errors import NotRationalInteger, SizeGuardExceeded
 from cdiffkit.walsh import (_column_map, _count_frequencies, _dft, _hat_g_rows,
                             _labels, _walsh_array, _walsh_power_sums,
@@ -22,7 +24,7 @@ from cdiffkit.walsh import (_column_map, _count_frequencies, _dft, _hat_g_rows,
 
 from oracles import (brute_convolution_tensor, brute_derivative_statistic,
                      brute_pcn_sum, brute_walsh, brute_walsh_table,
-                     slow_field_like)
+                     ddt_counts, slow_field_like)
 
 INC = AConvention.INCLUDE_A_ZERO
 walsh_module = importlib.import_module("cdiffkit.walsh")
@@ -171,7 +173,17 @@ def test_dft_peaks_at_one_buffer(q, p):
 # -- the column reduction against the generic path ----------------------------
 
 def _trivial_stabilizer(spec, values):
-    return spec.q - 1, 1   # Λ = {1}: every column transformed
+    return spec.q - 1, 1   # Λ = {1}: every row and every column
+
+
+def _generic():
+    """The trivial stabilizer for the sweep, the Walsh arrays and the
+    count side alike: they all read cdiff's one symmetry record."""
+    return mock.patch.object(cdiff, "_stabilizer", _trivial_stabilizer)
+
+
+def _columns(F):
+    return _column_map(F.spec, cdiff._symmetry(F.spec, F.values))
 
 
 @st.composite
@@ -206,14 +218,14 @@ def test_column_reduction_matches_generic(case):
     if kind == "power":
         # A x^d: Λ = GF(q)^*, M = <g^d>, 1 + gcd(d, q - 1) columns
         d = next(iter(F.origin["coeffs"]))
-        columns = _column_map(spec, F.values)
+        columns = _columns(F)
         assert len(columns.cols) == 1 + math.gcd(d, q - 1)
-        assert list(columns.rows) == [0, 1] and columns.order == q - 1
+        assert list(columns.sym.rows) == [0, 1] and columns.sym.order == q - 1
     W, table = _walsh_array(F), walsh_table(F)
     pcn, sums = pcn_power_sum(F, c), _walsh_power_sums(F, c, 2)
-    with mock.patch.object(walsh_module, "_stabilizer", _trivial_stabilizer):
-        columns = _column_map(spec, F.values)
-        assert len(columns.cols) == len(columns.rows) == q
+    with _generic():
+        columns = _columns(F)
+        assert len(columns.cols) == len(columns.sym.rows) == q
         assert np.array_equal(_walsh_array(F), W)
         assert walsh_table(F).entries == table.entries
         assert pcn_power_sum(F, c) == pcn
@@ -251,9 +263,11 @@ def _assert_hat_g_rows(F, c):
             for i in range(spec.n))
     assert np.array_equal(t, _labels(spec))
     assert np.array_equal(np.sort(t), np.arange(q))
-    columns, R = _hat_g_rows(F, c)
-    want = np.zeros((q, len(columns.rows), spec.p), dtype=np.int64)
-    want[..., 0] = q * q * ddt_c(F, c)[np.ix_(columns.rows, neg)].T
+    columns = _columns(F)
+    rows = columns.sym.rows
+    R = _hat_g_rows(F, c, columns)
+    want = np.zeros((q, len(rows), spec.p), dtype=np.int64)
+    want[..., 0] = q * q * ddt_c(F, c)[np.ix_(rows, neg)].T
     assert np.array_equal(R[t] - R[t][..., -1:], want)
     return columns
 
@@ -270,8 +284,8 @@ def test_transformed_g_is_q2_times_ddt(pn, seed, drawn):
     F = raw_table(spec, np.random.default_rng(seed).integers(0, q, q))
     for c in (0, 1, drawn % q):
         _assert_hat_g_rows(F, c)
-        with mock.patch.object(walsh_module, "_stabilizer", _trivial_stabilizer):
-            assert len(_assert_hat_g_rows(F, c).rows) == q
+        with _generic():
+            assert len(_assert_hat_g_rows(F, c).sym.rows) == q
 
 
 @pytest.mark.parametrize("pn", [(2, 4), (3, 3), (5, 2), (3, 4), (7, 2),
@@ -296,8 +310,8 @@ def test_count_frequencies_rejects_non_counts(p, n):
     spec = build_field(p, n)
     q = spec.q
     F = raw_table(spec, np.random.default_rng(q).integers(0, q, q))
-    with mock.patch.object(walsh_module, "_stabilizer", _trivial_stabilizer):
-        _, Ghat = _hat_g_rows(F, 2)   # every row
+    with _generic():
+        Ghat = _hat_g_rows(F, 2, _columns(F))   # every row
     assert np.array_equal(_count_frequencies(Ghat, q * q),
                           np.bincount(ddt_c(F, 2).ravel()))
     # entry [1, 2]: coefficient 0 off by one (not a multiple of q^2), then
@@ -456,29 +470,34 @@ def test_apcn_gold_gf8_strict(gf8):
 
 
 def test_apcn_size_guard():
-    # GF(3^4): q^2 p = 19683 entries, within the default bound
+    # x^2 over GF(3^4): 3 columns and 2 rows of hat G, so apcn holds
+    # arrays of q x 3 x p = 729 entries
     F = from_monomial(build_field(3, 4), 2)
     with pytest.raises(SizeGuardExceeded):
-        apcn_statistic(F, 2, size_guard=19682)
+        apcn_statistic(F, 2, size_guard=728)
     lhs, rhs = apcn_statistic(F, 2, size_guard=None)
     assert lhs == rhs
+    assert apcn_statistic(F, 2, size_guard=729) == (lhs, rhs)
     assert apcn_statistic(F, 2) == (lhs, rhs)
 
 
 def test_walsh_guard_refuses_before_allocating():
     # GF(2^12): q^2 p = 2^25 entries, above WALSH_ENTRY_GUARD = 2^23; one
-    # (q, q, p) int64 array would take 256 MB.  The count side needs none.
+    # (q, q, p) int64 array would take 256 MB.  walsh_table holds q^2
+    # entries whatever F is; x^3 + x has a trivial stabilizer, so every
+    # column and row is held.  The count side needs no such array.
     spec = build_field(2, 12)
-    F = from_monomial(spec, 3)
+    F = from_polynomial(spec, {3: 1, 1: 1})
     count_side, walsh_side = convolution_statistic(F, 2, 1)
     assert walsh_side is None
     assert (count_side == 0) == (uniformity(F, 2, INC).value == 1)
-    for call in (walsh_table, lambda F: pcn_power_sum(F, 2),
-                 lambda F: apcn_statistic(F, 2)):
+    for call, G in ((walsh_table, from_monomial(spec, 3)),
+                    (lambda F: pcn_power_sum(F, 2), F),
+                    (lambda F: apcn_statistic(F, 2), F)):
         tracemalloc.start()
         try:
             with pytest.raises(SizeGuardExceeded):
-                call(F)
+                call(G)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -516,8 +535,8 @@ def test_statistics_peak_at_two_arrays():
     spec = build_field(2, 9)
     q, p = spec.q, spec.p
     F = raw_table(spec, np.random.default_rng(q).integers(0, q, q))
-    columns = _column_map(spec, F.values)
-    assert len(columns.cols) == len(columns.rows) == q
+    columns = _columns(F)
+    assert len(columns.cols) == len(columns.sym.rows) == q
     for call in (lambda: apcn_statistic(F, 2), lambda: pcn_power_sum(F, 2)):
         tracemalloc.start()
         try:
@@ -526,6 +545,82 @@ def test_statistics_peak_at_two_arrays():
         finally:
             tracemalloc.stop()
         assert peak <= 2.32 * q * q * p * 8
+
+
+# -- the row-reduced count side against every row and the oracle -----------
+
+COUNT_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1),
+                (5, 2), (7, 1), (13, 1), (2, 6), (3, 4), (7, 2)]
+COUNT_KINDS = ("power", "inverse", "q-1", "linearized", "constant", "zero", "raw")
+
+
+@st.composite
+def count_cases(draw):
+    """(F, c): F of one of COUNT_KINDS over a field with q <= 81, and c
+    from {0, 2, q - 1} or drawn."""
+    spec = build_field(*draw(st.sampled_from(COUNT_FIELDS)))
+    q, p = spec.q, spec.p
+    rank = st.integers(0, q - 1)
+    kind = draw(st.sampled_from(COUNT_KINDS))
+    if kind == "power":
+        F = from_polynomial(spec, {draw(st.integers(1, q - 1)): draw(st.integers(1, q - 1))})
+    elif kind == "inverse":
+        F = inverse_table(spec)
+    elif kind == "q-1":
+        F = from_monomial(spec, q - 1)   # Λ = GF(q)^*, M trivial
+    elif kind == "linearized":
+        F = from_polynomial(spec, {p ** i: draw(rank) for i in range(spec.n)})
+    elif kind == "constant":
+        F = raw_table(spec, np.full(q, draw(st.integers(1, q - 1))))
+    elif kind == "zero":
+        F = raw_table(spec, np.zeros(q))
+    else:
+        F = raw_table(spec, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+                      .integers(0, q, q))
+    return F, draw(st.sampled_from([0, 2 % q, q - 1]) | rank)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(count_cases())
+@example((from_monomial(build_field(3, 3), 2), 2))            # |Λ| = 26, |M| = 13
+@example((from_monomial(build_field(3, 3), 26), 26))          # x^(q-1)
+@example((raw_table(build_field(2, 4), np.zeros(16)), 0))      # F = 0
+@example((from_polynomial(build_field(5, 2), {5: 2, 1: 1}), 3))   # Λ = GF(5)^*
+def test_count_side_matches_every_row(case):
+    # the rows of a coset aΛ share one histogram, so the count side scans
+    # row 0 and one row per coset and weights the coset rows by |Λ|; that
+    # must equal the scan of every row and the brute-force counts
+    F, c = case
+    spec = F.spec
+    q = spec.q
+    sym = cdiff._symmetry(spec, F.values)
+    sums = counts_power_sums(F, c, 3)
+    with mock.patch.object(walsh_module, "_count_blocks",
+                           wraps=walsh_module._count_blocks) as blocks:
+        assert walsh_module._counts_power_sums(F, c, 3, sym) == sums
+    assert blocks.call_args.args[3].tolist() == sym.rows.tolist()
+    with _generic():
+        assert len(cdiff._symmetry(spec, F.values).rows) == q
+        assert counts_power_sums(F, c, 3) == sums
+    if c != 1:
+        assert _walsh_power_sums(F, c, 3) == sums
+    if q <= 27:
+        counts = ddt_counts(slow_field_like(spec), [int(v) for v in F.values], c).values()
+        assert sums == [sum(n ** (j + 1) for n in counts) for j in (1, 2, 3)]
+
+
+def test_one_stabilizer_search_per_query(gf27):
+    # the sweep, the count side and the Walsh side read one symmetry record;
+    # convolution_statistic shares it between its two sides
+    F = from_polynomial(gf27, {5: 1, 1: 2})
+    calls = [lambda: spectrum(F, "all", INC), lambda: dual_convention_max(F, "nonzero"),
+             lambda: uniformity(F, 2, INC), lambda: pcn_power_sum(F, 2),
+             lambda: apcn_statistic(F, 2), lambda: convolution_statistic(F, 2, 2),
+             lambda: counts_power_sums(F, 2, 2), lambda: walsh_table(F)]
+    for call in calls:
+        with mock.patch.object(cdiff, "_stabilizer", wraps=cdiff._stabilizer) as search:
+            call()
+        assert search.call_count == 1
 
 
 def test_count_side_is_one_pass(gf16):
@@ -560,11 +655,16 @@ def test_convolution_statistic_gold_gf8(gf8):
 
 
 def test_convolution_walsh_guard(gf16):
+    # x^5 over GF(2^4): 6 columns and 2 rows of hat G are held
     F = from_monomial(gf16, 5)
     cs, ws = convolution_statistic(F, 2, 3)
     assert cs == ws
-    with mock.patch.object(walsh_module, "WALSH_ENTRY_GUARD", 16 * 16 * 2 - 1):
+    held = 16 * _columns(F).width * 2
+    assert held == 16 * 6 * 2
+    with mock.patch.object(walsh_module, "WALSH_ENTRY_GUARD", held - 1):
         assert convolution_statistic(F, 2, 3) == (cs, None)
+    with mock.patch.object(walsh_module, "WALSH_ENTRY_GUARD", held):
+        assert convolution_statistic(F, 2, 3) == (cs, ws)
     assert cs >= 0
 
 
