@@ -14,11 +14,11 @@ from . import __version__
 from .cdiff import C_SET_NAMES, AConvention, dual_convention_max, spectrum, uniformity
 from .errors import CdiffkitError, SizeGuardExceeded
 from .field import build_field
-from .functions import (_from_descriptor, from_monomial, from_polynomial, inverse_table,
-                        load_table)
+from .functions import (_added_terms, _from_descriptor, from_monomial, from_polynomial,
+                        inverse_table, load_table)
 from .numth import gcd_power_formula, trinomial_roots
 from .theorems import CLAIM_IDS, summarize, sweep
-from .walsh import _check_args, apcn_statistic, convolution_statistic, pcn_power_sum
+from .walsh import walsh_check
 from . import reference_data
 
 
@@ -40,12 +40,9 @@ def _parse_function(spec, text):
         return inverse_table(spec)
     if text.startswith("monomial:"):
         return from_monomial(spec, int(text.split(":", 1)[1]))
-    if text.startswith("poly:"):
-        coeffs = {}
-        for item in text.split(":", 1)[1].split(","):
-            e, c = item.split("=")
-            coeffs[int(e)] = int(c)
-        return from_polynomial(spec, coeffs)
+    if text.startswith("poly:"):   # terms of one exponent add up
+        return from_polynomial(spec, _added_terms(spec, (
+            map(int, item.split("=")) for item in text.split(":", 1)[1].split(","))))
     if text.startswith("table:"):
         return load_table(text.split(":", 1)[1], spec)
     raise ValueError(
@@ -164,26 +161,22 @@ def _cmd_spectrum(args):
 def _cmd_walsh_check(args):
     spec = _field_from_args(args)
     F = _parse_function(spec, args.function)
-    c, delta = args.c, args.delta
-    _check_args(spec, c, delta)   # before any statistic runs
-    pcn = pcn_power_sum(F, c)
+    pcn, (lhs, rhs), (count_side, walsh_side) = walsh_check(F, args.c, args.delta)
     pcn_bound = spec.p ** (4 * spec.n)
     payload = {
-        "c_rank": c,
+        "c_rank": args.c,
         "pcn": {"sum": pcn, "bound": pcn_bound, "equality": pcn == pcn_bound,
                 "meaning": "equality iff PcN"},
-    }
-    lhs, rhs = apcn_statistic(F, c)
-    payload["apcn"] = {"lhs": lhs, "rhs": rhs, "equality": lhs == rhs,
-                       "meaning": "equality iff uniformity <= 2"}
-    count_side, walsh_side = convolution_statistic(F, c, delta)
-    payload["convolution"] = {
-        "delta": delta,
-        "count_side": count_side,
-        "walsh_side": walsh_side,
-        "sides_equal": None if walsh_side is None else count_side == walsh_side,
-        "zero": count_side == 0,
-        "meaning": "count_side = 0 iff uniformity <= delta",
+        "apcn": {"lhs": lhs, "rhs": rhs, "equality": lhs == rhs,
+                 "meaning": "equality iff uniformity <= 2"},
+        "convolution": {
+            "delta": args.delta,
+            "count_side": count_side,
+            "walsh_side": walsh_side,
+            "sides_equal": count_side == walsh_side,
+            "zero": count_side == 0,
+            "meaning": "count_side = 0 iff uniformity <= delta",
+        },
     }
     print(json.dumps(_envelope(spec, dict(F.origin), "include-zero", payload),
                      indent=2))

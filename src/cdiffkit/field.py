@@ -406,7 +406,7 @@ class FieldSpec:
 
     def pow(self, x: int, e: int) -> int:
         x = self._check(x)
-        e = int(e)
+        e = _integer(e, "exponent", ValueError)
         if x == 0:
             if e > 0:
                 return 0
@@ -485,10 +485,8 @@ class FieldSpec:
     def add_rows(self, a_list):
         """Row i is x + a_list[i] over all ranks x, in rank order."""
         a = np.asarray(a_list, dtype=np.intp)
-        if self.p == 2:
-            return a[:, None] ^ np.arange(self.q)[None, :]
-        if self._split is None:
-            return (a[:, None] + np.arange(self.q)[None, :]) % self.p
+        if self._split is None:   # p = 2 or n = 1
+            return self.add_arrays(a[:, None], np.arange(self.q))
         # x = h*m + l runs over h (rows of HI) and then l (rows of LO)
         ha, la = np.divmod(a, self._split)
         return (self._hi[ha][:, :, None]
@@ -508,7 +506,7 @@ class FieldSpec:
 
     def pow_all(self, e: int):
         """Vector of x^e over all ranks x (0^e = 0 for e >= 1)."""
-        e = int(e)
+        e = _integer(e, "exponent", ValueError)
         if e < 0:
             raise DivisionByZero("negative exponent over the whole field hits 0")
         q = self.q

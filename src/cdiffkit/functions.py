@@ -72,6 +72,7 @@ def from_monomial(spec: FieldSpec, d: int) -> FunctionTable:
     as q-1 (x^(q-1) and x^0 differ at x = 0, and the nonzero part is what
     the reduction preserves).  d = 0 itself is rejected.
     """
+    d = _integer(d, "monomial exponent", InvalidExponent)
     if d < 1:
         raise InvalidExponent(f"monomial exponent must be >= 1, got {d}")
     d_red = _reduced_exponent(spec.q, d)
@@ -95,10 +96,11 @@ def from_polynomial(spec: FieldSpec, coeffs: dict) -> FunctionTable:
     q = spec.q
     norm = {}
     for e, c in coeffs.items():
-        e = int(e)
+        e = _integer(e, "exponent", InvalidExponent)
         if not 0 <= e <= q - 1:
             raise InvalidExponent(f"exponent {e} outside [0, q-1]")
-        c = int(c) % spec.p if int(c) < 0 else int(c)
+        c = _integer(c, "coefficient rank", RankOutOfRange)
+        c = c % spec.p if c < 0 else c
         if not 0 <= c < q:
             raise RankOutOfRange(f"coefficient rank {c} outside [0, q)")
         if c:
@@ -118,11 +120,18 @@ def _from_descriptor(spec: FieldSpec, desc: dict) -> FunctionTable:
     terms whose exponents meet are added in the field."""
     if "monomial" in desc:
         return from_monomial(spec, desc["monomial"])
+    return from_polynomial(spec, _added_terms(spec, (
+        (_reduced_exponent(spec.q, e) if e >= 1 else 0, c) for e, c in desc["terms"])))
+
+
+def _added_terms(spec: FieldSpec, terms) -> dict:
+    """{e: the field sum of the c paired with e} over (e, c) pairs, a
+    negative c read as the prime-field constant c mod p."""
     coeffs = {}
-    for e, c in desc["terms"]:
-        e = _reduced_exponent(spec.q, e) if e >= 1 else 0
-        coeffs[e] = spec.add(coeffs.get(e, 0), c % spec.p if c < 0 else c)
-    return from_polynomial(spec, coeffs)
+    for e, c in terms:
+        c = c % spec.p if c < 0 else c
+        coeffs[e] = spec.add(coeffs[e], c) if e in coeffs else c
+    return coeffs
 
 
 def inverse_table(spec: FieldSpec) -> FunctionTable:

@@ -28,13 +28,18 @@ factors are powers of zeta_p, i.e. coefficient rotations), which brings the
 literal q^(2 delta) summation down to the cost of the transform: the DFT
 over (Z_p)^n, O(q n p^2) coefficient operations per transformed vector.
 The trace form enters once, where the Walsh array is written; later
-transforms are plain DFTs.  Every convolution statistic, pcn included (by
-Parseval), reads one histogram of hat G(s, t) = q^2 n_F(s, -t, c).  When F
-has a multiplicative stabilizer Λ, F(λx) = μ_λ F(x) (power maps have one of
+transforms are plain DFTs.  Each side returns one histogram,
+f[k] = #{(a, b) : n_F(a, b, c) = k}: the Walsh side reads it from
+hat G(s, t) = q^2 n_F(s, -t, c) (_walsh_histogram), the count side from
+one derivative sweep (_count_histogram).  Every statistic is one sum over
+a histogram: pcn = q^2 sum f[k] k^2 (Parseval), apcn's lhs
+q^4 sum f[k] k^3, and each phi statistic sum f[k] k phi(k).  walsh_check
+answers all three for one (F, c) from one histogram per side.  When F has
+a multiplicative stabilizer Λ, F(λx) = μ_λ F(x) (power maps have one of
 order q - 1), W(λu, μ_λ v) = W(u, v): only column 0 and one column v per
 coset of the multipliers μ_λ are transformed, and only row 0 and one row s
-per coset sΛ of hat G.  Λ comes from cdiff.Symmetry; counts_power_sums
-scans the same rows, and both sides count a coset row |Λ| times.
+per coset sΛ of hat G.  Λ comes from cdiff.Symmetry; the count side scans
+the same rows, and both sides count a coset row |Λ| times.
 """
 
 from __future__ import annotations
@@ -369,12 +374,6 @@ def _count_frequencies(arr: np.ndarray, scale: int) -> np.ndarray:
     return np.bincount(value.ravel() // scale)
 
 
-def _power_sums(freq, top: int) -> list:
-    """[sum_m freq[m] * m^(j+1) for j = 1..top], in Python integers."""
-    hits = [(m, int(f)) for m, f in enumerate(freq) if f]
-    return [sum(f * m ** (j + 1) for m, f in hits) for j in range(1, top + 1)]
-
-
 def _all_rows(head, rest, order: int) -> np.ndarray:
     """The histogram over every row from those of row 0 (head) and of the
     coset rows (rest), each of which stands for the order = |Λ| rows of its
@@ -452,46 +451,63 @@ def _hat_g_rows(F: FunctionTable, c: int, columns: _Columns,
     return _dft(arr, p)
 
 
-def _walsh_power_sums(F: FunctionTable, c: int, top: int,
-                      size_guard: int | None = WALSH_ENTRY_GUARD,
-                      columns: _Columns | None = None) -> list:
-    """[sum_{a,b} n_F(a,b,c)^(j+1) for j = 1..top], from the rows of hat G.
+def _walsh_histogram(F: FunctionTable, c: int, columns: _Columns,
+                     size_guard: int | None = WALSH_ENTRY_GUARD) -> np.ndarray:
+    """freq[m] = #{(a, b) : n_F(a, b, c) = m}, from the rows of hat G.
 
     The (j+1)-fold convolution tensor (W_F W_F^c)^{tensor (j+1)} (0, 0), the
     sum over u_1..u_j, v_1..v_j of conj(W)(sum u, sum v) W(sum u, c sum v)
-    prod_i W(u_i,v_i) conj(W)(u_i,c v_i), is p^(2jn) times the j-th sum and
+    prod_i W(u_i,v_i) conj(W)(u_i,c v_i), is
     (1/q^2) * sum over characters chi of conj(hat G)(chi) * hat G(chi)^j with
     G(u, v) = W(u, v) conj(W)(u, c v).  Expanding G gives
-    hat G(s, t) = q^2 n_F(s, -t, c), a rational integer, so every j comes
-    from the histogram of the checked counts hat G / q^2, row 0 counted
-    once and each coset row |Λ| times (_all_rows).  c is checked first;
-    columns (F's column map) is made when None.
+    hat G(s, t) = q^2 n_F(s, -t, c), a rational integer, so the tensor is
+    q^(2j) sum_m freq[m] m^(j+1) over the histogram of the checked counts
+    hat G / q^2: row 0 counted once and each coset row |Λ| times (_all_rows).
     """
-    spec = F.spec
-    _check_args(spec, c)
-    if columns is None:
-        columns = _column_map(spec, _symmetry(spec, F.values))
     R = _hat_g_rows(F, c, columns, size_guard)
-    head, rest = (_count_frequencies(part, spec.q ** 2) for part in (R[:, :1], R[:, 1:]))
-    return _power_sums(_all_rows(head, rest, columns.sym.order), top)
+    head, rest = (_count_frequencies(part, F.spec.q ** 2) for part in (R[:, :1], R[:, 1:]))
+    return _all_rows(head, rest, columns.sym.order)
 
 
-def phi_coefficients(delta: int) -> list:
-    """Coefficients A_0..A_delta of phi(x) = (x-1)(x-2)...(x-delta)."""
-    coeffs = [1]
-    for r in range(1, delta + 1):
-        nxt = [0] * (len(coeffs) + 1)
-        for i, a in enumerate(coeffs):
-            nxt[i + 1] += a
-            nxt[i] -= r * a
-        coeffs = nxt
-    return coeffs
+def _count_histogram(F: FunctionTable, c: int, sym: Symmetry) -> np.ndarray:
+    """freq[m] = #{(a, b) : n_F(a, b, c) = m}, the count side: one
+    _count_blocks pass over sym.rows, weighted as the Walsh side's rows
+    (_all_rows).  Logs one DEBUG record on the "cdiffkit" logger with |Λ|,
+    the rows scanned and the kernel path."""
+    spec = F.spec
+    q = spec.q
+    _logger.debug("counts over GF(%d^%d): |stabilizer| %d, rows scanned %d of %d, "
+                  "kernel %s", spec.p, spec.n, sym.order, len(sym.rows), q,
+                  _kernel_name())
+    freq = np.zeros(2 * (q + 1), dtype=np.int64)
+    for a_list, mult in _count_blocks(spec, F.values, c, sym.rows):
+        # mult[i, b] = n_F(a_i, b, c); freq[k (q + 1) + m] counts the (a, b)
+        # with n_F = m, k = 0 for row 0 and 1 for the coset rows
+        freq += np.bincount((mult + (a_list != 0)[:, None] * (q + 1)).ravel(),
+                            minlength=2 * (q + 1))
+    return _all_rows(freq[:q + 1], freq[q + 1:], sym.order)
 
 
-def _phi(delta: int, base: int, sums) -> int:
-    """base * A_0 + sum_j A_j sums[j - 1], A = phi_coefficients(delta)."""
-    A = phi_coefficients(delta)
-    return base * A[0] + sum(a * s for a, s in zip(A[1:], sums))
+def _sum(freq, term) -> int:
+    """sum_m freq[m] term(m) in Python integers: over a histogram of the
+    counts n_F, the sum of term(n_F) over every (a, b)."""
+    return sum(f * term(m) for m, f in enumerate(freq.tolist()) if f)
+
+
+def _pcn(q: int, freq) -> int:
+    """q^2 sum n_F^2 (see pcn_power_sum)."""
+    return q ** 2 * _sum(freq, lambda m: m * m)
+
+
+def _apcn(q: int, freq) -> tuple:
+    """(q^4 sum n_F^3, 3 q^2 pcn - 2 q^6) (see apcn_statistic)."""
+    return q ** 4 * _sum(freq, lambda m: m ** 3), 3 * q ** 2 * _pcn(q, freq) - 2 * q ** 6
+
+
+def _phi_sum(freq, delta: int) -> int:
+    """sum n_F phi(n_F), phi(m) = (m-1)...(m-delta): >= 0, and zero iff no
+    count exceeds delta."""
+    return _sum(freq, lambda m: m * math.prod(m - r for r in range(1, delta + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +531,13 @@ def pcn_power_sum(F: FunctionTable, c: int) -> int:
     S >= p^(4n) always, with equality iff F is PcN for this c (uniformity 1
     with a = 0 admissible).  |W(u,v)|^2 |W(u,cv)|^2 = |G(u,v)|^2 with
     G(u,v) = W(u,v) conj(W(u,cv)), so by Parseval over (u, v)
-    S = q^-2 sum |hat G|^2 = q^2 sum_{a,b} n_F(a,b,c)^2, the first power
-    sum of _walsh_power_sums.
+    S = q^-2 sum |hat G|^2 = q^2 sum_{a,b} n_F(a,b,c)^2, a sum over
+    _walsh_histogram.
     """
-    return F.spec.q ** 2 * _walsh_power_sums(F, c, 1)[0]
+    spec = F.spec
+    _check_args(spec, c)
+    columns = _column_map(spec, _symmetry(spec, F.values))
+    return _pcn(spec.q, _walsh_histogram(F, c, columns))
 
 
 def apcn_statistic(F: FunctionTable, c: int,
@@ -529,66 +548,63 @@ def apcn_statistic(F: FunctionTable, c: int,
     lhs is the 6-fold Walsh convolution sum
       sum conj(W)(u1+u2, v1+v2) W(u1+u2, c(v1+v2))
           * prod_i W(u_i, v_i) conj(W)(u_i, c v_i)
-    and rhs = 3 p^(2n) * pcn_power_sum - 2 p^(6n).  size_guard bounds the
-    q x (columns or rows held) x p entries of a Walsh array (see
-    _walsh_power_sums); None lifts it.
+    = q^4 sum_{a,b} n_F(a,b,c)^3, and rhs = 3 p^(2n) * pcn_power_sum - 2 p^(6n).
+    size_guard bounds the q x (columns or rows held) x p entries of a Walsh
+    array (see _hat_g_rows); None lifts it.
     """
-    q = F.spec.q
-    s1, s2 = _walsh_power_sums(F, c, 2, size_guard)
-    return q ** 4 * s2, 3 * q ** 4 * s1 - 2 * q ** 6
+    spec = F.spec
+    _check_args(spec, c)
+    columns = _column_map(spec, _symmetry(spec, F.values))
+    return _apcn(spec.q, _walsh_histogram(F, c, columns, size_guard))
 
 
 def counts_power_sums(F: FunctionTable, c: int, top: int) -> list:
-    """[sum_{a,b} n_F(a,b,c)^(j+1) for j = 1..top] (see _counts_power_sums)."""
-    return _counts_power_sums(F, c, top, _symmetry(F.spec, F.values))
-
-
-def _counts_power_sums(F: FunctionTable, c: int, top: int, sym: Symmetry) -> list:
-    """The count side: one _count_blocks pass over sym.rows, weighted as
-    the Walsh side's rows (_all_rows).  Logs one DEBUG record on the
-    "cdiffkit" logger with |Λ|, the rows scanned and the kernel path."""
-    spec = F.spec
-    q = spec.q
-    _logger.debug("counts over GF(%d^%d): |stabilizer| %d, rows scanned %d of %d, "
-                  "kernel %s", spec.p, spec.n, sym.order, len(sym.rows), q,
-                  _kernel_name())
-    freq = np.zeros(2 * (q + 1), dtype=np.int64)
-    for a_list, mult in _count_blocks(spec, F.values, c, sym.rows):
-        # mult[i, b] = n_F(a_i, b, c); freq[k (q + 1) + m] counts the (a, b)
-        # with n_F = m, k = 0 for row 0 and 1 for the coset rows
-        freq += np.bincount((mult + (a_list != 0)[:, None] * (q + 1)).ravel(),
-                            minlength=2 * (q + 1))
-    return _power_sums(_all_rows(freq[:q + 1], freq[q + 1:], sym.order), top)
+    """[sum_{a,b} n_F(a,b,c)^(j+1) for j = 1..top] (see _count_histogram)."""
+    freq = _count_histogram(F, c, _symmetry(F.spec, F.values))
+    return [_sum(freq, lambda m, j=j: m ** (j + 1)) for j in range(1, top + 1)]
 
 
 def convolution_statistic(F: FunctionTable, c: int, delta: int):
     """(count_side, walsh_side) for phi(x) = (x-1)...(x-delta).
 
-    count_side = p^(2n) A_0 + sum_j A_j sum_{a,b} n_F(a,b,c)^(j+1), which is
-    sum_{a,b} n_F phi(n_F) since sum_{a,b} n_F = p^(2n); nonnegative, zero
-    iff the c-differential uniformity is at most delta (a = 0 admissible).
-    walsh_side evaluates the identical quantity through the Walsh
-    convolution tensors (see _walsh_power_sums) and is None when its
-    arrays would exceed WALSH_ENTRY_GUARD; whenever both sides are computed
-    they are equal integers.  Both sides read one symmetry record.
+    count_side = sum_{a,b} n_F phi(n_F) over the counts n_F(a,b,c);
+    nonnegative, zero iff the c-differential uniformity is at most delta
+    (a = 0 admissible).  walsh_side evaluates the identical quantity
+    through the Walsh convolution tensors (see _walsh_histogram) and is
+    None when its arrays would exceed WALSH_ENTRY_GUARD; whenever both
+    sides are computed they are equal integers.  Both sides read one
+    symmetry record.
     """
     spec = F.spec
     _check_args(spec, c, delta)
-    base = spec.q ** 2
     sym = _symmetry(spec, F.values)
-    count_side = _phi(delta, base, _counts_power_sums(F, c, delta, sym))
+    count_side = _phi_sum(_count_histogram(F, c, sym), delta)
     columns = _column_map(spec, sym)
     if _over_guard(spec, WALSH_ENTRY_GUARD, columns.width):
         return count_side, None
-    return count_side, _phi(delta, base, _walsh_power_sums(F, c, delta, columns=columns))
+    return count_side, _phi_sum(_walsh_histogram(F, c, columns), delta)
+
+
+def walsh_check(F: FunctionTable, c: int, delta: int):
+    """(pcn_power_sum, apcn_statistic, convolution_statistic) of (F, c,
+    delta) from one query: one argument check, one symmetry record, one
+    Walsh histogram and one count histogram.  Above WALSH_ENTRY_GUARD it
+    raises as pcn_power_sum does, before the count pass."""
+    spec = F.spec
+    _check_args(spec, c, delta)
+    sym = _symmetry(spec, F.values)
+    walsh = _walsh_histogram(F, c, _column_map(spec, sym))
+    counts = _count_histogram(F, c, sym)
+    return (_pcn(spec.q, walsh), _apcn(spec.q, walsh),
+            (_phi_sum(counts, delta), _phi_sum(walsh, delta)))
 
 
 def derivative_walsh_statistic(F: FunctionTable, c: int, a: int, delta: int) -> int:
-    """phi-statistic of one fixed c-derivative D = x -> F(x+a) - cF(x),
-    evaluated from the u = 0 row of D's Walsh transform:
-
-      p^n A_0 + sum_j p^(-jn) A_j
-          sum_{v_1..v_j} conj(W_D)(0, sum v_i) prod_i W_D(0, v_i)
+    """phi-statistic sum_y N_y phi(N_y) of one fixed c-derivative
+    D = x -> F(x+a) - cF(x), N_y = #{x : D(x) = y}, evaluated from the u = 0
+    row of D's Walsh transform: sum_{v_1..v_j} conj(W_D)(0, sum v_i)
+    prod_i W_D(0, v_i) = q^j sum_y N_y^(j+1), and transforming that row
+    gives q N_y.
 
     Nonnegative; zero iff no value of D is taken more than delta times.
     Only (q, p) arrays are formed.
@@ -604,4 +620,4 @@ def derivative_walsh_statistic(F: FunctionTable, c: int, a: int, delta: int) -> 
     hist = np.zeros((q, p), dtype=np.int64)
     hist[:, 0] = counts[0]
     ghat = _dft(_dft(hist, p), p)
-    return _phi(delta, q, _power_sums(_count_frequencies(ghat, q), delta))
+    return _phi_sum(_count_frequencies(ghat, q), delta)

@@ -34,6 +34,7 @@ WALSH = "src/cdiffkit/walsh.py"
 TC = "tests/test_cdiff.py::"
 TF = "tests/test_field.py::"
 TW = "tests/test_walsh.py::"
+TCLI = "tests/test_cli.py::"
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,17 @@ MUTANTS = [
            "_walsh_columns(F, columns, size_guard, columns.width)",
            "_walsh_columns(F, columns, size_guard, F.spec.q)",
            (TW + "test_apcn_size_guard", TW + "test_convolution_walsh_guard")),
+    Mutant("walsh-check: the Walsh side read from the count histogram", WALSH,
+           "walsh = _walsh_histogram(F, c, _column_map(spec, sym))",
+           "walsh = _count_histogram(F, c, sym)",
+           (TCLI + "test_walsh_check_sides_are_independent",)),
+    Mutant("apcn: rhs with 2 q^2 pcn for 3 q^2 pcn", WALSH,
+           "3 * q ** 2 * _pcn(q, freq)", "2 * q ** 2 * _pcn(q, freq)",
+           (TW + "test_walsh_check_matches_each_statistic",)),
+    Mutant("phi: the product (m - r) from r = 0", WALSH,
+           "m - r for r in range(1, delta + 1)", "m - r for r in range(delta)",
+           (TW + "test_walsh_check_matches_each_statistic",
+            TW + "test_derivative_statistic_matches_multiplicity_oracle")),
     Mutant("ranks: a float truncated by int()", FIELD,
            "x = _integer(x, \"rank\", ValueError)", "x = int(x)",
            (TF + "test_scalar_operations_reject_non_integer_ranks",)),

@@ -3,13 +3,15 @@ import json
 import re
 import shlex
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from cdiffkit import build_field, from_monomial, save_table
+from cdiffkit import build_field, cdiff, from_monomial, save_table
 from cdiffkit.cli import _COMMANDS, build_parser, main
 
 cli_module = importlib.import_module("cdiffkit.cli")
+walsh_module = importlib.import_module("cdiffkit.walsh")
 
 
 def run(capsys, *argv):
@@ -162,12 +164,88 @@ def test_walsh_check_command(capsys):
 
 def test_walsh_check_rejects_delta_before_any_statistic(capsys, monkeypatch):
     def refuse(*args):
-        raise AssertionError("pcn_power_sum ran before the delta check")
+        raise AssertionError("a statistic ran before the delta check")
 
-    monkeypatch.setattr(cli_module, "pcn_power_sum", refuse)
+    monkeypatch.setattr(walsh_module, "_symmetry", refuse)
+    monkeypatch.setattr(walsh_module, "_hat_g_rows", refuse)
     code, out, err = run(capsys, "walsh-check", "--p", "3", "--n", "2",
                          "--function", "monomial:2", "--c", "2", "--delta", "0")
     assert (code, out, err) == (2, "", "error: delta must be >= 1\n")
+
+
+WALSH_CHECK = ["walsh-check", "--p", "2", "--n", "4", "--function", "monomial:3",
+               "--c", "2", "--delta", "2"]
+
+
+def test_walsh_check_is_one_query(capsys):
+    # one stabilizer search, one Walsh pipeline (three transforms: W, G
+    # along u, hat G along v) and one count pass for pcn, apcn and the
+    # convolution pair
+    counters = {name: mock.patch.object(module, name, wraps=getattr(module, name))
+                for module, name in ((cdiff, "_stabilizer"), (walsh_module, "_hat_g_rows"),
+                                     (walsh_module, "_dft"), (walsh_module, "_count_blocks"))}
+    mocks = {name: patch.start() for name, patch in counters.items()}
+    try:
+        code, _, _ = run(capsys, *WALSH_CHECK)
+    finally:
+        mock.patch.stopall()
+    assert code == 0
+    assert {name: m.call_count for name, m in mocks.items()} == {
+        "_stabilizer": 1, "_hat_g_rows": 1, "_dft": 3, "_count_blocks": 1}
+
+
+def test_walsh_check_sides_are_independent(capsys):
+    # pcn and apcn read only the Walsh histogram, the count side only the
+    # counted one: a count off by one breaks sides_equal and nothing else,
+    # and a Walsh count off by one moves pcn and not the count side
+    count_blocks, hat_g_rows = walsh_module._count_blocks, walsh_module._hat_g_rows
+
+    def payload():
+        code, out, _ = run(capsys, *WALSH_CHECK)
+        assert code == 0
+        return json.loads(out)["payload"]
+
+    def count_off_by_one(*args):
+        for i, (a_list, counts) in enumerate(count_blocks(*args)):
+            counts[0, counts[0].argmax()] += i == 0   # phi(n) moves for n >= delta
+            yield a_list, counts
+
+    def walsh_off_by_one(F, *args):
+        R = hat_g_rows(F, *args)
+        # row 0 of hat G is q^2 n_F(0, -t, c): its largest count, plus one
+        R[(R[:, 0, 0] - R[:, 0, -1]).argmax(), 0, 0] += F.spec.q ** 2
+        return R
+
+    base = payload()
+    assert base["convolution"]["sides_equal"] is True
+    with mock.patch.object(walsh_module, "_count_blocks", count_off_by_one):
+        counted = payload()
+    assert counted["convolution"]["sides_equal"] is False
+    assert counted["convolution"]["count_side"] != base["convolution"]["count_side"]
+    assert (counted["pcn"], counted["apcn"]) == (base["pcn"], base["apcn"])
+    with mock.patch.object(walsh_module, "_hat_g_rows", walsh_off_by_one):
+        walsh = payload()
+    assert walsh["pcn"]["sum"] != base["pcn"]["sum"]
+    assert walsh["convolution"]["count_side"] == base["convolution"]["count_side"]
+    assert walsh["convolution"]["sides_equal"] is False
+
+
+def test_poly_spec_adds_repeated_exponents(capsys):
+    # 2 = 1 + 1 over GF(3^2): poly:2=1,2=1 is 2x^2, as poly:2=2 is
+    argv = ["uniformity", "--p", "3", "--n", "2", "--c", "2",
+            "--a-convention", "include-zero", "--function"]
+    code, out, _ = run(capsys, *argv, "poly:2=1,2=1")
+    assert code == 0
+    code, want, _ = run(capsys, *argv, "poly:2=2")
+    assert out == want
+    assert json.loads(out)["function"] == {"kind": "polynomial", "coeffs": {"2": 2}}
+    # -1 is the prime-field constant 2, and 2 + 2 = 1: x^2 + x
+    code, out, _ = run(capsys, *argv, "poly:2=-1,1=1,2=-1")
+    assert json.loads(out)["function"]["coeffs"] == {"1": 1, "2": 1}
+    for spec in ("poly:9=1,9=1", "poly:2=1,2=9"):   # exponent or rank out of range
+        code, out, err = run(capsys, *argv, spec)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
 
 @pytest.mark.parametrize("argv", [

@@ -115,6 +115,16 @@ def test_scalar_operations_reject_non_integer_ranks(gf9, bad):
     assert type(gf9.neg(np.int32(2))) is int
 
 
+@pytest.mark.parametrize("bad", [2.7, 2.0, "2", True, np.float64(2), None])
+def test_exponents_reject_non_integers(gf9, bad):
+    # int() would truncate 2.7: pow(3, 2.7) would equal pow(3, 2)
+    for call in (lambda: gf9.pow(3, bad), lambda: gf9.pow(0, bad), lambda: gf9.pow_all(bad)):
+        with pytest.raises(ValueError, match="exponent must be an integer"):
+            call()
+    assert gf9.pow(3, np.int64(2)) == gf9.pow(3, 2) == gf9.mul(3, 3)
+    assert np.array_equal(gf9.pow_all(np.uint8(2)), gf9.pow_all(2))
+
+
 def test_pow_negative_exponent(gf9):
     for x in range(1, 9):
         assert gf9.pow(x, -1) == gf9.inv(x)
@@ -409,6 +419,10 @@ def test_addition_matches_digitwise(case):
             == [slow.add(x, y) for x, y in pairs])
     rows = spec.add_rows(shifts)
     assert rows.tolist() == [[slow.add(x, a) for x in range(spec.q)] for a in shifts]
+    # the same values and dtype as add_arrays in each representation: XOR,
+    # addition mod p and the split tables
+    want = spec.add_arrays(np.array(shifts, dtype=np.intp)[:, None], np.arange(spec.q))
+    assert np.array_equal(rows, want) and rows.dtype == want.dtype
 
 
 def test_build_field_cache_is_bounded():

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from cdiffkit import (build_field, from_monomial, from_polynomial,
@@ -29,6 +30,23 @@ def test_monomial_identity(gf9):
 def test_monomial_zero_exponent_rejected(gf9):
     with pytest.raises(InvalidExponent):
         from_monomial(gf9, 0)
+
+
+def test_exponents_and_coefficients_must_be_integers(gf9):
+    # int() would truncate: x^2.5 tabulated x^2 with origin d = 2.5, and
+    # {2.7: 1, 1: 1.9} built x^2 + x
+    for bad in (2.5, 2.0, True, "2"):
+        with pytest.raises(InvalidExponent, match="must be an integer"):
+            from_monomial(gf9, bad)
+        with pytest.raises(InvalidExponent, match="must be an integer"):
+            from_polynomial(gf9, {bad: 1, 1: 1})
+        with pytest.raises(RankOutOfRange, match="must be an integer"):
+            from_polynomial(gf9, {2: bad, 1: 1})
+    with pytest.raises(RankOutOfRange):
+        from_polynomial(gf9, {2: 1, 1: 1.9})
+    F = from_monomial(gf9, np.int64(3))
+    assert F == from_monomial(gf9, 3) and type(F.origin["d"]) is int
+    assert from_polynomial(gf9, {np.int32(2): np.uint8(2)}) == from_polynomial(gf9, {2: 2})
 
 
 def test_inverse_gf16(gf16):

@@ -18,9 +18,9 @@ from cdiffkit import (AConvention, CyclotomicInt, apcn_statistic, build_field,
                       pcn_power_sum, raw_table, spectrum, uniformity,
                       walsh_table, walsh_value)
 from cdiffkit.errors import NotRationalInteger, SizeGuardExceeded
-from cdiffkit.walsh import (_column_map, _count_frequencies, _dft, _hat_g_rows,
-                            _labels, _walsh_array, _walsh_power_sums,
-                            counts_power_sums, phi_coefficients)
+from cdiffkit.walsh import (_column_map, _count_frequencies, _count_histogram, _dft,
+                            _hat_g_rows, _labels, _walsh_array, _walsh_histogram,
+                            counts_power_sums, walsh_check)
 
 from oracles import (brute_convolution_tensor, brute_derivative_statistic,
                      brute_pcn_sum, brute_walsh, brute_walsh_table,
@@ -186,6 +186,20 @@ def _columns(F):
     return _column_map(F.spec, cdiff._symmetry(F.spec, F.values))
 
 
+def _histograms(F, c):
+    """The Walsh side's and the count side's histograms of n_F(a, b, c),
+    freq[m] = #{(a, b) : n_F(a, b, c) = m}, without trailing zeros: the
+    count side's vector has q + 1 entries, the Walsh side's one more than
+    the largest count."""
+    sym = cdiff._symmetry(F.spec, F.values)
+    return [np.trim_zeros(freq, "b") for freq in
+            (_walsh_histogram(F, c, _column_map(F.spec, sym)), _count_histogram(F, c, sym))]
+
+
+def _power_sum(freq, j):
+    return sum(int(f) * m ** (j + 1) for m, f in enumerate(freq))
+
+
 @st.composite
 def walsh_cases(draw):
     """(F, c, kind) over a field of TRANSFORM_FIELDS or GF(3^4), c != 1."""
@@ -222,14 +236,14 @@ def test_column_reduction_matches_generic(case):
         assert len(columns.cols) == 1 + math.gcd(d, q - 1)
         assert list(columns.sym.rows) == [0, 1] and columns.sym.order == q - 1
     W, table = _walsh_array(F), walsh_table(F)
-    pcn, sums = pcn_power_sum(F, c), _walsh_power_sums(F, c, 2)
+    pcn, freq = pcn_power_sum(F, c), _walsh_histogram(F, c, _columns(F))
     with _generic():
         columns = _columns(F)
         assert len(columns.cols) == len(columns.sym.rows) == q
         assert np.array_equal(_walsh_array(F), W)
         assert walsh_table(F).entries == table.entries
         assert pcn_power_sum(F, c) == pcn
-        assert _walsh_power_sums(F, c, 2) == sums
+        assert np.array_equal(_walsh_histogram(F, c, columns), freq)
     if q <= 27:
         oracle = slow_field_like(spec)
         oracle.trace = functools.cache(oracle.trace)
@@ -429,29 +443,26 @@ def test_tensor_matches_brute_force():
             F = from_monomial(spec, desc["d"])
         oracle = slow_field_like(spec)
         vals = [F[x] for x in range(spec.q)]
-        js = (1, 2, 3) if spec.q == 4 else (1, 2)
-        sums = _walsh_power_sums(F, c, len(js))
-        for j in js:
+        freq = _walsh_histogram(F, c, _columns(F))
+        for j in ((1, 2, 3) if spec.q == 4 else (1, 2)):
             # the (j+1)-fold tensor is q^(2j) times the j-th sum
-            assert (spec.q ** (2 * j) * sums[j - 1]
+            assert (spec.q ** (2 * j) * _power_sum(freq, j)
                     == brute_convolution_tensor(oracle, vals, c, j))
 
 
 def test_count_walsh_duality():
-    # sum over a, b of n_F(a,b,c)^j equals its Walsh-side evaluation (the
-    # (j+1)-fold convolution tensor over p^(2jn)), exactly, for j in {1, 2, 3}
+    # the histogram of n_F(a,b,c) read from hat G equals the counted one,
+    # so every sum over it agrees: the sums of n_F^(j+1) are the (j+1)-fold
+    # convolution tensors over p^(2jn)
     rng = np.random.default_rng(23)
     for (p, n) in [(2, 2), (3, 1), (2, 3), (3, 2), (2, 4)]:
         spec = build_field(p, n)
         for F in (from_monomial(spec, 2),
                   raw_table(spec, rng.integers(0, spec.q, spec.q))):
             for c in (0, 2):
-                if c == 1:
-                    continue
-                sums = _walsh_power_sums(F, c, 3)
-                counts = counts_power_sums(F, c, 3)
-                for j in (1, 2, 3):
-                    assert sums[j - 1] == counts[j - 1]
+                walsh, counts = _histograms(F, c)
+                assert np.array_equal(walsh, counts)
+                assert counts_power_sums(F, c, 3) == [_power_sum(walsh, j) for j in (1, 2, 3)]
 
 
 def test_apcn_square_gf9_equality(gf9):
@@ -510,6 +521,7 @@ def test_g_is_transformed_once(gf16):
     F = from_monomial(gf16, 5)
     calls = [lambda: apcn_statistic(F, 2), lambda: pcn_power_sum(F, 2)]
     calls += [lambda delta=delta: convolution_statistic(F, 2, delta) for delta in (1, 2, 3)]
+    calls += [lambda delta=delta: walsh_check(F, 2, delta) for delta in (1, 3)]
     for call in calls:
         with mock.patch.object(walsh_module, "_dft",
                                wraps=walsh_module._dft) as transform:
@@ -597,13 +609,17 @@ def test_count_side_matches_every_row(case):
     sums = counts_power_sums(F, c, 3)
     with mock.patch.object(walsh_module, "_count_blocks",
                            wraps=walsh_module._count_blocks) as blocks:
-        assert walsh_module._counts_power_sums(F, c, 3, sym) == sums
+        freq = _count_histogram(F, c, sym)
     assert blocks.call_args.args[3].tolist() == sym.rows.tolist()
+    assert [_power_sum(freq, j) for j in (1, 2, 3)] == sums
+    # the two sides' histograms agree as whole vectors
+    walsh, counts = _histograms(F, c)
+    assert np.array_equal(walsh, counts)
     with _generic():
         assert len(cdiff._symmetry(spec, F.values).rows) == q
         assert counts_power_sums(F, c, 3) == sums
-    if c != 1:
-        assert _walsh_power_sums(F, c, 3) == sums
+        assert np.array_equal(_count_histogram(F, c, cdiff._symmetry(spec, F.values)), freq)
+        assert all(np.array_equal(a, counts) for a in _histograms(F, c))
     if q <= 27:
         counts = ddt_counts(slow_field_like(spec), [int(v) for v in F.values], c).values()
         assert sums == [sum(n ** (j + 1) for n in counts) for j in (1, 2, 3)]
@@ -616,7 +632,8 @@ def test_one_stabilizer_search_per_query(gf27):
     calls = [lambda: spectrum(F, "all", INC), lambda: dual_convention_max(F, "nonzero"),
              lambda: uniformity(F, 2, INC), lambda: pcn_power_sum(F, 2),
              lambda: apcn_statistic(F, 2), lambda: convolution_statistic(F, 2, 2),
-             lambda: counts_power_sums(F, 2, 2), lambda: walsh_table(F)]
+             lambda: counts_power_sums(F, 2, 2), lambda: walsh_table(F),
+             lambda: walsh_check(F, 2, 3)]
     for call in calls:
         with mock.patch.object(cdiff, "_stabilizer", wraps=cdiff._stabilizer) as search:
             call()
@@ -626,16 +643,40 @@ def test_one_stabilizer_search_per_query(gf27):
 def test_count_side_is_one_pass(gf16):
     # every power sum of the count side comes from one derivative sweep
     F = from_monomial(gf16, 5)
-    with mock.patch.object(walsh_module, "_count_blocks",
-                           wraps=walsh_module._count_blocks) as blocks:
-        convolution_statistic(F, 2, 3)
-    assert blocks.call_count == 1
+    for call in (lambda: convolution_statistic(F, 2, 3), lambda: walsh_check(F, 2, 3)):
+        with mock.patch.object(walsh_module, "_count_blocks",
+                               wraps=walsh_module._count_blocks) as blocks:
+            call()
+        assert blocks.call_count == 1
 
 
-def test_phi_coefficients():
-    assert phi_coefficients(1) == [-1, 1]
-    assert phi_coefficients(2) == [2, -3, 1]
-    assert phi_coefficients(3) == [-6, 11, -6, 1]
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (2, 4), (3, 3), (5, 2), (2, 6)])
+def test_walsh_check_matches_each_statistic(p, n):
+    # walsh_check makes one query where the three statistics make three;
+    # every value must equal theirs, and for q <= 27 the sums over the
+    # brute-force counts: pcn = q^2 sum n^2, apcn = (q^4 sum n^3,
+    # 3 q^4 sum n^2 - 2 q^6), count side = sum n (n-1)...(n-delta)
+    spec = build_field(p, n)
+    q = spec.q
+    rng = np.random.default_rng(q)
+    for F in (from_monomial(spec, 2), from_monomial(spec, 3), inverse_table(spec),
+              raw_table(spec, rng.integers(0, q, q))):
+        for c in sorted({0, 2 % q, q - 1}):
+            counts = None
+            if q <= 27:
+                counts = list(ddt_counts(slow_field_like(spec),
+                                         [int(v) for v in F.values], c).values())
+            for delta in (1, 2, 3):
+                pcn, apcn, conv = walsh_check(F, c, delta)
+                assert pcn == pcn_power_sum(F, c)
+                assert apcn == apcn_statistic(F, c)
+                assert conv == convolution_statistic(F, c, delta)
+                if counts is None:
+                    continue
+                s1, s2 = (sum(m ** (j + 1) for m in counts) for j in (1, 2))
+                assert pcn == q ** 2 * s1
+                assert apcn == (q ** 4 * s2, 3 * q ** 4 * s1 - 2 * q ** 6)
+                assert conv == (sum(m * math.prod(range(m - delta, m)) for m in counts),) * 2
 
 
 def test_convolution_statistic_square_gf9(gf9):
