@@ -16,6 +16,8 @@ with c^p when F commutes with Frobenius).  So the sweep scans row 0 and one
 row per coset aΛ, for one c per orbit (_c_orbits), and rebuilds every other
 c's witness from its representative's record.  Λ is held in one record per
 query (Symmetry), which the count and Walsh sides of walsh.py read too.
+Every witness row is then recounted in numpy by one function (_results), a
+block of (c, a) rows at a time, so a wrong scan raises WitnessMismatch.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import ctypes
 import enum
 import functools
+import itertools
 import logging
 import os
 import subprocess
@@ -42,6 +45,9 @@ from .parallel import parallel_map
 DDT_DENSE_BOUND = 4096   # materialize the dense q x q count matrix up to this q
 BLOCK_ELEMENTS = 2 ** 16   # elements per block of rows: its intermediates stay in cache
 _MAX_BLOCK_ROWS = 128      # more rows per block read slower at q <= 512
+# a recount row carries int64 ranks and counts beside its int32 rows; 128
+# rows a block lift the peak RSS of a q = 512 spectrum by about 1.6 MB
+_MAX_RECOUNT_ROWS = 32
 
 # the compiled row scan (see _kernel)
 _KERNEL_SOURCE = Path(__file__).with_name("_scan.c")
@@ -112,11 +118,24 @@ class SpectrumReport:
         return "\n".join(lines) + "\n"
 
 
-def derivative_rows(spec: FieldSpec, values, c: int, a_list) -> np.ndarray:
+def derivative_rows(spec: FieldSpec, values, c, a_list) -> np.ndarray:
     """The c-derivative in numpy: row i of the result is
-    x -> F(x + a_list[i]) - c*F(x) over all ranks x, for F given by values."""
-    ncf = spec.neg_array(spec.scale_array(c, values))
-    return spec.add_arrays(values[spec.add_rows(a_list)], ncf[np.newaxis, :])
+    x -> F(x + a_list[i]) - c_i*F(x) over all ranks x, for F given by
+    values, where c_i is c for a rank c and c[i] for an array of one rank
+    per row."""
+    if np.ndim(c):
+        c = np.asarray(c)
+        _check_ranks("c", c, spec.q)
+        ncf = spec.mul_arrays(values, spec.neg_array(c)[:, np.newaxis])   # (-c) F(x)
+    else:
+        ncf = spec.neg_array(spec.scale_array(c, values))
+    return spec.add_arrays(np.take(values, spec.add_rows(a_list)), ncf)
+
+
+def _block_rows(q: int, max_rows: int) -> int:
+    """Rows per block of q-entry rows: at most max_rows, and at most
+    BLOCK_ELEMENTS elements unless one row is longer."""
+    return min(max_rows, max(1, BLOCK_ELEMENTS // q))
 
 
 def _count_blocks(spec: FieldSpec, values, c: int, rows):
@@ -137,7 +156,7 @@ def _count_blocks(spec: FieldSpec, values, c: int, rows):
         raise ValueError(f"values must hold q = {q} ranks, not shape {values.shape}")
     _check_ranks("values", values, q)
     _check_ranks("rows", rows, q)
-    chunk = min(_MAX_BLOCK_ROWS, max(1, BLOCK_ELEMENTS // q))
+    chunk = _block_rows(q, _MAX_BLOCK_ROWS)
     starts = range(0, len(rows), chunk)
     kernel = _kernel()
     if kernel is None:
@@ -369,7 +388,7 @@ def _scan(state, c: int):
     a >= 0 and for a >= 1, (the maximum, the scanned rows attaining it
     ascending, the smallest b attaining it in the first row attaining it).
 
-    _result reads only min(coset_min(±frob^k(rows))) for k < n, so when
+    _results reads only min(coset_min(±frob^k(rows))) for k < n, so when
     more than 2n rows attain the maximum the record keeps just the row
     giving each of those 2n minima: a record holds at most 2n rows."""
     spec, values, rows, coset_min = state
@@ -417,36 +436,59 @@ def _sweep(F: FunctionTable, c_filter, threads: int):
     return state, rep, dict(zip(scanned, records))
 
 
-def _result(state, conv: AConvention, c: int, k: int, neg: bool,
-            record) -> UniformityResult:
-    """The result for c = (r^(p^k))^(-1 if neg else 1) from the scan record
-    of r (see _c_orbits); k = 0 and neg False mean c was scanned itself.
+def _results(state, conv: AConvention, rep, records):
+    """The results for the cs of rep, in its order, and the number of
+    blocks recounted.  rep maps c -> (r, k, neg) with c =
+    (r^(p^k))^(-1 if neg else 1) (see _c_orbits), and records[r] is r's
+    scan record; k = 0 and neg False mean c was scanned itself.
 
     Row a of r has the maximum of row ±a^(p^k) of c, and a coset aΛ maps
     to a coset, so c's witness row is the smallest coset minimum of the
     images of the rows attaining r's maximum: the row a scan of c would
-    find first.  That row is recounted.  Its maximum must be the scanned
-    value and, when c was scanned, its smallest b the kernel's; otherwise
-    WitnessMismatch is raised.
+    find first.  Those minima are taken once per r, for every (k, neg).
+    The witness rows are then recounted in numpy, a block of (c, a) rows
+    at a time: one derivative_rows call with one c per row, one offset
+    bincount, one argmax and one nonzero.  Each recounted maximum must be
+    the scanned value and, when c was scanned, its smallest b the
+    kernel's; otherwise WitnessMismatch is raised.
     """
+    if not rep:
+        return (), 0
     spec, values, _, coset_min = state
-    value, rows, b = record[0 if conv.admits_zero_shift(c) else 1]
-    for _ in range(k):
-        rows = spec._frob[rows]
-    if neg:
-        rows = spec._neg[rows]
-    a = int(coset_min[rows].min())
-    d = derivative_rows(spec, values, c, [a])[0]
-    counts = np.bincount(d, minlength=spec.q)
-    top = int(counts.argmax())
-    scanned = k == 0 and not neg
-    if counts[top] != value or (scanned and top != b):
-        first = f", first at b = {b}" if scanned else ""
-        raise WitnessMismatch(
-            f"c = {c}: the scan gives maximum {value} in row {a}{first}; a "
-            f"recount gives {counts[top]}, first at b = {top}")
-    return UniformityResult(c, value, a, top,
-                            tuple(int(x) for x in np.nonzero(d == top)[0]), conv)
+    half = {r: 0 if conv.admits_zero_shift(r) else 1 for r, _, _ in rep.values()}
+    index = {r: i for i, r in enumerate(half)}
+    tops = [records[r][h] for r, h in half.items()]
+    # minima[k][neg][index[r]]: the smallest coset minimum of ±frob^k(r's rows)
+    images = np.concatenate([rows for _, rows, _ in tops])
+    images = np.array([images, spec._neg[images]])
+    segments = list(itertools.accumulate([len(rows) for _, rows, _ in tops[:-1]], initial=0))
+    minima = []
+    for _ in range(1 + max(k for _, k, _ in rep.values())):
+        minima.append(np.minimum.reduceat(coset_min[images], segments, axis=1).tolist())
+        images = spec._frob[images]
+    witnesses = [(c, minima[k][neg][index[r]], tops[index[r]], k == 0 and not neg)
+                 for c, (r, k, neg) in rep.items()]
+    chunk = _block_rows(spec.q, _MAX_RECOUNT_ROWS)
+    results, starts = [], range(0, len(witnesses), chunk)
+    for start in starts:
+        block = witnesses[start:start + chunk]
+        cs, a_list = np.array([(c, a) for c, a, _, _ in block], dtype=np.int64).T
+        d = derivative_rows(spec, values, cs, a_list)
+        offsets = np.arange(0, d.size, spec.q)[:, np.newaxis]   # row i counts from i*q
+        counts = np.bincount((d + offsets).ravel(), minlength=d.size).reshape(d.shape)
+        top = counts.argmax(axis=1)
+        xs = np.nonzero(d == top[:, np.newaxis])[1].tolist()
+        lo = 0
+        for (c, a, (value, _, first_b), scanned), got, b in zip(
+                block, counts.max(axis=1).tolist(), top.tolist()):
+            if got != value or (scanned and b != first_b):
+                first = f", first at b = {first_b}" if scanned else ""
+                raise WitnessMismatch(
+                    f"c = {c}: the scan gives maximum {value} in row {a}{first}; a "
+                    f"recount gives {got}, first at b = {b}")
+            results.append(UniformityResult(c, got, a, b, tuple(xs[lo:lo + got]), conv))
+            lo += got
+    return tuple(results), len(starts)
 
 
 def uniformity(F: FunctionTable, c: int, conv: AConvention) -> UniformityResult:
@@ -482,16 +524,17 @@ def spectrum(F: FunctionTable, c_filter, conv: AConvention,
     One sweep (see _sweep) scans one c per orbit under c -> 1/c (and
     Frobenius, when F commutes with it), over row 0 and one row per
     stabilizer coset.  Every c's witness row comes from its
-    representative's scan record (see _result) and is recounted, so a
-    wrong value raises WitnessMismatch.  With threads > 1 the
-    representatives are distributed over worker processes (fork start
-    method); results are merged in c order, so the report is identical for
-    every thread count.
+    representative's scan record, and all of them are recounted in blocks
+    (see _results), so a wrong value raises WitnessMismatch.  With
+    threads > 1 the representatives are distributed over worker processes
+    (fork start method); results are merged in c order, so the report is
+    identical for every thread count.  Logs one DEBUG record on the
+    "cdiffkit" logger after the sweep's: the rows recounted and the blocks.
     """
     spec = F.spec
     state, rep, records = _sweep(F, c_filter, threads)
-    results = tuple(_result(state, conv, c, k, neg, records[r])
-                    for c, (r, k, neg) in rep.items())
+    results, blocks = _results(state, conv, rep, records)
+    _log_recount(spec, len(results), blocks)
     c_desc = c_filter if isinstance(c_filter, str) else ",".join(map(str, rep))
     return SpectrumReport(
         field=spec.to_json_dict(),
@@ -512,19 +555,28 @@ def dual_convention_max(F: FunctionTable, c_filter, threads: int = 1):
     c -> 1/c (and Frobenius, when F commutes with it); values are constant
     on an orbit, so the first c in ascending order that reaches each
     maximum is the smallest requested member of its orbit, a scanned c.
-    Its witness is recounted as in spectrum, so a wrong value raises
-    WitnessMismatch.
+    Its witness is recounted by _results, as in spectrum, so a wrong value
+    raises WitnessMismatch; one DEBUG record names the rows recounted (one
+    per convention) and the blocks.
     """
     state, _, records = _sweep(F, c_filter, threads)
-    best = {}
+    best, rows, blocks = {}, 0, 0
     for conv in AConvention:
         if not records:
             best[conv.value] = (0, None)
             continue
         r = max(records, key=lambda r: records[r][0 if conv.admits_zero_shift(r) else 1][0])
-        res = _result(state, conv, r, 0, False, records[r])
+        (res,), used = _results(state, conv, {r: (r, 0, False)}, records)
         best[conv.value] = (res.value, (r, res.witness_a, res.witness_b))
+        rows, blocks = rows + 1, blocks + used
+    _log_recount(F.spec, rows, blocks)
     return best
+
+
+def _log_recount(spec: FieldSpec, rows: int, blocks: int):
+    # the recount never calls the compiled kernel (see _results)
+    _logger.debug("recount over GF(%d^%d): rows recounted %d in %d blocks, kernel numpy",
+                  spec.p, spec.n, rows, blocks)
 
 
 def cross_solution_check(F: FunctionTable, a: int, b1: int, b2: int,

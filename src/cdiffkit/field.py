@@ -454,7 +454,8 @@ class FieldSpec:
         """g^e * x (g = primitive_rank) as int32, for ranks xs and exponents
         0 <= e < q that broadcast; 0 stays 0.  _exp holds two periods, so no
         reduction; the placeholder _log[0] gathers g^e, put back to 0 here."""
-        out = np.asarray(self._exp[self._log[xs] + e])   # 0-d xs gathers a scalar
+        # np.take gathers with int32 indices about twice as fast as [] does
+        out = np.asarray(np.take(self._exp, self._log[xs] + e))   # 0-d xs gathers a scalar
         np.copyto(out, 0, where=np.asarray(xs) == 0)
         return out
 
@@ -501,8 +502,10 @@ class FieldSpec:
         return self.mul_gen_power(xs, self._log[c]).astype(xs.dtype, copy=False)
 
     def mul_arrays(self, xs, ys):
-        # x * y = g^log(y) x, with x taken as 0 where y = 0
-        return self.mul_gen_power(np.multiply(xs, np.not_equal(ys, 0)), self._log[ys])
+        # x * y = g^log(y) x, put back to 0 where y = 0
+        out = self.mul_gen_power(xs, self._log[ys])
+        np.copyto(out, 0, where=np.asarray(ys) == 0)
+        return out
 
     def pow_all(self, e: int):
         """Vector of x^e over all ranks x (0^e = 0 for e >= 1)."""

@@ -118,6 +118,16 @@ MUTANTS = [
     Mutant("kernel: every row written at offset 0", SCAN,
            "int32_t *hist = counts + i * q;", "int32_t *hist = counts;",
            (TC + "test_compiled_count_blocks_match_numpy",)),
+    Mutant("recount: the per-row bincount offset dropped", CDIFF,
+           "np.bincount((d + offsets).ravel(),", "np.bincount(d.ravel(),",
+           (TC + "test_blocked_recount_matches_one_c_at_a_time",)),
+    Mutant("recount: every row of a block with the block's first c", CDIFF,
+           "derivative_rows(spec, values, cs, a_list)",
+           "derivative_rows(spec, values, cs[:1], a_list)",
+           (TC + "test_blocked_recount_matches_one_c_at_a_time",)),
+    Mutant("recount: the scanned b not compared", CDIFF,
+           "if got != value or (scanned and b != first_b):", "if got != value:",
+           (TC + "test_witness_check_rejects_inflated_value",)),
     Mutant("maxima: the last b attaining the maximum, not the first", CDIFF,
            "b = counts.argmax(axis=1)",
            "b = counts.shape[1] - 1 - counts[:, ::-1].argmax(axis=1)",

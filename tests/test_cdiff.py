@@ -314,7 +314,10 @@ def test_witness_check_rejects_inflated_value(gf8):
     state, _, _ = cdiff._sweep(F, [7], 1)
 
     def result(value, b):   # a scan record whose a != 0 maximum is in row 1
-        return cdiff._result(state, NZ, 7, 0, False, (None, (value, np.array([1]), b)))
+        record = (None, (value, np.array([1]), b))
+        (res,), blocks = cdiff._results(state, NZ, {7: (7, 0, False)}, {7: record})
+        assert blocks == 1
+        return res
 
     assert result(res.value, 1) == res
     with pytest.raises(WitnessMismatch):
@@ -659,11 +662,11 @@ def test_orbit_image_is_recounted(gf27):
     record = cdiff._scan(state, 13)
     # 16 = 13^3 and 22 = 1/13; a single c is scanned directly
     for c, k, neg in ((16, 1, False), (22, 0, True)):
-        assert (cdiff._result(state, INC, c, k, neg, record)
-                == spectrum(F, [c], INC).results[0])
+        assert (cdiff._results(state, INC, {c: (13, k, neg)}, {13: record})
+                == (spectrum(F, [c], INC).results, 1))
         inflated = ((record[0][0] + 1,) + record[0][1:], record[1])
         with pytest.raises(WitnessMismatch):
-            cdiff._result(state, INC, c, k, neg, inflated)
+            cdiff._results(state, INC, {c: (13, k, neg)}, {13: inflated})
 
 
 @pytest.mark.parametrize("p,n,coeffs", [(3, 3, {1: 1, 0: 2}), (3, 4, {1: 1, 0: 2}),
@@ -742,15 +745,29 @@ def _check_count_records(caplog, kernel):
 
 def _check_sweep_record(caplog, kernel):
     # the deca trinomial over GF(3^5) is even: Λ = {1, -1}, so row 0 and 121
-    # coset rows; 25 c values as above
+    # coset rows; 25 c values as above; one witness row recounted for each
+    # convention
     F = deca_trinomial(build_field(3, 5), 1)
     with caplog.at_level(logging.DEBUG, logger="cdiffkit"):
         dual_convention_max(F, "exclude_0_1")
-    [record] = [r for r in caplog.records if r.name == "cdiffkit"]
-    assert record.levelno == logging.DEBUG
-    assert record.getMessage() == ("sweep over GF(3^5): |stabilizer| 2, rows scanned "
-                                   "122 of 243, c requested 241, c scanned 25, "
-                                   f"kernel {kernel}")
+    records = [r for r in caplog.records if r.name == "cdiffkit"]
+    assert {r.levelno for r in records} == {logging.DEBUG}
+    assert [r.getMessage() for r in records] == [
+        ("sweep over GF(3^5): |stabilizer| 2, rows scanned 122 of 243, c requested 241, "
+         f"c scanned 25, kernel {kernel}"),
+        "recount over GF(3^5): rows recounted 2 in 2 blocks, kernel numpy"]
+
+
+def test_spectrum_logs_its_recount(caplog):
+    # every c's witness row is recounted in numpy: 241 rows at 32 a block
+    F = deca_trinomial(build_field(3, 5), 1)
+    with caplog.at_level(logging.DEBUG, logger="cdiffkit"):
+        spectrum(F, "exclude_0_1", INC)
+    records = [r for r in caplog.records if r.name == "cdiffkit"]
+    assert {r.levelno for r in records} == {logging.DEBUG}
+    assert records[0].getMessage().startswith("sweep over GF(3^5)")
+    assert [r.getMessage() for r in records[1:]] == [
+        "recount over GF(3^5): rows recounted 241 in 8 blocks, kernel numpy"]
 
 
 # -- stabilizers of order 1, 2, 3, 4 and q - 1 against every row and c -------
@@ -857,6 +874,25 @@ def test_derivative_rows_matches_literal_loop(case):
         for a in shifts]
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(derivative_cases(), st.data())
+def test_derivative_rows_takes_one_c_per_row(case, data):
+    spec, values, _, shifts = case
+    values = np.array(values, dtype=np.int32)
+    cs = data.draw(st.lists(st.integers(0, spec.q - 1), min_size=len(shifts),
+                            max_size=len(shifts)))
+    got = cdiff.derivative_rows(spec, values, np.array(cs), shifts)
+    assert got.tolist() == [cdiff.derivative_rows(spec, values, c, [a])[0].tolist()
+                            for c, a in zip(cs, shifts)]
+
+
+@pytest.mark.parametrize("cs", [[0, 9], [-1, 2], [1.0, 2.0]])
+def test_derivative_rows_checks_each_c(gf9, cs):
+    values = np.arange(9, dtype=np.int32)
+    with pytest.raises(ValueError):
+        cdiff.derivative_rows(gf9, values, np.array(cs), [1, 2])
+
+
 # -- the compiled histogram kernel against the numpy body --------------------
 
 SCAN_FIELDS = [(2, 1), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2),
@@ -933,6 +969,75 @@ def test_compiled_statistics_match_numpy(case, block_rows):
     compiled = statistics()
     with _numpy_scan():
         assert statistics() == compiled
+
+
+# -- the blocked witness recount against a recount of one c at a time -------
+
+def _recount_one_c_at_a_time(state, conv, rep, records):
+    """Each c's witness row found and recounted on its own: the images
+    ±a^(p^k) of the rows attaining r's maximum, their smallest coset
+    minimum, one derivative row and one bincount."""
+    spec, values, _, coset_min = state
+    results = []
+    for c, (r, k, neg) in rep.items():
+        value, rows, b = records[r][0 if conv.admits_zero_shift(c) else 1]
+        for _ in range(k):
+            rows = spec._frob[rows]
+        if neg:
+            rows = spec._neg[rows]
+        a = int(coset_min[rows].min())
+        d = cdiff.derivative_rows(spec, values, c, [a])[0]
+        counts = np.bincount(d, minlength=spec.q)
+        top = int(counts.argmax())
+        assert counts[top] == value and (k or neg or top == b)
+        results.append(cdiff.UniformityResult(
+            c, value, a, top, tuple(np.flatnonzero(d == top).tolist()), conv))
+    return tuple(results)
+
+
+RECOUNT_FIELDS = [(2, 1), (2, 4), (2, 5), (2, 6), (3, 1), (3, 2), (3, 3), (3, 4),
+                  (5, 2), (7, 2)]
+
+
+@st.composite
+def recount_cases(draw):
+    """(F, c_set): a power map, the inverse, a deca trinomial or a random
+    table, and a c-set holding 0 and 1."""
+    kind = draw(st.sampled_from(["power", "inverse", "deca", "random"]))
+    if kind == "deca":
+        F = deca_trinomial(build_field(3, draw(st.sampled_from([3, 5]))),
+                           draw(st.sampled_from([1, 2])))
+    else:
+        spec = build_field(*draw(st.sampled_from(RECOUNT_FIELDS)))
+        rank = st.integers(0, spec.q - 1)
+        if kind == "power":
+            F = from_monomial(spec, draw(st.integers(1, spec.q)))
+        elif kind == "inverse":
+            F = inverse_table(spec)
+        else:
+            F = raw_table(spec, draw(st.lists(rank, min_size=spec.q, max_size=spec.q)))
+    rank = st.integers(0, F.spec.q - 1)
+    c_set = draw(st.just("all") | st.lists(rank, max_size=12).map(lambda cs: [0, 1, *cs]))
+    return F, c_set
+
+
+INVERSE_256 = inverse_table(build_field(2, 8))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(recount_cases(), st.sampled_from([INC, NZ]), st.sampled_from([1, 2]),
+       st.sampled_from([1, 3, cdiff._MAX_RECOUNT_ROWS, 128]))
+# 255 and 256 c values at 128 and 32 rows a block
+@example((INVERSE_256, [c for c in range(256) if c != 1]), INC, 1, 128)
+@example((INVERSE_256, "all"), NZ, 2, cdiff._MAX_RECOUNT_ROWS)
+def test_blocked_recount_matches_one_c_at_a_time(case, conv, threads, block_rows):
+    F, c_set = case
+    state, rep, records = cdiff._sweep(F, c_set, threads)
+    with mock.patch.object(cdiff, "_MAX_RECOUNT_ROWS", block_rows):
+        results, blocks = cdiff._results(state, conv, rep, records)
+    assert results == _recount_one_c_at_a_time(state, conv, rep, records)
+    rows = min(block_rows, max(1, cdiff.BLOCK_ELEMENTS // F.spec.q))
+    assert blocks == -(-len(rep) // rows)
 
 
 def _payloads(F, c_set, conv):

@@ -1,5 +1,7 @@
 import importlib
 import json
+import logging
+import sys
 import re
 import shlex
 from pathlib import Path
@@ -83,6 +85,27 @@ def test_spectrum_threads_identical_payload(capsys):
     assert code == code2 == 0
     assert out1 == out2
     assert json.loads(out1)["payload"]["overall_max"] == 5
+
+
+def test_spectrum_recount_record_stays_off_stdout(capsys):
+    # with DEBUG records written to stderr, stdout is byte for byte the
+    # same; the inverse over GF(2^8) recounts 256 witness rows, 32 a block
+    argv = ["spectrum", "--p", "2", "--n", "8", "--function", "inverse",
+            "--c-set", "all", "--a-convention", "include-zero"]
+    code, quiet, _ = run(capsys, *argv)
+    logger, handler = logging.getLogger("cdiffkit"), logging.StreamHandler(sys.stderr)
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        code2, loud, err = run(capsys, *argv)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    assert code == code2 == 0
+    assert loud == quiet
+    assert err.splitlines()[-1] == ("recount over GF(2^8): rows recounted 256 in 8 blocks, "
+                                    "kernel numpy")
 
 
 @pytest.mark.parametrize("name, first", [("all", 0), ("nonzero", 1),
