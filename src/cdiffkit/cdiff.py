@@ -14,8 +14,8 @@ proved identities: rows a and λa share their maximum for λ in the
 multiplicative stabilizer Λ of F, and c shares its maxima with 1/c (and
 with c^p when F commutes with Frobenius).  So the sweep scans row 0 and one
 row per coset aΛ, for one c per orbit (_c_orbits), and rebuilds every other
-c's witness from its representative's record.  Λ is held in one record per
-query (Symmetry), which the count and Walsh sides of walsh.py read too.
+c's witness from its representative's record.  Λ and the Frobenius test are
+held in one record per table (FunctionTable.symmetry), which every query reads.
 Every witness row is then recounted in numpy by one function (_results), a
 block of (c, a) rows at a time, so a wrong scan raises WitnessMismatch.
 """
@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateCs, SizeGuardExceeded, WitnessMismatch
-from .field import FieldSpec, _integer, _prime_factors
+from .field import FieldSpec, _integer
 from .functions import FunctionTable
 from .parallel import parallel_map
 
@@ -289,88 +289,25 @@ def _row_maxima(spec: FieldSpec, values, c: int, rows):
     return np.concatenate(maxima), np.concatenate(first_b)
 
 
-def _stabilizer(spec: FieldSpec, values):
-    """(m, μ): the multiplicative stabilizer Λ = {λ != 0 : F(λx) = μ_λ F(x)
-    for every x} of F is <g^m>, g the field's generator, and μ = μ_(g^m).
-
-    λ -> μ_λ is a homomorphism when F != 0, so M = {μ_λ} = <μ>.  F = 0 is
-    stabilized by every λ with every μ; μ = g^m there, so M = Λ.
-
-    Λ is cyclic, so it is found in O(q) per test: for each prime r of
-    q - 1, λ = g^((q-1)/r^k) lies in Λ for k = 1, 2, ... up to the r-part
-    of |Λ|.  A test takes μ = F(λx0)/F(x0) at the first x0 with F(x0) != 0
-    and compares the whole table.  It reads the values only, never the
-    origin descriptor.
-    """
-    q = spec.q
-    nonzero = np.flatnonzero(values)
-    if not len(nonzero):
-        return 1, spec.primitive_rank
-    x, x0 = np.arange(q), int(nonzero[0])
-    inv0 = int(spec._inv[values[x0]])
-
-    def multiplier(lam_x):   # μ_λ, from λx over every x
-        return spec.mul(int(values[lam_x[x0]]), inv0)
-
-    def stabilizes(k):   # λ = g^k
-        lam_x = spec.mul_gen_power(x, k)
-        return np.array_equal(values[lam_x], spec.scale_array(multiplier(lam_x), values))
-
-    order = 1
-    for r in _prime_factors(q - 1):
-        s = r
-        while (q - 1) % s == 0 and stabilizes((q - 1) // s):
-            order, s = order * r, s * r
-    m = (q - 1) // order
-    return m, multiplier(spec.mul_gen_power(x, m))
-
-
-@dataclass(frozen=True)
-class Symmetry:
-    """F's multiplicative stabilizer Λ = {λ != 0 : F(λx) = μ_λ F(x) for
-    every x}, the one record the sweep, the count side and the Walsh side
-    read.  Putting x = λy gives F(x + λa) - c*F(x) = μ_λ (F(y + a) -
-    c*F(y)), so n_F(λa, μ_λ b, c) = n_F(a, b, c) for every c: the rows of a
-    coset aΛ share their maximum and their histogram, and the smallest row
-    attaining a maximum is a coset minimum."""
-
-    m: int                 # Λ = <g^m>, g the field's generator
-    mu: int                # μ_(g^m), which generates M = {μ_λ} when F != 0
-    order: int             # |Λ| = (q - 1) / m, the rows per coset
-    rows: np.ndarray       # 0, then the smallest rank of each coset aΛ, ascending
-    coset_min: np.ndarray  # coset_min[a]: the smallest rank of aΛ; coset_min[0] = 0
-
-
-def _symmetry(spec: FieldSpec, values) -> Symmetry:
-    """F's symmetry record, from the one stabilizer search.  Power maps
-    A*x^d have Λ = GF(q)^* and rows 0 and 1; F = 0 has Λ = GF(q)^* too."""
-    m, mu = _stabilizer(spec, values)
-    rows, coset_min = spec.cosets(m)
-    return Symmetry(m, mu, (spec.q - 1) // m, rows, coset_min)
-
-
-def _c_orbits(spec: FieldSpec, values, cs):
+def _c_orbits(F: FunctionTable, cs):
     """The c values that decide every maximum over the requested cs
     (ascending): c -> (r, k, neg) with c = (r^(p^k))^(-1 if neg else 1),
     where r is the smallest requested c on c's orbit under c -> 1/c, and
-    under Frobenius c -> c^p when F(x^p) = F(x)^p for every x.  Putting
-    y = x + a in F(x + a) - c*F(x) = b gives n_F(a, b, c) =
+    under Frobenius c -> c^p when F commutes with it (F.symmetry.frobenius).
+    Putting y = x + a in F(x + a) - c*F(x) = b gives n_F(a, b, c) =
     n_F(-a, -b/c, 1/c) for every F and c != 0, and raising the equation
     to the p-th power gives n_F(a, b, c) = n_F(a^p, b^p, c^p) when F
     commutes with Frobenius: row a of r has the maximum of row ±a^(p^k)
-    of c, and a = 0 maps to a = 0.  c = 0 represents itself.  The
-    Frobenius test, values[frob] == frob[values], needs n > 1 and at
-    least two cs; it reads the values only, never the origin descriptor."""
+    of c, and a = 0 maps to a = 0.  c = 0 represents itself."""
+    spec = F.spec
     frob, inv = spec._frob, spec._inv
-    frobenius = (spec.n > 1 and len(cs) > 1
-                 and np.array_equal(values[frob], frob[values]))
     # frob[0] = inv[0] = 0, so c = 0 represents itself
     requested, rep = set(cs), {}
     for c in cs:
         if c in rep:
             continue
         y = c
-        for k in range(spec.n if frobenius else 1):
+        for k in range(spec.n if F.symmetry.frobenius else 1):
             for neg, image in ((False, y), (True, int(inv[y]))):
                 if image in requested and image not in rep:
                     rep[image] = (c, k, neg)
@@ -383,7 +320,7 @@ def _solutions(spec: FieldSpec, values, c: int, a: int, b: int):
     return tuple(int(x) for x in np.nonzero(d == b)[0])
 
 
-def _scan(state, c: int):
+def _scan(F: FunctionTable, c: int):
     """The scan record of one c over the stabilizer rows (see Symmetry): for
     a >= 0 and for a >= 1, (the maximum, the scanned rows attaining it
     ascending, the smallest b attaining it in the first row attaining it).
@@ -391,8 +328,8 @@ def _scan(state, c: int):
     _results reads only min(coset_min(±frob^k(rows))) for k < n, so when
     more than 2n rows attain the maximum the record keeps just the row
     giving each of those 2n minima: a record holds at most 2n rows."""
-    spec, values, rows, coset_min = state
-    row_max, first_b = _row_maxima(spec, values, c, rows)
+    spec, rows, coset_min = F.spec, F.symmetry.rows, F.symmetry.coset_min
+    row_max, first_b = _row_maxima(spec, F.values, c, rows)
     record = []
     for lo in (0, 1):   # rows[0] is a = 0
         best = int(row_max[lo:].max())
@@ -414,29 +351,27 @@ def _sweep(F: FunctionTable, c_filter, threads: int):
 
     Resolves the c-set, reads the rows that decide each scan from F's
     symmetry record and the c values to scan from _c_orbits, and scans
-    each representative once, in one parallel map.
+    each representative once, in one parallel map.  The record is read
+    before the workers fork, so they inherit it with F.
     Logs one DEBUG record on the "cdiffkit" logger with |Λ|, the rows
     scanned, the c values requested and scanned, and the kernel path (C or
-    numpy, see _kernel).  Returns the sweep state (spec, values, rows,
-    coset_min), the map {c: (r, k, neg)} over the c-set ascending, and
-    {r: scan record} (see _scan).
+    numpy, see _kernel).  Returns the map {c: (r, k, neg)} over the c-set
+    ascending, and {r: scan record} (see _scan).
     """
-    spec, values = F.spec, F.values
+    spec, sym = F.spec, F.symmetry
     cs = admissible_c(spec, c_filter)
-    sym = _symmetry(spec, values)
-    rep = _c_orbits(spec, values, cs)
+    rep = _c_orbits(F, cs)
     scanned = [c for c, (r, _, _) in rep.items() if r == c]
     # _kernel_name resolves the kernel before the workers fork
     _logger.debug("sweep over GF(%d^%d): |stabilizer| %d, rows scanned %d of %d, "
                   "c requested %d, c scanned %d, kernel %s", spec.p, spec.n,
                   sym.order, len(sym.rows), spec.q, len(cs), len(scanned),
                   _kernel_name())
-    state = (spec, values, sym.rows, sym.coset_min)
-    records = parallel_map(_scan, state, scanned, threads)
-    return state, rep, dict(zip(scanned, records))
+    records = parallel_map(_scan, F, scanned, threads)
+    return rep, dict(zip(scanned, records))
 
 
-def _results(state, conv: AConvention, rep, records):
+def _results(F: FunctionTable, conv: AConvention, rep, records):
     """The results for the cs of rep, in its order, and the number of
     blocks recounted.  rep maps c -> (r, k, neg) with c =
     (r^(p^k))^(-1 if neg else 1) (see _c_orbits), and records[r] is r's
@@ -454,7 +389,7 @@ def _results(state, conv: AConvention, rep, records):
     """
     if not rep:
         return (), 0
-    spec, values, _, coset_min = state
+    spec, coset_min = F.spec, F.symmetry.coset_min
     half = {r: 0 if conv.admits_zero_shift(r) else 1 for r, _, _ in rep.values()}
     index = {r: i for i, r in enumerate(half)}
     tops = [records[r][h] for r, h in half.items()]
@@ -473,7 +408,7 @@ def _results(state, conv: AConvention, rep, records):
     for start in starts:
         block = witnesses[start:start + chunk]
         cs, a_list = np.array([(c, a) for c, a, _, _ in block], dtype=np.int64).T
-        d = derivative_rows(spec, values, cs, a_list)
+        d = derivative_rows(spec, F.values, cs, a_list)
         offsets = np.arange(0, d.size, spec.q)[:, np.newaxis]   # row i counts from i*q
         counts = np.bincount((d + offsets).ravel(), minlength=d.size).reshape(d.shape)
         top = counts.argmax(axis=1)
@@ -532,8 +467,8 @@ def spectrum(F: FunctionTable, c_filter, conv: AConvention,
     "cdiffkit" logger after the sweep's: the rows recounted and the blocks.
     """
     spec = F.spec
-    state, rep, records = _sweep(F, c_filter, threads)
-    results, blocks = _results(state, conv, rep, records)
+    rep, records = _sweep(F, c_filter, threads)
+    results, blocks = _results(F, conv, rep, records)
     _log_recount(spec, len(results), blocks)
     c_desc = c_filter if isinstance(c_filter, str) else ",".join(map(str, rep))
     return SpectrumReport(
@@ -559,14 +494,14 @@ def dual_convention_max(F: FunctionTable, c_filter, threads: int = 1):
     raises WitnessMismatch; one DEBUG record names the rows recounted (one
     per convention) and the blocks.
     """
-    state, _, records = _sweep(F, c_filter, threads)
+    _, records = _sweep(F, c_filter, threads)
     best, rows, blocks = {}, 0, 0
     for conv in AConvention:
         if not records:
             best[conv.value] = (0, None)
             continue
         r = max(records, key=lambda r: records[r][0 if conv.admits_zero_shift(r) else 1][0])
-        (res,), used = _results(state, conv, {r: (r, 0, False)}, records)
+        (res,), used = _results(F, conv, {r: (r, 0, False)}, records)
         best[conv.value] = (res.value, (r, res.witness_a, res.witness_b))
         rows, blocks = rows + 1, blocks + used
     _log_recount(F.spec, rows, blocks)

@@ -2,12 +2,16 @@
 
 The table is the single source of truth for evaluation; the origin
 descriptor (monomial exponent, polynomial coefficients, inverse, raw) is
-metadata carried along for reports and serialization.
+metadata carried along for reports and serialization.  A table owns a
+read-only copy of its values, so its symmetry record, found from them once,
+holds for the table's lifetime.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import logging
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -19,7 +23,75 @@ from .errors import (
     RankOutOfRange,
     SchemaViolation,
 )
-from .field import FieldSpec, _integer
+from .field import FieldSpec, _integer, _prime_factors
+
+_logger = logging.getLogger("cdiffkit")
+
+
+def _stabilizer(spec: FieldSpec, values):
+    """(m, μ): the multiplicative stabilizer Λ = {λ != 0 : F(λx) = μ_λ F(x)
+    for every x} of F is <g^m>, g the field's generator, and μ = μ_(g^m).
+
+    λ -> μ_λ is a homomorphism when F != 0, so M = {μ_λ} = <μ>.  F = 0 is
+    stabilized by every λ with every μ; μ = g^m there, so M = Λ.
+
+    Λ is cyclic, so it is found in O(q) per test: for each prime r of
+    q - 1, λ = g^((q-1)/r^k) lies in Λ for k = 1, 2, ... up to the r-part
+    of |Λ|.  A test takes μ = F(λx0)/F(x0) at the first x0 with F(x0) != 0
+    and compares the whole table.  It reads the values only, never the
+    origin descriptor.
+    """
+    q = spec.q
+    nonzero = np.flatnonzero(values)
+    if not len(nonzero):
+        return 1, spec.primitive_rank
+    x, x0 = np.arange(q), int(nonzero[0])
+    inv0 = int(spec._inv[values[x0]])
+
+    def multiplier(lam_x):   # μ_λ, from λx over every x
+        return spec.mul(int(values[lam_x[x0]]), inv0)
+
+    def stabilizes(k):   # λ = g^k
+        lam_x = spec.mul_gen_power(x, k)
+        return np.array_equal(values[lam_x], spec.scale_array(multiplier(lam_x), values))
+
+    order = 1
+    for r in _prime_factors(q - 1):
+        s = r
+        while (q - 1) % s == 0 and stabilizes((q - 1) // s):
+            order, s = order * r, s * r
+    m = (q - 1) // order
+    return m, multiplier(spec.mul_gen_power(x, m))
+
+
+@dataclass(frozen=True)
+class Symmetry:
+    """F's multiplicative stabilizer Λ = {λ != 0 : F(λx) = μ_λ F(x) for
+    every x}, the one record the sweep, the count side and the Walsh side
+    read.  Putting x = λy gives F(x + λa) - c*F(x) = μ_λ (F(y + a) -
+    c*F(y)), so n_F(λa, μ_λ b, c) = n_F(a, b, c) for every c: the rows of a
+    coset aΛ share their maximum and their histogram, and the smallest row
+    attaining a maximum is a coset minimum."""
+
+    m: int                 # Λ = <g^m>, g the field's generator
+    mu: int                # μ_(g^m), which generates M = {μ_λ} when F != 0
+    order: int             # |Λ| = (q - 1) / m, the rows per coset
+    rows: np.ndarray       # 0, then the smallest rank of each coset aΛ, ascending
+    coset_min: np.ndarray  # coset_min[a]: the smallest rank of aΛ; coset_min[0] = 0
+    frobenius: bool        # n > 1 and F(x^p) = F(x)^p for every x
+
+
+def _symmetry(spec: FieldSpec, values) -> Symmetry:
+    """F's symmetry record, from the values only: the one stabilizer search
+    and the Frobenius test.  Power maps A*x^d have Λ = GF(q)^* and rows 0
+    and 1; F = 0 has Λ = GF(q)^* too.  Logs one DEBUG record."""
+    m, mu = _stabilizer(spec, values)
+    rows, coset_min = spec.cosets(m)
+    sym = Symmetry(m, mu, (spec.q - 1) // m, rows, coset_min,
+                   spec.n > 1 and np.array_equal(values[spec._frob], spec._frob[values]))
+    _logger.debug("symmetry over GF(%d^%d): |stabilizer| %d, rows %d of %d, frobenius %s",
+                  spec.p, spec.n, sym.order, len(rows), spec.q, "yes" if sym.frobenius else "no")
+    return sym
 
 
 @dataclass(frozen=True)
@@ -29,7 +101,8 @@ class FunctionTable:
     origin: dict = dataclass_field(default_factory=lambda: {"kind": "raw"})
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.int32)
+        # a copy: a view of the caller's array would change with it
+        vals = np.array(self.values, dtype=np.int32)
         if vals.shape != (self.spec.q,):
             raise SchemaViolation(
                 f"value vector must have exactly q = {self.spec.q} entries, "
@@ -38,6 +111,12 @@ class FunctionTable:
             raise RankOutOfRange("value ranks must lie in [0, q)")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    @functools.cached_property
+    def symmetry(self) -> Symmetry:
+        """F's symmetry record (see Symmetry), found on first use and kept
+        with the table, whose values cannot change."""
+        return _symmetry(self.spec, self.values)
 
     def __call__(self, x: int) -> int:
         return int(self.values[x])
@@ -140,7 +219,7 @@ def inverse_table(spec: FieldSpec) -> FunctionTable:
 
 
 def raw_table(spec: FieldSpec, values) -> FunctionTable:
-    return FunctionTable(spec, np.asarray(values, dtype=np.int32), {"kind": "raw"})
+    return FunctionTable(spec, values, {"kind": "raw"})
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +271,7 @@ def table_from_json_dict(blob: dict, spec: FieldSpec | None = None) -> FunctionT
             raise SchemaViolation(f"malformed coeffs exponent: {exc}") from exc
     if origin["kind"] == "monomial":
         origin["d"] = _integer(origin.get("d"), "monomial exponent d")
-    return FunctionTable(spec, np.array(values, dtype=np.int32), origin)
+    return FunctionTable(spec, values, origin)
 
 
 def save_table(table: FunctionTable, path) -> None:

@@ -38,8 +38,8 @@ answers all three for one (F, c) from one histogram per side.  When F has
 a multiplicative stabilizer Λ, F(λx) = μ_λ F(x) (power maps have one of
 order q - 1), W(λu, μ_λ v) = W(u, v): only column 0 and one column v per
 coset of the multipliers μ_λ are transformed, and only row 0 and one row s
-per coset sΛ of hat G.  Λ comes from cdiff.Symmetry; the count side scans
-the same rows, and both sides count a coset row |Λ| times.
+per coset sΛ of hat G.  Λ comes from F.symmetry, found once per table;
+the count side scans the same rows, and both sides count a coset row |Λ| times.
 """
 
 from __future__ import annotations
@@ -51,10 +51,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdiff import BLOCK_ELEMENTS, Symmetry, _count_blocks, _kernel_name, _symmetry
+from .cdiff import BLOCK_ELEMENTS, _count_blocks, _kernel_name
 from .errors import NotRationalInteger, SizeGuardExceeded
 from .field import FieldSpec
-from .functions import FunctionTable
+from .functions import FunctionTable, Symmetry
 
 WALSH_ENTRY_GUARD = 2 ** 23   # bound on the q^2 p entries of one Walsh array
 
@@ -204,7 +204,7 @@ class _Columns:
     """Which columns v of a Walsh array are transformed, how the others
     follow from them, and the labels the arrays are written and read with.
 
-    With Λ the stabilizer of F and μ_λ its multipliers (see cdiff.Symmetry),
+    With Λ the stabilizer of F and μ_λ its multipliers (see F.symmetry),
     putting x = λy in W_F gives W_F(λu, μ_λ v) = W_F(u, v), and so
     G(λu, μ_λ v) = G(u, v) for G(u, v) = W(u, v) conj(W(u, cv)).  Such an
     array is fixed by its column 0 and one column per coset rM of
@@ -271,12 +271,13 @@ def _labels(spec: FieldSpec) -> np.ndarray:
     return sum(tr[spec.scale_array(p ** i, x)] * p ** i for i in range(spec.n))
 
 
-def _column_map(spec: FieldSpec, sym: Symmetry) -> _Columns:
+def _column_map(F: FunctionTable) -> _Columns:
     """The columns of F's Walsh arrays (see _Columns) from its symmetry
     record: for A x^d, 1 + gcd(d, q - 1) columns (and rows 0 and 1 of
     hat G); for a trivial M, all q.  Logs one DEBUG record on the
     "cdiffkit" logger with |Λ|, the columns transformed and the rows of
     hat G read."""
+    spec, sym = F.spec, F.symmetry
     q, m = spec.q, sym.m                   # Λ = <g^m>
     e = spec.log(sym.mu)                   # μ = g^e generates M = <g^gcd(e, q - 1)>
     cols = spec.cosets(math.gcd(e, q - 1))[0]
@@ -322,20 +323,11 @@ def _walsh_columns(F: FunctionTable, columns: _Columns, size_guard: int | None,
     return _dft(W, p)
 
 
-def _walsh_array(F: FunctionTable,
-                 size_guard: int | None = WALSH_ENTRY_GUARD) -> np.ndarray:
-    """All Walsh values as an int64 array of shape (q, q, p); entry [u, v]
-    is the exponent-count vector of W_F(u, v), gathered from the
-    transformed columns (see _walsh_columns)."""
-    columns = _column_map(F.spec, _symmetry(F.spec, F.values))
-    return columns.take(_walsh_columns(F, columns, size_guard, F.spec.q))
-
-
 def walsh_table(F: FunctionTable) -> WalshTable:
     """All Walsh values of F; equal entries share one CyclotomicInt.  It
     holds q^2 references, so the guard counts all q columns."""
     spec, p = F.spec, F.spec.p
-    columns = _column_map(spec, _symmetry(spec, F.values))
+    columns = _column_map(F)
     W = _walsh_columns(F, columns, WALSH_ENTRY_GUARD, spec.q)
     shared = {}
 
@@ -377,7 +369,7 @@ def _count_frequencies(arr: np.ndarray, scale: int) -> np.ndarray:
 def _all_rows(head, rest, order: int) -> np.ndarray:
     """The histogram over every row from those of row 0 (head) and of the
     coset rows (rest), each of which stands for the order = |Λ| rows of its
-    coset (see cdiff.Symmetry)."""
+    coset (see functions.Symmetry)."""
     freq = np.zeros(max(len(head), len(rest)), dtype=np.int64)
     freq[:len(head)] += head
     freq[:len(rest)] += order * rest
@@ -469,12 +461,12 @@ def _walsh_histogram(F: FunctionTable, c: int, columns: _Columns,
     return _all_rows(head, rest, columns.sym.order)
 
 
-def _count_histogram(F: FunctionTable, c: int, sym: Symmetry) -> np.ndarray:
+def _count_histogram(F: FunctionTable, c: int) -> np.ndarray:
     """freq[m] = #{(a, b) : n_F(a, b, c) = m}, the count side: one
-    _count_blocks pass over sym.rows, weighted as the Walsh side's rows
-    (_all_rows).  Logs one DEBUG record on the "cdiffkit" logger with |Λ|,
-    the rows scanned and the kernel path."""
-    spec = F.spec
+    _count_blocks pass over F's stabilizer rows, weighted as the Walsh
+    side's rows (_all_rows).  Logs one DEBUG record on the "cdiffkit"
+    logger with |Λ|, the rows scanned and the kernel path."""
+    spec, sym = F.spec, F.symmetry
     q = spec.q
     _logger.debug("counts over GF(%d^%d): |stabilizer| %d, rows scanned %d of %d, "
                   "kernel %s", spec.p, spec.n, sym.order, len(sym.rows), q,
@@ -536,8 +528,7 @@ def pcn_power_sum(F: FunctionTable, c: int) -> int:
     """
     spec = F.spec
     _check_args(spec, c)
-    columns = _column_map(spec, _symmetry(spec, F.values))
-    return _pcn(spec.q, _walsh_histogram(F, c, columns))
+    return _pcn(spec.q, _walsh_histogram(F, c, _column_map(F)))
 
 
 def apcn_statistic(F: FunctionTable, c: int,
@@ -554,14 +545,7 @@ def apcn_statistic(F: FunctionTable, c: int,
     """
     spec = F.spec
     _check_args(spec, c)
-    columns = _column_map(spec, _symmetry(spec, F.values))
-    return _apcn(spec.q, _walsh_histogram(F, c, columns, size_guard))
-
-
-def counts_power_sums(F: FunctionTable, c: int, top: int) -> list:
-    """[sum_{a,b} n_F(a,b,c)^(j+1) for j = 1..top] (see _count_histogram)."""
-    freq = _count_histogram(F, c, _symmetry(F.spec, F.values))
-    return [_sum(freq, lambda m, j=j: m ** (j + 1)) for j in range(1, top + 1)]
+    return _apcn(spec.q, _walsh_histogram(F, c, _column_map(F), size_guard))
 
 
 def convolution_statistic(F: FunctionTable, c: int, delta: int):
@@ -572,14 +556,12 @@ def convolution_statistic(F: FunctionTable, c: int, delta: int):
     (a = 0 admissible).  walsh_side evaluates the identical quantity
     through the Walsh convolution tensors (see _walsh_histogram) and is
     None when its arrays would exceed WALSH_ENTRY_GUARD; whenever both
-    sides are computed they are equal integers.  Both sides read one
-    symmetry record.
+    sides are computed they are equal integers.
     """
     spec = F.spec
     _check_args(spec, c, delta)
-    sym = _symmetry(spec, F.values)
-    count_side = _phi_sum(_count_histogram(F, c, sym), delta)
-    columns = _column_map(spec, sym)
+    count_side = _phi_sum(_count_histogram(F, c), delta)
+    columns = _column_map(F)
     if _over_guard(spec, WALSH_ENTRY_GUARD, columns.width):
         return count_side, None
     return count_side, _phi_sum(_walsh_histogram(F, c, columns), delta)
@@ -587,14 +569,13 @@ def convolution_statistic(F: FunctionTable, c: int, delta: int):
 
 def walsh_check(F: FunctionTable, c: int, delta: int):
     """(pcn_power_sum, apcn_statistic, convolution_statistic) of (F, c,
-    delta) from one query: one argument check, one symmetry record, one
-    Walsh histogram and one count histogram.  Above WALSH_ENTRY_GUARD it
-    raises as pcn_power_sum does, before the count pass."""
+    delta) from one query: one argument check, one Walsh histogram and one
+    count histogram.  Above WALSH_ENTRY_GUARD it raises as pcn_power_sum
+    does, before the count pass."""
     spec = F.spec
     _check_args(spec, c, delta)
-    sym = _symmetry(spec, F.values)
-    walsh = _walsh_histogram(F, c, _column_map(spec, sym))
-    counts = _count_histogram(F, c, sym)
+    walsh = _walsh_histogram(F, c, _column_map(F))
+    counts = _count_histogram(F, c)
     return (_pcn(spec.q, walsh), _apcn(spec.q, walsh),
             (_phi_sum(counts, delta), _phi_sum(walsh, delta)))
 

@@ -29,10 +29,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CDIFF = "src/cdiffkit/cdiff.py"
 FIELD = "src/cdiffkit/field.py"
+FUNCTIONS = "src/cdiffkit/functions.py"
 SCAN = "src/cdiffkit/_scan.c"
 WALSH = "src/cdiffkit/walsh.py"
 TC = "tests/test_cdiff.py::"
 TF = "tests/test_field.py::"
+TFN = "tests/test_functions.py::"
 TW = "tests/test_walsh.py::"
 TCLI = "tests/test_cli.py::"
 
@@ -76,8 +78,8 @@ MUTANTS = [
            "_walsh_columns(F, columns, size_guard, F.spec.q)",
            (TW + "test_apcn_size_guard", TW + "test_convolution_walsh_guard")),
     Mutant("walsh-check: the Walsh side read from the count histogram", WALSH,
-           "walsh = _walsh_histogram(F, c, _column_map(spec, sym))",
-           "walsh = _count_histogram(F, c, sym)",
+           "walsh = _walsh_histogram(F, c, _column_map(F))",
+           "walsh = _count_histogram(F, c)",
            (TCLI + "test_walsh_check_sides_are_independent",)),
     Mutant("apcn: rhs with 2 q^2 pcn for 3 q^2 pcn", WALSH,
            "3 * q ** 2 * _pcn(q, freq)", "2 * q ** 2 * _pcn(q, freq)",
@@ -89,10 +91,23 @@ MUTANTS = [
     Mutant("ranks: a float truncated by int()", FIELD,
            "x = _integer(x, \"rank\", ValueError)", "x = int(x)",
            (TF + "test_scalar_operations_reject_non_integer_ranks",)),
-    Mutant("exponents: 0 not kept as q - 1", "src/cdiffkit/functions.py",
+    Mutant("exponents: 0 not kept as q - 1", FUNCTIONS,
            "(e % (q - 1) or q - 1) if q > 2 else 1",
            "(e % (q - 1)) if q > 2 else 1",
-           ("tests/test_functions.py::test_exponent_reduction",)),
+           (TFN + "test_exponent_reduction",)),
+    Mutant("symmetry: every table taken to commute with Frobenius", FUNCTIONS,
+           "spec.n > 1 and np.array_equal(values[spec._frob], spec._frob[values])",
+           "True",
+           (TC + "test_orbit_dispatch_scans_one_c_per_orbit",
+            TFN + "test_symmetry_record_is_found_once")),
+    Mutant("table: the values a view of the caller's array", FUNCTIONS,
+           "vals = np.array(self.values, dtype=np.int32)",
+           "vals = np.asarray(self.values, dtype=np.int32)",
+           (TFN + "test_table_owns_its_values",)),
+    Mutant("symmetry: the record rebuilt on every access", FUNCTIONS,
+           "    @functools.cached_property\n", "    @property\n",
+           (TW + "test_one_stabilizer_search_per_table",
+            TFN + "test_symmetry_record_is_found_once")),
     Mutant("transform: twiddle zeta^-kd for zeta^kd", WALSH,
            "s = k * d % p", "s = -k * d % p",
            (TW + "test_transform_matches_character_sums",)),
@@ -122,8 +137,8 @@ MUTANTS = [
            "np.bincount((d + offsets).ravel(),", "np.bincount(d.ravel(),",
            (TC + "test_blocked_recount_matches_one_c_at_a_time",)),
     Mutant("recount: every row of a block with the block's first c", CDIFF,
-           "derivative_rows(spec, values, cs, a_list)",
-           "derivative_rows(spec, values, cs[:1], a_list)",
+           "derivative_rows(spec, F.values, cs, a_list)",
+           "derivative_rows(spec, F.values, cs[:1], a_list)",
            (TC + "test_blocked_recount_matches_one_c_at_a_time",)),
     Mutant("recount: the scanned b not compared", CDIFF,
            "if got != value or (scanned and b != first_b):", "if got != value:",

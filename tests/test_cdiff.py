@@ -1,3 +1,4 @@
+import contextlib
 import logging
 import math
 import shutil
@@ -13,13 +14,14 @@ from cdiffkit import (AConvention, build_field, c_derivative,
                       dual_convention_max,
                       from_monomial, from_polynomial, inverse_table, raw_table,
                       spectrum, uniformity)
-from cdiffkit import cdiff
+from cdiffkit import cdiff, functions
 from cdiffkit.errors import DegenerateCs, SizeGuardExceeded, WitnessMismatch
 from cdiffkit.functions import table_from_json_dict, table_to_json_dict
 from cdiffkit.theorems import deca_trinomial
-from cdiffkit.walsh import counts_power_sums
+from cdiffkit.walsh import _count_histogram
 
 from oracles import brute_uniformity, ddt_counts, eval_poly, slow_field_like
+from records import trivial_record
 
 INC = AConvention.INCLUDE_A_ZERO
 NZ = AConvention.NONZERO_ONLY
@@ -311,11 +313,10 @@ def test_witness_check_rejects_inflated_value(gf8):
     F = from_monomial(gf8, 3)
     res = uniformity(F, 7, NZ)
     assert (res.witness_a, res.witness_b) == (1, 1)
-    state, _, _ = cdiff._sweep(F, [7], 1)
 
     def result(value, b):   # a scan record whose a != 0 maximum is in row 1
         record = (None, (value, np.array([1]), b))
-        (res,), blocks = cdiff._results(state, NZ, {7: (7, 0, False)}, {7: record})
+        (res,), blocks = cdiff._results(F, NZ, {7: (7, 0, False)}, {7: record})
         assert blocks == 1
         return res
 
@@ -372,12 +373,14 @@ def _check_inflated_scan_raises(gf27):
 
 # -- the symmetry dispatch against the scan of every row and every c ---------
 
-def _every_row_and_c():
-    """The scan of every row and every c: a trivial stabilizer (so every
-    row is its own coset) and no c orbits."""
-    return mock.patch.multiple(
-        cdiff, _stabilizer=lambda spec, values: (spec.q - 1, 1),
-        _c_orbits=lambda spec, values, cs: {c: (c, 0, False) for c in cs})
+@contextlib.contextmanager
+def _every_row_and_c(F):
+    """The scan of every row and every c: yields F's values under the
+    trivial record (see records.trivial_record), with no c orbits."""
+    G = trivial_record(F)
+    with mock.patch.object(cdiff, "_c_orbits",
+                           lambda F, cs: {c: (c, 0, False) for c in cs}):
+        yield G
 
 
 def _stabilizer_rows(spec, values):
@@ -414,8 +417,8 @@ def _check_dispatch(F, invariant, c_set, conv):
     every c, at threads 1 and 2 and, for q <= 27, the brute-force oracle."""
     spec = F.spec
     cs = cdiff.admissible_c(spec, c_set)
-    sym = cdiff._symmetry(spec, F.values)
-    rows, coset_min, rep = sym.rows, sym.coset_min, cdiff._c_orbits(spec, F.values, cs)
+    sym = F.symmetry
+    rows, coset_min, rep = sym.rows, sym.coset_min, cdiff._c_orbits(F, cs)
     assert rows.tolist() == _stabilizer_rows(spec, F.values)
     assert coset_min[rows].tolist() == rows.tolist()
     for c, (r, k, neg) in rep.items():
@@ -427,9 +430,9 @@ def _check_dispatch(F, invariant, c_set, conv):
     fast_dual = dual_convention_max(F, c_set)
     assert spectrum(F, c_set, conv, threads=2).to_json_dict() == fast.to_json_dict()
     assert dual_convention_max(F, c_set, threads=2) == fast_dual
-    with _every_row_and_c():
-        every = spectrum(F, c_set, conv, threads=1)
-        every_dual = dual_convention_max(F, c_set)
+    with _every_row_and_c(F) as G:
+        every = spectrum(G, c_set, conv, threads=1)
+        every_dual = dual_convention_max(G, c_set)
     assert fast.to_json_dict() == every.to_json_dict()
     assert fast.results == every.results
     assert fast_dual == every_dual
@@ -518,17 +521,15 @@ def _with_examples_both_conventions(test):
 def test_dispatch_scan_matches_generic(case):
     F, power_map = case
     spec, q = F.spec, F.spec.q
-    sym = cdiff._symmetry(spec, F.values)
-    rows, coset_min = sym.rows, sym.coset_min
+    rows = F.symmetry.rows
     if power_map:
         assert rows.tolist() == [0, 1]
     assert rows.tolist() == _stabilizer_rows(spec, F.values)
-    every = np.arange(q)
+    every = trivial_record(F)
     for c in range(q):
         # per maximum (a >= 0, a >= 1): the value, its first row and its b
-        fast, generic = ([(value, int(top[0]), b) for value, top, b in
-                          cdiff._scan((spec, F.values) + state, c)]
-                         for state in ((rows, coset_min), (every, every)))
+        fast, generic = ([(value, int(top[0]), b) for value, top, b in cdiff._scan(G, c)]
+                         for G in (F, every))
         assert fast == generic
 
 
@@ -542,9 +543,9 @@ def test_dispatch_payloads_match_generic(case, conv):
     fast_dual = dual_convention_max(F, "all")
     assert spectrum(F, "all", conv, threads=2).to_json_dict() == fast.to_json_dict()
     assert dual_convention_max(F, "all", threads=2) == fast_dual
-    with _every_row_and_c():
-        generic = spectrum(F, "all", conv, threads=1)
-        generic_dual = dual_convention_max(F, "all")
+    with _every_row_and_c(F) as G:
+        generic = spectrum(G, "all", conv, threads=1)
+        generic_dual = dual_convention_max(G, "all")
     assert fast.to_json_dict() == generic.to_json_dict()
     assert fast.results == generic.results
     assert fast_dual == generic_dual
@@ -637,7 +638,7 @@ def test_orbit_dispatch_needs_frobenius_and_two_cs():
     for spec, cs in [(build_field(2, 1), [0, 1]), (build_field(7, 1), list(range(7))),
                      (build_field(3, 3), [2])]:
         F = from_monomial(spec, 2)
-        rep = cdiff._c_orbits(spec, F.values, cs)
+        rep = cdiff._c_orbits(F, cs)
         assert all(k == 0 for _, k, _ in rep.values())
         assert (rep == {c: (c, 0, False) for c in cs}) == (spec.q != 7)
         for conv in (INC, NZ):
@@ -647,26 +648,24 @@ def test_orbit_dispatch_needs_frobenius_and_two_cs():
 def test_orbit_representative_is_smallest_requested_member(gf27):
     F = deca_trinomial(gf27, 1)
     assert sorted(_orbit(gf27, 9)) == [9, 13, 16, 20, 22, 25]
-    assert (cdiff._c_orbits(gf27, F.values, [2, 13, 16])
+    assert (cdiff._c_orbits(F, [2, 13, 16])
             == {2: (2, 0, False), 13: (13, 0, False), 16: (13, 1, False)})
     # 20 = 1/16 and 22 = 1/13 = 1/16^9
-    assert (cdiff._c_orbits(gf27, F.values, [2, 16, 20, 22])
+    assert (cdiff._c_orbits(F, [2, 16, 20, 22])
             == {2: (2, 0, False), 16: (16, 0, False), 20: (16, 0, True),
                 22: (16, 2, True)})
 
 
 def test_orbit_image_is_recounted(gf27):
     F = deca_trinomial(gf27, 1)
-    sym = cdiff._symmetry(gf27, F.values)
-    state = (gf27, F.values, sym.rows, sym.coset_min)
-    record = cdiff._scan(state, 13)
+    record = cdiff._scan(F, 13)
     # 16 = 13^3 and 22 = 1/13; a single c is scanned directly
     for c, k, neg in ((16, 1, False), (22, 0, True)):
-        assert (cdiff._results(state, INC, {c: (13, k, neg)}, {13: record})
+        assert (cdiff._results(F, INC, {c: (13, k, neg)}, {13: record})
                 == (spectrum(F, [c], INC).results, 1))
         inflated = ((record[0][0] + 1,) + record[0][1:], record[1])
         with pytest.raises(WitnessMismatch):
-            cdiff._results(state, INC, {c: (13, k, neg)}, {13: inflated})
+            cdiff._results(F, INC, {c: (13, k, neg)}, {13: inflated})
 
 
 @pytest.mark.parametrize("p,n,coeffs", [(3, 3, {1: 1, 0: 2}), (3, 4, {1: 1, 0: 2}),
@@ -678,7 +677,7 @@ def test_scan_records_hold_at_most_n_rows(p, n, coeffs):
     # the lexicographically smallest one in the dense DDT
     spec = build_field(p, n)
     F = from_polynomial(spec, coeffs)
-    _, rep, records = cdiff._sweep(F, "all", 1)
+    rep, records = cdiff._sweep(F, "all", 1)
     assert any(r != c for c, (r, _, _) in rep.items())
     for record in records.values():
         for _, rows, _ in record:
@@ -735,11 +734,12 @@ def _check_count_records(caplog, kernel):
     F = from_monomial(build_field(3, 3), 5)
     with caplog.at_level(logging.DEBUG, logger="cdiffkit"):
         ddt_c(F, 2)
-        counts_power_sums(F, 2, 2)
+        _count_histogram(F, 2)
     records = [r for r in caplog.records if r.name == "cdiffkit"]
     assert {r.levelno for r in records} == {logging.DEBUG}
     assert [r.getMessage() for r in records] == [
         f"ddt over GF(3^3): rows scanned 27, kernel {kernel}",
+        "symmetry over GF(3^3): |stabilizer| 26, rows 2 of 27, frobenius yes",
         f"counts over GF(3^3): |stabilizer| 26, rows scanned 2 of 27, kernel {kernel}"]
 
 
@@ -753,6 +753,7 @@ def _check_sweep_record(caplog, kernel):
     records = [r for r in caplog.records if r.name == "cdiffkit"]
     assert {r.levelno for r in records} == {logging.DEBUG}
     assert [r.getMessage() for r in records] == [
+        "symmetry over GF(3^5): |stabilizer| 2, rows 122 of 243, frobenius yes",
         ("sweep over GF(3^5): |stabilizer| 2, rows scanned 122 of 243, c requested 241, "
          f"c scanned 25, kernel {kernel}"),
         "recount over GF(3^5): rows recounted 2 in 2 blocks, kernel numpy"]
@@ -765,8 +766,9 @@ def test_spectrum_logs_its_recount(caplog):
         spectrum(F, "exclude_0_1", INC)
     records = [r for r in caplog.records if r.name == "cdiffkit"]
     assert {r.levelno for r in records} == {logging.DEBUG}
-    assert records[0].getMessage().startswith("sweep over GF(3^5)")
-    assert [r.getMessage() for r in records[1:]] == [
+    assert records[0].getMessage().startswith("symmetry over GF(3^5)")
+    assert records[1].getMessage().startswith("sweep over GF(3^5)")
+    assert [r.getMessage() for r in records[2:]] == [
         "recount over GF(3^5): rows recounted 241 in 8 blocks, kernel numpy"]
 
 
@@ -817,8 +819,9 @@ def symmetry_cases(draw):
 @example((from_polynomial(build_field(7, 2), {7: 1, 4: 1}), True, [2, 3, 9, 30], 3), INC)
 def test_symmetry_dispatch_matches_every_row_and_c(case, conv):
     F, invariant, c_set, g = case
-    rows = cdiff._symmetry(F.spec, F.values).rows
+    rows = F.symmetry.rows
     assert (F.spec.q - 1) // (len(rows) - 1) % g == 0
+    assert F.symmetry.frobenius == (invariant and F.spec.n > 1)
     _check_dispatch(F, invariant, c_set, conv)
 
 
@@ -837,13 +840,13 @@ def test_stabilizer_generator_and_multiplier(pn):
               (raw_table(spec, np.zeros(q)), q - 1, g),      # F = 0: M = Λ
               (raw_table(spec, np.full(q, q - 1)), q - 1, 1)]
     for F, order, mu in cases:
-        m, got = cdiff._stabilizer(spec, F.values)
+        m, got = functions._stabilizer(spec, F.values)
         assert ((q - 1) // m, got) == (order, mu)
         lam = oracle.pow(g, m)
         vals = [int(v) for v in F.values]
         assert all(vals[oracle.mul(lam, x)] == oracle.mul(mu, vals[x]) for x in range(q))
         # the record's rows and coset minima are those of Λ = <g^m>
-        sym = cdiff._symmetry(spec, F.values)
+        sym = F.symmetry
         assert (sym.m, sym.mu, sym.order) == (m, mu, order)
         rows, coset_min = sym.rows, sym.coset_min
         assert rows.tolist() == _stabilizer_rows(spec, F.values)
@@ -952,7 +955,7 @@ def test_compiled_row_maxima_matches_numpy(case):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(scan_cases(), BLOCK_ROWS)
 def test_compiled_statistics_match_numpy(case, block_rows):
-    # ddt_c, counts_power_sums and derivative_walsh_statistic read the same
+    # ddt_c, the count side and derivative_walsh_statistic read the same
     # counts from either kernel; the Walsh statistics refuse c = 1
     _require_compiled_scan()
     spec, values, c, rows = case
@@ -962,7 +965,7 @@ def test_compiled_statistics_match_numpy(case, block_rows):
         with _block_rows(block_rows):
             out = [ddt_c(F, c).tolist()]
             if c != 1:
-                out.append(counts_power_sums(F, c, 3))
+                out.append(_count_histogram(F, c).tolist())
                 out += [derivative_walsh_statistic(F, c, int(a), 2) for a in rows[:3]]
             return out
 
@@ -973,11 +976,11 @@ def test_compiled_statistics_match_numpy(case, block_rows):
 
 # -- the blocked witness recount against a recount of one c at a time -------
 
-def _recount_one_c_at_a_time(state, conv, rep, records):
+def _recount_one_c_at_a_time(F, conv, rep, records):
     """Each c's witness row found and recounted on its own: the images
     ±a^(p^k) of the rows attaining r's maximum, their smallest coset
     minimum, one derivative row and one bincount."""
-    spec, values, _, coset_min = state
+    spec, values, coset_min = F.spec, F.values, F.symmetry.coset_min
     results = []
     for c, (r, k, neg) in rep.items():
         value, rows, b = records[r][0 if conv.admits_zero_shift(c) else 1]
@@ -1032,10 +1035,10 @@ INVERSE_256 = inverse_table(build_field(2, 8))
 @example((INVERSE_256, "all"), NZ, 2, cdiff._MAX_RECOUNT_ROWS)
 def test_blocked_recount_matches_one_c_at_a_time(case, conv, threads, block_rows):
     F, c_set = case
-    state, rep, records = cdiff._sweep(F, c_set, threads)
+    rep, records = cdiff._sweep(F, c_set, threads)
     with mock.patch.object(cdiff, "_MAX_RECOUNT_ROWS", block_rows):
-        results, blocks = cdiff._results(state, conv, rep, records)
-    assert results == _recount_one_c_at_a_time(state, conv, rep, records)
+        results, blocks = cdiff._results(F, conv, rep, records)
+    assert results == _recount_one_c_at_a_time(F, conv, rep, records)
     rows = min(block_rows, max(1, cdiff.BLOCK_ELEMENTS // F.spec.q))
     assert blocks == -(-len(rep) // rows)
 
@@ -1074,7 +1077,9 @@ def test_failed_compile_falls_back_to_numpy(tmp_path, caplog, failure):
     finally:
         cdiff._kernel.cache_clear()
     assert list(tmp_path.iterdir()) == []   # the temporary output is removed
-    messages = [r.getMessage() for r in caplog.records if r.name == "cdiffkit"]
+    # every record that names a kernel names numpy
+    messages = [r.getMessage() for r in caplog.records
+                if r.name == "cdiffkit" and "kernel" in r.getMessage()]
     assert messages and all(m.endswith("kernel numpy") for m in messages)
     _require_compiled_scan()
     assert fallback == _payloads(F, "all", INC)

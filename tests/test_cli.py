@@ -9,7 +9,7 @@ from unittest import mock
 
 import pytest
 
-from cdiffkit import build_field, cdiff, from_monomial, save_table
+from cdiffkit import build_field, from_monomial, functions, save_table
 from cdiffkit.cli import _COMMANDS, build_parser, main
 
 cli_module = importlib.import_module("cdiffkit.cli")
@@ -189,7 +189,7 @@ def test_walsh_check_rejects_delta_before_any_statistic(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("a statistic ran before the delta check")
 
-    monkeypatch.setattr(walsh_module, "_symmetry", refuse)
+    monkeypatch.setattr(functions, "_symmetry", refuse)
     monkeypatch.setattr(walsh_module, "_hat_g_rows", refuse)
     code, out, err = run(capsys, "walsh-check", "--p", "3", "--n", "2",
                          "--function", "monomial:2", "--c", "2", "--delta", "0")
@@ -205,7 +205,7 @@ def test_walsh_check_is_one_query(capsys):
     # along u, hat G along v) and one count pass for pcn, apcn and the
     # convolution pair
     counters = {name: mock.patch.object(module, name, wraps=getattr(module, name))
-                for module, name in ((cdiff, "_stabilizer"), (walsh_module, "_hat_g_rows"),
+                for module, name in ((functions, "_stabilizer"), (walsh_module, "_hat_g_rows"),
                                      (walsh_module, "_dft"), (walsh_module, "_count_blocks"))}
     mocks = {name: patch.start() for name, patch in counters.items()}
     try:

@@ -1,11 +1,13 @@
 import json
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from cdiffkit import (build_field, from_monomial, from_polynomial,
-                      inverse_table, load_table, raw_table, save_table)
+from cdiffkit import (AConvention, build_field, from_monomial, from_polynomial,
+                      inverse_table, load_table, pcn_power_sum, raw_table, save_table,
+                      uniformity)
 from cdiffkit.errors import (EmptyPolynomial, FieldMismatch, InvalidExponent,
                              RankOutOfRange, SchemaViolation)
 from cdiffkit.functions import _from_descriptor, table_from_json_dict, table_to_json_dict
@@ -180,6 +182,38 @@ def test_values_read_only(gf9):
     tab = from_monomial(gf9, 2)
     with pytest.raises(ValueError):
         tab.values[0] = 1
+
+
+def test_table_owns_its_values(gf16):
+    # a table of a view keeps its values when the viewed array is written,
+    # and so does what is found from them once: x is PcN at c = 2, and 0
+    # would have a count of q
+    base = np.arange(20, dtype=np.int32)
+    F = raw_table(gf16, base[:16])
+    inc = AConvention.INCLUDE_A_ZERO
+    assert uniformity(F, 2, inc).value == 1
+    base[:] = 0
+    assert F.values.tolist() == list(range(16))
+    assert uniformity(F, 2, inc).value == 1
+
+
+@pytest.mark.parametrize("coeffs,record", [
+    ({5: 1}, "|stabilizer| 26, rows 2 of 27, frobenius yes"),
+    ({5: 1, 1: 2}, "|stabilizer| 2, rows 14 of 27, frobenius yes"),
+    ({1: 4}, "|stabilizer| 26, rows 2 of 27, frobenius no"),
+])
+def test_symmetry_record_is_found_once(gf27, caplog, coeffs, record):
+    # the first query on a table builds its record and logs it; a second
+    # query, on the Walsh side, reads the same record
+    F = from_polynomial(gf27, coeffs)
+    with caplog.at_level(logging.DEBUG, logger="cdiffkit"):
+        uniformity(F, 2, AConvention.INCLUDE_A_ZERO)
+        pcn_power_sum(F, 2)
+    found = [r for r in caplog.records
+             if r.name == "cdiffkit" and r.getMessage().startswith("symmetry")]
+    assert [(r.levelno, r.getMessage()) for r in found] == [
+        (logging.DEBUG, f"symmetry over GF(3^3): {record}")]
+    assert F.symmetry is F.symmetry
 
 
 def test_describe(gf9):

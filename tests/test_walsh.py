@@ -3,6 +3,7 @@ import importlib
 import inspect
 import logging
 import math
+import os
 import tracemalloc
 from unittest import mock
 
@@ -12,19 +13,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdiffkit import (AConvention, CyclotomicInt, apcn_statistic, build_field,
-                      cdiff, convolution_statistic, ddt_c,
+                      convolution_statistic, ddt_c,
                       derivative_walsh_statistic, dual_convention_max,
                       from_monomial, from_polynomial, inverse_table,
                       pcn_power_sum, raw_table, spectrum, uniformity,
                       walsh_table, walsh_value)
+from cdiffkit import functions
 from cdiffkit.errors import NotRationalInteger, SizeGuardExceeded
 from cdiffkit.walsh import (_column_map, _count_frequencies, _count_histogram, _dft,
-                            _hat_g_rows, _labels, _walsh_array, _walsh_histogram,
-                            counts_power_sums, walsh_check)
+                            _hat_g_rows, _labels, _walsh_columns, _walsh_histogram,
+                            walsh_check)
 
 from oracles import (brute_convolution_tensor, brute_derivative_statistic,
                      brute_pcn_sum, brute_walsh, brute_walsh_table,
                      ddt_counts, slow_field_like)
+from records import trivial_record
 
 INC = AConvention.INCLUDE_A_ZERO
 walsh_module = importlib.import_module("cdiffkit.walsh")
@@ -143,7 +146,7 @@ def test_transform_matches_character_sums(pn, seed, d, k):
     rng = np.random.default_rng(seed)
     for F in (raw_table(spec, rng.integers(0, q, q)), from_monomial(spec, d)):
         want = brute_walsh_table(oracle, [F[x] for x in range(q)])
-        assert np.array_equal(_walsh_array(F), np.array(want))
+        assert np.array_equal(_walsh_values(F), np.array(want))
     # out[s] = sum_w zeta^<s, w> arr[w] over base-p digit vectors s, w;
     # multiplying by zeta^e rotates by e
     arr = rng.integers(-1000, 1000, size=(q, k, p), dtype=np.int64)
@@ -172,18 +175,12 @@ def test_dft_peaks_at_one_buffer(q, p):
 
 # -- the column reduction against the generic path ----------------------------
 
-def _trivial_stabilizer(spec, values):
-    return spec.q - 1, 1   # Λ = {1}: every row and every column
-
-
-def _generic():
-    """The trivial stabilizer for the sweep, the Walsh arrays and the
-    count side alike: they all read cdiff's one symmetry record."""
-    return mock.patch.object(cdiff, "_stabilizer", _trivial_stabilizer)
-
-
-def _columns(F):
-    return _column_map(F.spec, cdiff._symmetry(F.spec, F.values))
+def _walsh_values(F):
+    """All Walsh values as a (q, q, p) array: entry [u, v] is the
+    exponent-count vector of W_F(u, v), gathered from the transformed
+    columns."""
+    columns = _column_map(F)
+    return columns.take(_walsh_columns(F, columns, None, F.spec.q))
 
 
 def _histograms(F, c):
@@ -191,9 +188,8 @@ def _histograms(F, c):
     freq[m] = #{(a, b) : n_F(a, b, c) = m}, without trailing zeros: the
     count side's vector has q + 1 entries, the Walsh side's one more than
     the largest count."""
-    sym = cdiff._symmetry(F.spec, F.values)
     return [np.trim_zeros(freq, "b") for freq in
-            (_walsh_histogram(F, c, _column_map(F.spec, sym)), _count_histogram(F, c, sym))]
+            (_walsh_histogram(F, c, _column_map(F)), _count_histogram(F, c))]
 
 
 def _power_sum(freq, j):
@@ -232,18 +228,18 @@ def test_column_reduction_matches_generic(case):
     if kind == "power":
         # A x^d: Λ = GF(q)^*, M = <g^d>, 1 + gcd(d, q - 1) columns
         d = next(iter(F.origin["coeffs"]))
-        columns = _columns(F)
+        columns = _column_map(F)
         assert len(columns.cols) == 1 + math.gcd(d, q - 1)
         assert list(columns.sym.rows) == [0, 1] and columns.sym.order == q - 1
-    W, table = _walsh_array(F), walsh_table(F)
-    pcn, freq = pcn_power_sum(F, c), _walsh_histogram(F, c, _columns(F))
-    with _generic():
-        columns = _columns(F)
-        assert len(columns.cols) == len(columns.sym.rows) == q
-        assert np.array_equal(_walsh_array(F), W)
-        assert walsh_table(F).entries == table.entries
-        assert pcn_power_sum(F, c) == pcn
-        assert np.array_equal(_walsh_histogram(F, c, columns), freq)
+    W, table = _walsh_values(F), walsh_table(F)
+    pcn, freq = pcn_power_sum(F, c), _walsh_histogram(F, c, _column_map(F))
+    G = trivial_record(F)
+    columns = _column_map(G)
+    assert len(columns.cols) == len(columns.sym.rows) == q
+    assert np.array_equal(_walsh_values(G), W)
+    assert walsh_table(G).entries == table.entries
+    assert pcn_power_sum(G, c) == pcn
+    assert np.array_equal(_walsh_histogram(G, c, columns), freq)
     if q <= 27:
         oracle = slow_field_like(spec)
         oracle.trace = functools.cache(oracle.trace)
@@ -257,12 +253,13 @@ def test_walsh_array_logs_columns(caplog):
     F = from_monomial(build_field(3, 4), 2)
     with caplog.at_level(logging.DEBUG, logger="cdiffkit"):
         pcn = pcn_power_sum(F, 2)
-    [record] = [r for r in caplog.records if r.name == "cdiffkit"]
-    assert record.levelno == logging.DEBUG
-    assert record.getMessage() == ("walsh array over GF(3^4): |stabilizer| 80, "
-                                   "columns transformed 3 of 81, rows of hat G "
-                                   "2 of 81")
-    assert pcn == pcn_power_sum(F, 2) == 81 ** 2 * counts_power_sums(F, 2, 1)[0]
+    records = [r for r in caplog.records if r.name == "cdiffkit"]
+    assert {r.levelno for r in records} == {logging.DEBUG}
+    assert [r.getMessage() for r in records] == [
+        "symmetry over GF(3^4): |stabilizer| 80, rows 2 of 81, frobenius yes",
+        "walsh array over GF(3^4): |stabilizer| 80, columns transformed 3 of 81, "
+        "rows of hat G 2 of 81"]
+    assert pcn == pcn_power_sum(F, 2) == 81 ** 2 * _power_sum(_count_histogram(F, 2), 1)
 
 
 def _assert_hat_g_rows(F, c):
@@ -277,7 +274,7 @@ def _assert_hat_g_rows(F, c):
             for i in range(spec.n))
     assert np.array_equal(t, _labels(spec))
     assert np.array_equal(np.sort(t), np.arange(q))
-    columns = _columns(F)
+    columns = _column_map(F)
     rows = columns.sym.rows
     R = _hat_g_rows(F, c, columns)
     want = np.zeros((q, len(rows), spec.p), dtype=np.int64)
@@ -298,8 +295,7 @@ def test_transformed_g_is_q2_times_ddt(pn, seed, drawn):
     F = raw_table(spec, np.random.default_rng(seed).integers(0, q, q))
     for c in (0, 1, drawn % q):
         _assert_hat_g_rows(F, c)
-        with _generic():
-            assert len(_assert_hat_g_rows(F, c).sym.rows) == q
+        assert len(_assert_hat_g_rows(trivial_record(F), c).sym.rows) == q
 
 
 @pytest.mark.parametrize("pn", [(2, 4), (3, 3), (5, 2), (3, 4), (7, 2),
@@ -324,8 +320,8 @@ def test_count_frequencies_rejects_non_counts(p, n):
     spec = build_field(p, n)
     q = spec.q
     F = raw_table(spec, np.random.default_rng(q).integers(0, q, q))
-    with _generic():
-        Ghat = _hat_g_rows(F, 2, _columns(F))   # every row
+    G = trivial_record(F)
+    Ghat = _hat_g_rows(G, 2, _column_map(G))   # every row
     assert np.array_equal(_count_frequencies(Ghat, q * q),
                           np.bincount(ddt_c(F, 2).ravel()))
     # entry [1, 2]: coefficient 0 off by one (not a multiple of q^2), then
@@ -361,7 +357,7 @@ def test_walsh_table_shares_equal_entries(p, n):
     rng = np.random.default_rng(p * 100 + n)
     for F in (from_monomial(spec, 2), raw_table(spec, rng.integers(0, spec.q, spec.q))):
         W = walsh_table(F)
-        arr = _walsh_array(F)
+        arr = _walsh_values(F)
         objects = {}
         for u in range(spec.q):
             for v in range(spec.q):
@@ -414,7 +410,7 @@ def test_pcn_above_q256_matches_counts(p, n):
               raw_table(spec, rng.integers(0, q, q))):
         for c in (0, 2, q - 1):
             s = pcn_power_sum(F, c)
-            assert s == q ** 2 * counts_power_sums(F, c, 1)[0]
+            assert s == q ** 2 * _power_sum(_count_histogram(F, c), 1)
             assert s >= p ** (4 * n)
             assert (s == p ** (4 * n)) == (uniformity(F, c, INC).value == 1)
 
@@ -443,7 +439,7 @@ def test_tensor_matches_brute_force():
             F = from_monomial(spec, desc["d"])
         oracle = slow_field_like(spec)
         vals = [F[x] for x in range(spec.q)]
-        freq = _walsh_histogram(F, c, _columns(F))
+        freq = _walsh_histogram(F, c, _column_map(F))
         for j in ((1, 2, 3) if spec.q == 4 else (1, 2)):
             # the (j+1)-fold tensor is q^(2j) times the j-th sum
             assert (spec.q ** (2 * j) * _power_sum(freq, j)
@@ -462,7 +458,6 @@ def test_count_walsh_duality():
             for c in (0, 2):
                 walsh, counts = _histograms(F, c)
                 assert np.array_equal(walsh, counts)
-                assert counts_power_sums(F, c, 3) == [_power_sum(walsh, j) for j in (1, 2, 3)]
 
 
 def test_apcn_square_gf9_equality(gf9):
@@ -547,7 +542,7 @@ def test_statistics_peak_at_two_arrays():
     spec = build_field(2, 9)
     q, p = spec.q, spec.p
     F = raw_table(spec, np.random.default_rng(q).integers(0, q, q))
-    columns = _columns(F)
+    columns = _column_map(F)
     assert len(columns.cols) == len(columns.sym.rows) == q
     for call in (lambda: apcn_statistic(F, 2), lambda: pcn_power_sum(F, 2)):
         tracemalloc.start()
@@ -605,38 +600,46 @@ def test_count_side_matches_every_row(case):
     F, c = case
     spec = F.spec
     q = spec.q
-    sym = cdiff._symmetry(spec, F.values)
-    sums = counts_power_sums(F, c, 3)
     with mock.patch.object(walsh_module, "_count_blocks",
                            wraps=walsh_module._count_blocks) as blocks:
-        freq = _count_histogram(F, c, sym)
-    assert blocks.call_args.args[3].tolist() == sym.rows.tolist()
-    assert [_power_sum(freq, j) for j in (1, 2, 3)] == sums
+        freq = _count_histogram(F, c)
+    assert blocks.call_args.args[3].tolist() == F.symmetry.rows.tolist()
+    sums = [_power_sum(freq, j) for j in (1, 2, 3)]
     # the two sides' histograms agree as whole vectors
     walsh, counts = _histograms(F, c)
     assert np.array_equal(walsh, counts)
-    with _generic():
-        assert len(cdiff._symmetry(spec, F.values).rows) == q
-        assert counts_power_sums(F, c, 3) == sums
-        assert np.array_equal(_count_histogram(F, c, cdiff._symmetry(spec, F.values)), freq)
-        assert all(np.array_equal(a, counts) for a in _histograms(F, c))
+    G = trivial_record(F)
+    assert np.array_equal(_count_histogram(G, c), freq)
+    assert all(np.array_equal(a, counts) for a in _histograms(G, c))
     if q <= 27:
         counts = ddt_counts(slow_field_like(spec), [int(v) for v in F.values], c).values()
         assert sums == [sum(n ** (j + 1) for n in counts) for j in (1, 2, 3)]
 
 
-def test_one_stabilizer_search_per_query(gf27):
-    # the sweep, the count side and the Walsh side read one symmetry record;
-    # convolution_statistic shares it between its two sides
-    F = from_polynomial(gf27, {5: 1, 1: 2})
-    calls = [lambda: spectrum(F, "all", INC), lambda: dual_convention_max(F, "nonzero"),
-             lambda: uniformity(F, 2, INC), lambda: pcn_power_sum(F, 2),
-             lambda: apcn_statistic(F, 2), lambda: convolution_statistic(F, 2, 2),
-             lambda: counts_power_sums(F, 2, 2), lambda: walsh_table(F),
-             lambda: walsh_check(F, 2, 3)]
-    for call in calls:
-        with mock.patch.object(cdiff, "_stabilizer", wraps=cdiff._stabilizer) as search:
-            call()
+def test_one_stabilizer_search_per_table(gf27):
+    # whichever query comes first finds F's symmetry record, and every later
+    # one reads it: the sweep and its workers (threads 1 and 2), the count
+    # side and the Walsh side; a search in a worker would fail the query
+    calls = [lambda F: uniformity(F, 2, INC), lambda F: pcn_power_sum(F, 2),
+             lambda F: apcn_statistic(F, 2), lambda F: convolution_statistic(F, 2, 2),
+             lambda F: walsh_table(F), lambda F: walsh_check(F, 2, 3)]
+    for threads in (1, 2):
+        calls += [lambda F, t=threads: spectrum(F, "all", INC, t),
+                  lambda F, t=threads: dual_convention_max(F, "nonzero", t)]
+    parent, stabilizer = os.getpid(), functions._stabilizer
+
+    def search_in_parent(spec, values):
+        assert os.getpid() == parent, "a worker searched for the stabilizer"
+        return stabilizer(spec, values)
+
+    for first in range(len(calls)):
+        F = from_polynomial(gf27, {5: 1, 1: 2})
+        with mock.patch.object(functions, "_stabilizer",
+                               side_effect=search_in_parent) as search:
+            calls[first](F)
+            assert search.call_count == 1
+            for call in calls:
+                call(F)
         assert search.call_count == 1
 
 
@@ -700,7 +703,7 @@ def test_convolution_walsh_guard(gf16):
     F = from_monomial(gf16, 5)
     cs, ws = convolution_statistic(F, 2, 3)
     assert cs == ws
-    held = 16 * _columns(F).width * 2
+    held = 16 * _column_map(F).width * 2
     assert held == 16 * 6 * 2
     with mock.patch.object(walsh_module, "WALSH_ENTRY_GUARD", held - 1):
         assert convolution_statistic(F, 2, 3) == (cs, None)
