@@ -239,8 +239,8 @@ def _is_generator(g: int, mod, p: int) -> bool:
 class FieldSpec:
     """A concrete model of GF(p^n): modulus plus precomputed tables.
 
-    Immutable after construction; safe to share between threads and
-    processes.  All arithmetic methods are pure.
+    Immutable after construction (trace_labels is built on first use); safe
+    to share between threads and processes.  All arithmetic methods are pure.
     """
 
     def __init__(self, p: int, n: int, modulus=None):
@@ -522,6 +522,15 @@ class FieldSpec:
     def trace_all(self):
         """Vector of absolute traces over all ranks."""
         return self._trace
+
+    @functools.cached_property
+    def trace_labels(self) -> np.ndarray:
+        """t: digit i of t[z] is Tr(z alpha^i), alpha^i of rank p^i, so Tr(z x) =
+        <t[z], digits of x> mod p, the Walsh arrays' labels.  Built on first use."""
+        p, x = self.p, np.arange(self.q)
+        t = sum(self._trace[self.scale_array(p ** i, x)] * p ** i for i in range(self.n))
+        t.setflags(write=False)
+        return t
 
     # -- identity / serialization ---------------------------------------------
 

@@ -3,8 +3,8 @@
 The table is the single source of truth for evaluation; the origin
 descriptor (monomial exponent, polynomial coefficients, inverse, raw) is
 metadata carried along for reports and serialization.  A table owns a
-read-only copy of its values, so its symmetry record, found from them once,
-holds for the table's lifetime.
+read-only copy of its integer values, so its symmetry record (Λ and, from
+the first Walsh query, M), found from them once, holds for its lifetime.
 """
 
 from __future__ import annotations
@@ -12,7 +12,9 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import math
 from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,15 +66,22 @@ def _stabilizer(spec: FieldSpec, values):
     return m, multiplier(spec.mul_gen_power(x, m))
 
 
+class ColumnMap(NamedTuple):   # the columns of F's Walsh arrays (see Symmetry.columns)
+    cols: np.ndarray    # 0, then the smallest rank of each coset of M, ascending
+    index: np.ndarray   # index[v]: the position in cols of v's representative r
+    shift: np.ndarray   # shift[v]: the log of λ^-1, for v = r μ_λ
+
+
 @dataclass(frozen=True)
 class Symmetry:
     """F's multiplicative stabilizer Λ = {λ != 0 : F(λx) = μ_λ F(x) for
-    every x}, the one record the sweep, the count side and the Walsh side
-    read.  Putting x = λy gives F(x + λa) - c*F(x) = μ_λ (F(y + a) -
-    c*F(y)), so n_F(λa, μ_λ b, c) = n_F(a, b, c) for every c: the rows of a
-    coset aΛ share their maximum and their histogram, and the smallest row
-    attaining a maximum is a coset minimum."""
+    every x} and its multipliers M = {μ_λ}, the one record the sweep, the
+    count side and the Walsh side read.  Putting x = λy gives F(x + λa) -
+    c*F(x) = μ_λ (F(y + a) - c*F(y)), so n_F(λa, μ_λ b, c) = n_F(a, b, c)
+    for every c: the rows of a coset aΛ share their maximum and their
+    histogram, and the smallest row attaining a maximum is a coset minimum."""
 
+    spec: FieldSpec
     m: int                 # Λ = <g^m>, g the field's generator
     mu: int                # μ_(g^m), which generates M = {μ_λ} when F != 0
     order: int             # |Λ| = (q - 1) / m, the rows per coset
@@ -80,17 +89,39 @@ class Symmetry:
     coset_min: np.ndarray  # coset_min[a]: the smallest rank of aΛ; coset_min[0] = 0
     frobenius: bool        # n > 1 and F(x^p) = F(x)^p for every x
 
+    @classmethod
+    def of(cls, spec: FieldSpec, m: int, mu: int, frobenius: bool) -> "Symmetry":
+        """The record of Λ = <g^m> with μ = μ_(g^m): its cosets from spec."""
+        return cls(spec, m, mu, (spec.q - 1) // m, *spec.cosets(m), frobenius)
+
+    @functools.cached_property
+    def columns(self) -> ColumnMap:
+        """The columns of F's Walsh arrays, built on first Walsh use.  x = λy
+        gives W_F(λu, μ_λ v) = W_F(u, v), and so G(λu, μ_λ v) = G(u, v) for
+        G(u, v) = W(u, v) conj(W(u, cv)): column 0 and one column r per coset
+        rM fix the array, column r μ_λ being column r read at row λ^-1 u."""
+        spec = self.spec
+        q, m = spec.q, self.m                  # Λ = <g^m>
+        e = spec.log(self.mu)                  # μ = g^e generates M = <g^gcd(e, q - 1)>
+        cols = spec.cosets(math.gcd(e, q - 1))[0]
+        # λ = g^(m k) has μ_λ = μ^k, so v = r μ^k covers each nonzero v once
+        k = np.arange((q - 1) // (len(cols) - 1))[:, None]
+        v = spec.mul_gen_power(cols[1:], e * k % (q - 1))
+        index, shift = np.zeros((2, q), dtype=np.intp)
+        index[v] = np.arange(1, len(cols))
+        shift[v] = (-m * k) % (q - 1)
+        return ColumnMap(cols, index, shift)
+
 
 def _symmetry(spec: FieldSpec, values) -> Symmetry:
     """F's symmetry record, from the values only: the one stabilizer search
     and the Frobenius test.  Power maps A*x^d have Λ = GF(q)^* and rows 0
     and 1; F = 0 has Λ = GF(q)^* too.  Logs one DEBUG record."""
     m, mu = _stabilizer(spec, values)
-    rows, coset_min = spec.cosets(m)
-    sym = Symmetry(m, mu, (spec.q - 1) // m, rows, coset_min,
-                   spec.n > 1 and np.array_equal(values[spec._frob], spec._frob[values]))
+    frobenius = spec.n > 1 and np.array_equal(values[spec._frob], spec._frob[values])
+    sym = Symmetry.of(spec, m, mu, frobenius)
     _logger.debug("symmetry over GF(%d^%d): |stabilizer| %d, rows %d of %d, frobenius %s",
-                  spec.p, spec.n, sym.order, len(rows), spec.q, "yes" if sym.frobenius else "no")
+                  spec.p, spec.n, sym.order, len(sym.rows), spec.q, "yes" if frobenius else "no")
     return sym
 
 
@@ -101,8 +132,11 @@ class FunctionTable:
     origin: dict = dataclass_field(default_factory=lambda: {"kind": "raw"})
 
     def __post_init__(self):
+        vals = np.asarray(self.values)   # a float or bool dtype would be truncated
+        if not np.issubdtype(vals.dtype, np.integer):
+            raise RankOutOfRange("value ranks must be integers")
         # a copy: a view of the caller's array would change with it
-        vals = np.array(self.values, dtype=np.int32)
+        vals = np.array(vals, dtype=np.int32)
         if vals.shape != (self.spec.q,):
             raise SchemaViolation(
                 f"value vector must have exactly q = {self.spec.q} entries, "

@@ -38,8 +38,9 @@ answers all three for one (F, c) from one histogram per side.  When F has
 a multiplicative stabilizer Λ, F(λx) = μ_λ F(x) (power maps have one of
 order q - 1), W(λu, μ_λ v) = W(u, v): only column 0 and one column v per
 coset of the multipliers μ_λ are transformed, and only row 0 and one row s
-per coset sΛ of hat G.  Λ comes from F.symmetry, found once per table;
-the count side scans the same rows, and both sides count a coset row |Λ| times.
+per coset sΛ of hat G.  Λ and M come from F.symmetry, found once per table,
+and the labels from FieldSpec.trace_labels, once per field; the count side
+scans the same rows, and both sides count a coset row |Λ| times.
 """
 
 from __future__ import annotations
@@ -199,98 +200,49 @@ class WalshTable:
         }
 
 
-@dataclass(frozen=True)
-class _Columns:
-    """Which columns v of a Walsh array are transformed, how the others
-    follow from them, and the labels the arrays are written and read with.
-
-    With Λ the stabilizer of F and μ_λ its multipliers (see F.symmetry),
-    putting x = λy in W_F gives W_F(λu, μ_λ v) = W_F(u, v), and so
-    G(λu, μ_λ v) = G(u, v) for G(u, v) = W(u, v) conj(W(u, cv)).  Such an
-    array is fixed by its column 0 and one column per coset rM of
-    M = {μ_λ}: for v = r μ_λ, column v is column r with row u read at
-    λ^-1 u.  Row λs of hat G(s, t) = q^2 n_F(s, -t, c) is row s relabelled
-    by t -> μ_λ t: the rows of a coset sΛ, sym.rows, share one histogram.
-    """
-
-    spec: FieldSpec
-    sym: Symmetry       # F's stabilizer: its rows are the rows of hat G read
-    cols: np.ndarray    # 0, then the smallest rank of each coset of M, ascending
-    index: np.ndarray   # index[v]: the position in cols of v's representative r
-    shift: np.ndarray   # shift[v]: the log of λ^-1, for v = r μ_λ
-    labels: np.ndarray  # t, see _labels
-
-    @property
-    def width(self) -> int:   # the columns of the widest array a statistic holds
-        return max(len(self.cols), len(self.sym.rows))
-
-    def take(self, arr, vs=None):
-        """Columns vs (every column when None) of the (q, q, ...) array whose
-        columns cols are arr, one block of rows at a time.  When M is
-        trivial every v is its own representative, cols is 0..q-1, and the
-        whole array is arr itself."""
-        spec = self.spec
-        q = spec.q
-        if vs is None:
-            if len(self.cols) == q:
-                return arr
-            vs = np.arange(q)
-        col, shift = self.index[vs], self.shift[vs]
-        flat = arr.reshape(-1, *arr.shape[2:])   # [u, j] at u len(cols) + j
-        out = np.empty((q, len(vs)) + arr.shape[2:], dtype=arr.dtype)
-        rows, x = max(1, BLOCK_ELEMENTS // len(vs)), np.arange(q)[:, None]
-        for u in range(0, q, rows):
-            us = spec.mul_gen_power(x[u:u + rows], shift)   # λ^-1 u
-            np.take(flat, us * len(self.cols) + col, axis=0, out=out[u:u + rows],
-                    mode="clip")   # in range: "raise" would buffer out
-        return out
-
-    def take_rows(self, H):
-        """(q, len(sym.rows), p): [v, i] is H(t(s), v), s = sym.rows[i],
-        gathered a block of v at a time from H, the columns cols transformed
-        along u: H(t(s), r) = sum_u zeta^Tr(s u) G(u, r) (see _labels), and
-        G(u, r μ_λ) = G(λ^-1 u, r) gives H(t(s), r μ_λ) = H(t(λs), r)."""
-        spec, rows = self.spec, self.sym.rows
-        lam = -self.shift % (spec.q - 1)   # λ = g^lam[v]
-        flat = H.reshape(-1, *H.shape[2:])   # [k, j] at k len(cols) + j
-        out = np.empty((spec.q, len(rows)) + H.shape[2:], dtype=H.dtype)
-        block = max(1, BLOCK_ELEMENTS // out[0].size)   # coefficients, as in _g_columns
-        for v in range(0, spec.q, block):
-            vs = slice(v, v + block)
-            s = spec.mul_gen_power(rows, lam[vs, None])   # λs
-            np.take(flat, self.labels[s] * len(self.cols) + self.index[vs, None],
-                    axis=0, out=out[vs], mode="clip")
-        return out
+def _width(sym: Symmetry) -> int:
+    """The columns of the widest array a statistic holds: cols, or rows of hat G."""
+    return max(len(sym.columns.cols), len(sym.rows))
 
 
-def _labels(spec: FieldSpec) -> np.ndarray:
-    """t: digit i of t[z] is Tr(z alpha^i), alpha^i of rank p^i, so that
-    Tr(z x) = <t[z], digits of x> mod p: _dft puts zeta^Tr(z x) at row t[z]."""
-    p, x = spec.p, np.arange(spec.q)
-    tr = spec.trace_all()
-    return sum(tr[spec.scale_array(p ** i, x)] * p ** i for i in range(spec.n))
+def _take(F: FunctionTable, arr, vs=None):
+    """Columns vs (every column when None) of F's (q, q, ...) array whose
+    transformed columns (see Symmetry.columns) are arr, one block of rows at
+    a time.  When M is trivial every v is its own representative, cols is
+    0..q-1, and the whole array is arr itself."""
+    spec, (cols, index, shift) = F.spec, F.symmetry.columns
+    q = spec.q
+    if vs is None:
+        if len(cols) == q:
+            return arr
+        vs = np.arange(q)
+    col, shift = index[vs], shift[vs]
+    flat = arr.reshape(-1, *arr.shape[2:])   # [u, j] at u len(cols) + j
+    out = np.empty((q, len(vs)) + arr.shape[2:], dtype=arr.dtype)
+    rows, x = max(1, BLOCK_ELEMENTS // len(vs)), np.arange(q)[:, None]
+    for u in range(0, q, rows):
+        us = spec.mul_gen_power(x[u:u + rows], shift)   # λ^-1 u
+        np.take(flat, us * len(cols) + col, axis=0, out=out[u:u + rows],
+                mode="clip")   # in range: "raise" would buffer out
+    return out
 
 
-def _column_map(F: FunctionTable) -> _Columns:
-    """The columns of F's Walsh arrays (see _Columns) from its symmetry
-    record: for A x^d, 1 + gcd(d, q - 1) columns (and rows 0 and 1 of
-    hat G); for a trivial M, all q.  Logs one DEBUG record on the
-    "cdiffkit" logger with |Λ|, the columns transformed and the rows of
-    hat G read."""
-    spec, sym = F.spec, F.symmetry
-    q, m = spec.q, sym.m                   # Λ = <g^m>
-    e = spec.log(sym.mu)                   # μ = g^e generates M = <g^gcd(e, q - 1)>
-    cols = spec.cosets(math.gcd(e, q - 1))[0]
-    # λ = g^(m k) has μ_λ = μ^k, so v = r μ^k covers each nonzero v once
-    k = np.arange((q - 1) // (len(cols) - 1))[:, None]
-    v = spec.mul_gen_power(cols[1:], e * k % (q - 1))
-    index, shift = np.zeros((2, q), dtype=np.intp)
-    index[v] = np.arange(1, len(cols))
-    shift[v] = (-m * k) % (q - 1)
-    _logger.debug("walsh array over GF(%d^%d): |stabilizer| %d, columns "
-                  "transformed %d of %d, rows of hat G %d of %d", spec.p,
-                  spec.n, sym.order, len(cols), q, len(sym.rows), q)
-    return _Columns(spec, sym, cols, index, shift, _labels(spec))
+def _take_rows(F: FunctionTable, H):
+    """(q, len(rows), p): [v, i] is H(t(s), v), s = F.symmetry.rows[i],
+    gathered a block of v at a time from H, the columns transformed along
+    u: H(t(s), r) = sum_u zeta^Tr(s u) G(u, r) (t = FieldSpec.trace_labels),
+    and G(u, r μ_λ) = G(λ^-1 u, r) gives H(t(s), r μ_λ) = H(t(λs), r)."""
+    (cols, index, shift), rows, spec = F.symmetry.columns, F.symmetry.rows, F.spec
+    lam = -shift % (spec.q - 1)   # λ = g^lam[v]
+    flat = H.reshape(-1, *H.shape[2:])   # [k, j] at k len(cols) + j
+    out = np.empty((spec.q, len(rows)) + H.shape[2:], dtype=H.dtype)
+    block = max(1, BLOCK_ELEMENTS // out[0].size)   # coefficients, as in _g_columns
+    for v in range(0, spec.q, block):
+        vs = slice(v, v + block)
+        s = spec.mul_gen_power(rows, lam[vs, None])   # λs
+        np.take(flat, spec.trace_labels[s] * len(cols) + index[vs, None],
+                axis=0, out=out[vs], mode="clip")
+    return out
 
 
 def _over_guard(spec: FieldSpec, size_guard: int | None, width: int) -> bool:
@@ -299,26 +251,29 @@ def _over_guard(spec: FieldSpec, size_guard: int | None, width: int) -> bool:
     return size_guard is not None and spec.q * width * spec.p > size_guard
 
 
-def _walsh_columns(F: FunctionTable, columns: _Columns, size_guard: int | None,
-                   width: int) -> np.ndarray:
-    """W, an int64 array of shape (q, len(columns.cols), p) whose entry
-    [u, j] is the exponent-count vector of W_F(u, columns.cols[j]): the
-    transformed columns (see _Columns).  Every Walsh array starts here;
-    when the caller's arrays of q x width x p entries are over the guard
-    (see _over_guard), it raises before anything is made."""
-    spec = F.spec
-    q, p = spec.q, spec.p
+def _walsh_columns(F: FunctionTable, size_guard: int | None, width: int) -> np.ndarray:
+    """W, an int64 (q, len(cols), p) array, [u, j] = W_F(u, cols[j]) in
+    Z[zeta_p] for the transformed columns (see Symmetry.columns).  Every
+    Walsh array starts here: it logs one DEBUG record on the "cdiffkit"
+    logger with |Λ|, the columns transformed and the rows of hat G read, and
+    raises first when the caller's arrays of q x width x p entries are over
+    the guard (see _over_guard)."""
+    spec, sym = F.spec, F.symmetry
+    q, p, cols = spec.q, spec.p, sym.columns.cols
+    _logger.debug("walsh array over GF(%d^%d): |stabilizer| %d, columns "
+                  "transformed %d of %d, rows of hat G %d of %d", p,
+                  spec.n, sym.order, len(cols), q, len(sym.rows), q)
     if _over_guard(spec, size_guard, width):
         raise SizeGuardExceeded(
             f"a Walsh array over GF({p}^{spec.n}) holds q x {width} x p = "
             f"{q * width * p} entries, above the guard of {size_guard}")
     # the one place the trace form enters: the one-hot of zeta^Tr(v F(x))
-    # goes to row y = t(-x) (see _labels); <u, y> = Tr(-u x), so the
-    # transform puts W_F(u, v) at row u
+    # goes to row y = t(-x) (see FieldSpec.trace_labels); <u, y> = Tr(-u x),
+    # so the transform puts W_F(u, v) at row u
     tr = spec.trace_all()
-    y = columns.labels[spec.neg_array(np.arange(q))]
-    W = np.zeros((q, len(columns.cols), p), dtype=np.int64)
-    for j, v in enumerate(columns.cols.tolist()):
+    y = spec.trace_labels[spec.neg_array(np.arange(q))]
+    W = np.zeros((q, len(cols), p), dtype=np.int64)
+    for j, v in enumerate(cols.tolist()):
         W[y, j, tr[spec.scale_array(v, F.values)]] = 1
     return _dft(W, p)
 
@@ -327,8 +282,7 @@ def walsh_table(F: FunctionTable) -> WalshTable:
     """All Walsh values of F; equal entries share one CyclotomicInt.  It
     holds q^2 references, so the guard counts all q columns."""
     spec, p = F.spec, F.spec.p
-    columns = _column_map(F)
-    W = _walsh_columns(F, columns, WALSH_ENTRY_GUARD, spec.q)
+    W = _walsh_columns(F, WALSH_ENTRY_GUARD, spec.q)
     shared = {}
 
     def entry(coeffs):
@@ -346,7 +300,7 @@ def walsh_table(F: FunctionTable) -> WalshTable:
         map(entry, (row - row[:, -1:]).tolist()) for row in W),
         dtype=object, count=W.shape[0] * W.shape[1]).reshape(W.shape[:2])
     del W
-    return WalshTable(F.spec, tuple(map(tuple, columns.take(objects).tolist())))
+    return WalshTable(F.spec, tuple(map(tuple, _take(F, objects).tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +330,12 @@ def _all_rows(head, rest, order: int) -> np.ndarray:
     return freq
 
 
-def _g_columns(columns: _Columns, W: np.ndarray, c: int) -> np.ndarray:
-    """G(u, r) = W(u, r) * conj(W(u, c r)) over the columns r of
-    columns.cols, written over their Walsh values W a block of rows at a
-    time; G has the symmetry of W (see _Columns)."""
-    p = columns.spec.p
-    Wc = columns.take(W, columns.spec.scale_array(c, columns.cols))
+def _g_columns(F: FunctionTable, W: np.ndarray, c: int) -> np.ndarray:
+    """G(u, r) = W(u, r) * conj(W(u, c r)) over the transformed columns r
+    of F.symmetry.columns, written over their Walsh values W a block of
+    rows at a time; G has the symmetry of W (see Symmetry.columns)."""
+    spec, p = F.spec, F.spec.p
+    Wc = _take(F, W, spec.scale_array(c, F.symmetry.columns.cols))
     rows = max(1, BLOCK_ELEMENTS // W[0].size)
     for u in range(0, len(W), rows):
         a, b = W[u:u + rows], Wc[u:u + rows]
@@ -393,16 +347,19 @@ def _g_columns(columns: _Columns, W: np.ndarray, c: int) -> np.ndarray:
 
 def _dft(arr: np.ndarray, p: int) -> np.ndarray:
     """The DFT over (Z_p)^m along the leading axis, len(arr) = p^m:
-    out[k, ...] = sum_w zeta^<k, w> arr[w, ...], exact in int64, with k and
-    w read as vectors of base-p digits.
+    out[k, ...] = sum_w zeta^<k, w> arr[w, ...], exact in Z[zeta_p] and in
+    int64, with k and w read as vectors of base-p digits.
 
-    One p-point stage per digit; the twiddle factors are rotations of the
-    coefficient axis, and each stage grows the largest coefficient by at most
-    a factor of p, so p^m bounds the whole transform.
+    Each entry's last coefficient is first subtracted from all of them, as
+    in CyclotomicInt, so no multiple of 1 + zeta + ... + zeta^(p-1) = 0
+    counts against the bound.  One p-point stage per digit; the twiddles
+    rotate the coefficient axis, and each stage grows the largest
+    coefficient by at most a factor of p, so p^m bounds the transform.
 
     arr is overwritten: the stages alternate between arr and one buffer of
     its size, so at most two such arrays are live.
     """
+    arr -= arr[..., -1:]
     peak = int(np.abs(arr).max()) if arr.size else 0
     if peak and peak > (2 ** 62) // (len(arr) * p):
         raise SizeGuardExceeded("transform would overflow int64 accumulators")
@@ -428,22 +385,22 @@ def _dft(arr: np.ndarray, p: int) -> np.ndarray:
     return bufs[0]
 
 
-def _hat_g_rows(F: FunctionTable, c: int, columns: _Columns,
+def _hat_g_rows(F: FunctionTable, c: int,
                 size_guard: int | None = WALSH_ENTRY_GUARD) -> np.ndarray:
-    """R[t(t), i] = hat G(s, t) = q^2 n_F(s, -t, c) for s = columns.sym.rows[i]
-    (t as in _labels), shape (q, len(columns.sym.rows), p).  G's columns
-    are transformed along u, and the rows gathered from them (see
-    _Columns.take_rows) along v.  Rebinding arr frees each input that _dft
-    returns as its buffer, so at most two arrays are live, of at most
-    columns.width columns: the guard counts those."""
+    """R[t(t), i] = hat G(s, t) = q^2 n_F(s, -t, c) for s = F.symmetry.rows[i]
+    (t is FieldSpec.trace_labels), shape (q, len(F.symmetry.rows), p).  G's
+    columns are transformed along u, and the rows gathered from them (see
+    _take_rows) along v.  Rebinding arr frees each input that _dft returns
+    as its buffer, so at most two arrays are live, of at most _width
+    columns: the guard counts those."""
     p = F.spec.p
-    arr = _walsh_columns(F, columns, size_guard, columns.width)
-    arr = _dft(_g_columns(columns, arr, c), p)
-    arr = columns.take_rows(arr)
+    arr = _walsh_columns(F, size_guard, _width(F.symmetry))
+    arr = _dft(_g_columns(F, arr, c), p)
+    arr = _take_rows(F, arr)
     return _dft(arr, p)
 
 
-def _walsh_histogram(F: FunctionTable, c: int, columns: _Columns,
+def _walsh_histogram(F: FunctionTable, c: int,
                      size_guard: int | None = WALSH_ENTRY_GUARD) -> np.ndarray:
     """freq[m] = #{(a, b) : n_F(a, b, c) = m}, from the rows of hat G.
 
@@ -456,9 +413,9 @@ def _walsh_histogram(F: FunctionTable, c: int, columns: _Columns,
     q^(2j) sum_m freq[m] m^(j+1) over the histogram of the checked counts
     hat G / q^2: row 0 counted once and each coset row |Λ| times (_all_rows).
     """
-    R = _hat_g_rows(F, c, columns, size_guard)
+    R = _hat_g_rows(F, c, size_guard)
     head, rest = (_count_frequencies(part, F.spec.q ** 2) for part in (R[:, :1], R[:, 1:]))
-    return _all_rows(head, rest, columns.sym.order)
+    return _all_rows(head, rest, F.symmetry.order)
 
 
 def _count_histogram(F: FunctionTable, c: int) -> np.ndarray:
@@ -528,7 +485,7 @@ def pcn_power_sum(F: FunctionTable, c: int) -> int:
     """
     spec = F.spec
     _check_args(spec, c)
-    return _pcn(spec.q, _walsh_histogram(F, c, _column_map(F)))
+    return _pcn(spec.q, _walsh_histogram(F, c))
 
 
 def apcn_statistic(F: FunctionTable, c: int,
@@ -545,7 +502,7 @@ def apcn_statistic(F: FunctionTable, c: int,
     """
     spec = F.spec
     _check_args(spec, c)
-    return _apcn(spec.q, _walsh_histogram(F, c, _column_map(F), size_guard))
+    return _apcn(spec.q, _walsh_histogram(F, c, size_guard))
 
 
 def convolution_statistic(F: FunctionTable, c: int, delta: int):
@@ -561,10 +518,9 @@ def convolution_statistic(F: FunctionTable, c: int, delta: int):
     spec = F.spec
     _check_args(spec, c, delta)
     count_side = _phi_sum(_count_histogram(F, c), delta)
-    columns = _column_map(F)
-    if _over_guard(spec, WALSH_ENTRY_GUARD, columns.width):
+    if _over_guard(spec, WALSH_ENTRY_GUARD, _width(F.symmetry)):
         return count_side, None
-    return count_side, _phi_sum(_walsh_histogram(F, c, columns), delta)
+    return count_side, _phi_sum(_walsh_histogram(F, c), delta)
 
 
 def walsh_check(F: FunctionTable, c: int, delta: int):
@@ -574,7 +530,7 @@ def walsh_check(F: FunctionTable, c: int, delta: int):
     does, before the count pass."""
     spec = F.spec
     _check_args(spec, c, delta)
-    walsh = _walsh_histogram(F, c, _column_map(F))
+    walsh = _walsh_histogram(F, c)
     counts = _count_histogram(F, c)
     return (_pcn(spec.q, walsh), _apcn(spec.q, walsh),
             (_phi_sum(counts, delta), _phi_sum(walsh, delta)))

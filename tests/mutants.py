@@ -51,7 +51,7 @@ class Mutant:
 MUTANTS = [
     Mutant("rows: λ^-1 s for λ s in the row gather", WALSH,
            "spec.mul_gen_power(rows, lam[vs, None])",
-           "spec.mul_gen_power(rows, self.shift[vs, None])",
+           "spec.mul_gen_power(rows, shift[vs, None])",
            (TW + "test_hat_g_coset_rows",)),
     Mutant("rows: coset rows not weighted by |Λ|", WALSH,
            "freq[:len(rest)] += order * rest", "freq[:len(rest)] += rest",
@@ -66,19 +66,19 @@ MUTANTS = [
            "(mult + (a_list >= 0)[:, None] * (q + 1))",
            (TW + "test_count_side_matches_every_row",)),
     Mutant("rows: gathered at s, not at the label t(s)", WALSH,
-           "np.take(flat, self.labels[s] * len(self.cols)",
-           "np.take(flat, s * len(self.cols)",
+           "np.take(flat, spec.trace_labels[s] * len(cols)",
+           "np.take(flat, s * len(cols)",
            (TW + "test_hat_g_coset_rows", TW + "test_transformed_g_is_q2_times_ddt")),
-    Mutant("columns: λ u for λ^-1 u in _Columns.take", WALSH,
+    Mutant("columns: λ u for λ^-1 u in _take", WALSH,
            "spec.mul_gen_power(x[u:u + rows], shift)",
            "spec.mul_gen_power(x[u:u + rows], -shift % (q - 1))",
            (TW + "test_column_reduction_matches_generic",)),
     Mutant("guard: the statistics counted at q^2 p", WALSH,
-           "_walsh_columns(F, columns, size_guard, columns.width)",
-           "_walsh_columns(F, columns, size_guard, F.spec.q)",
+           "_walsh_columns(F, size_guard, _width(F.symmetry))",
+           "_walsh_columns(F, size_guard, F.spec.q)",
            (TW + "test_apcn_size_guard", TW + "test_convolution_walsh_guard")),
     Mutant("walsh-check: the Walsh side read from the count histogram", WALSH,
-           "walsh = _walsh_histogram(F, c, _column_map(F))",
+           "walsh = _walsh_histogram(F, c)",
            "walsh = _count_histogram(F, c)",
            (TCLI + "test_walsh_check_sides_are_independent",)),
     Mutant("apcn: rhs with 2 q^2 pcn for 3 q^2 pcn", WALSH,
@@ -101,13 +101,29 @@ MUTANTS = [
            (TC + "test_orbit_dispatch_scans_one_c_per_orbit",
             TFN + "test_symmetry_record_is_found_once")),
     Mutant("table: the values a view of the caller's array", FUNCTIONS,
-           "vals = np.array(self.values, dtype=np.int32)",
-           "vals = np.asarray(self.values, dtype=np.int32)",
+           "vals = np.array(vals, dtype=np.int32)",
+           "vals = np.asarray(vals, dtype=np.int32)",
            (TFN + "test_table_owns_its_values",)),
     Mutant("symmetry: the record rebuilt on every access", FUNCTIONS,
-           "    @functools.cached_property\n", "    @property\n",
+           "    @functools.cached_property\n    def symmetry(",
+           "    @property\n    def symmetry(",
            (TW + "test_one_stabilizer_search_per_table",
             TFN + "test_symmetry_record_is_found_once")),
+    Mutant("columns: the column map rebuilt on every access", FUNCTIONS,
+           "    @functools.cached_property\n    def columns(",
+           "    @property\n    def columns(",
+           (TW + "test_one_column_map_per_table",)),
+    Mutant("labels: place value p^(i+1) for p^i", FIELD,
+           "* p ** i for i in range(self.n))", "* p ** (i + 1) for i in range(self.n))",
+           (TW + "test_transformed_g_is_q2_times_ddt",
+            TW + "test_transform_matches_character_sums")),
+    Mutant("transform: the last coefficient not subtracted first", WALSH,
+           "    arr -= arr[..., -1:]\n", "",
+           (TW + "test_walsh_check_past_the_raw_dft_bound",)),
+    Mutant("table: a float array accepted", FUNCTIONS,
+           "        if not np.issubdtype(vals.dtype, np.integer):\n"
+           "            raise RankOutOfRange(\"value ranks must be integers\")\n", "",
+           (TFN + "test_raw_table_rejects_float_and_bool_values",)),
     Mutant("transform: twiddle zeta^-kd for zeta^kd", WALSH,
            "s = k * d % p", "s = -k * d % p",
            (TW + "test_transform_matches_character_sums",)),

@@ -837,7 +837,7 @@ def test_stabilizer_generator_and_multiplier(pn):
     cases = [(from_monomial(spec, d), q - 1, oracle.pow(g, d)) for d in (1, 2, 3, q - 2)]
     cases += [(from_polynomial(spec, {p: 2 % p + 1}), q - 1, oracle.pow(g, p)),
               (from_polynomial(spec, {2: 1, 1: 1}), 1, 1),
-              (raw_table(spec, np.zeros(q)), q - 1, g),      # F = 0: M = Λ
+              (raw_table(spec, np.zeros(q, dtype=int)), q - 1, g),   # F = 0: M = Λ
               (raw_table(spec, np.full(q, q - 1)), q - 1, 1)]
     for F, order, mu in cases:
         m, got = functions._stabilizer(spec, F.values)

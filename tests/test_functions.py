@@ -178,6 +178,15 @@ def test_raw_table_validation(gf9):
         raw_table(gf9, [0] * 8)
 
 
+def test_raw_table_rejects_float_and_bool_values(gf9):
+    # ranks are integers, as for scalars and the JSON loader: the floats
+    # 0..8.9 are not the ranks 0..8, and True is not the rank 1
+    for values in (np.linspace(0, 8.9, 9), np.full(9, True), [float(x) for x in range(9)]):
+        with pytest.raises(RankOutOfRange):
+            raw_table(gf9, values)
+    assert raw_table(gf9, np.arange(9, dtype=np.uint8)).values.tolist() == list(range(9))
+
+
 def test_values_read_only(gf9):
     tab = from_monomial(gf9, 2)
     with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cdiffkit import (AConvention, CyclotomicInt, apcn_statistic, build_field,
+from cdiffkit import (AConvention, CyclotomicInt, FieldSpec, apcn_statistic, build_field,
                       convolution_statistic, ddt_c,
                       derivative_walsh_statistic, dual_convention_max,
                       from_monomial, from_polynomial, inverse_table,
@@ -20,8 +20,8 @@ from cdiffkit import (AConvention, CyclotomicInt, apcn_statistic, build_field,
                       walsh_table, walsh_value)
 from cdiffkit import functions
 from cdiffkit.errors import NotRationalInteger, SizeGuardExceeded
-from cdiffkit.walsh import (_column_map, _count_frequencies, _count_histogram, _dft,
-                            _hat_g_rows, _labels, _walsh_columns, _walsh_histogram,
+from cdiffkit.walsh import (_count_frequencies, _count_histogram, _dft, _hat_g_rows,
+                            _take, _walsh_columns, _walsh_histogram, _width,
                             walsh_check)
 
 from oracles import (brute_convolution_tensor, brute_derivative_statistic,
@@ -124,6 +124,13 @@ def test_walsh_matches_oracle():
                         == CyclotomicInt(p, brute_walsh(oracle, vals, u, v)))
 
 
+def _canonical(arr):
+    """The coefficient vectors of a (..., p) array with the last coefficient
+    subtracted, as CyclotomicInt stores them: two entries are equal in
+    Z[zeta_p] iff these are equal."""
+    return arr - arr[..., -1:]
+
+
 # the last two take custom moduli under which x is not primitive: the trace
 # one-hot of the Walsh array must follow the modulus
 TRANSFORM_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2),
@@ -146,7 +153,7 @@ def test_transform_matches_character_sums(pn, seed, d, k):
     rng = np.random.default_rng(seed)
     for F in (raw_table(spec, rng.integers(0, q, q)), from_monomial(spec, d)):
         want = brute_walsh_table(oracle, [F[x] for x in range(q)])
-        assert np.array_equal(_walsh_values(F), np.array(want))
+        assert np.array_equal(_canonical(_walsh_values(F)), _canonical(np.array(want)))
     # out[s] = sum_w zeta^<s, w> arr[w] over base-p digit vectors s, w;
     # multiplying by zeta^e rotates by e
     arr = rng.integers(-1000, 1000, size=(q, k, p), dtype=np.int64)
@@ -155,8 +162,9 @@ def test_transform_matches_character_sums(pn, seed, d, k):
            for s in range(q)]
     want = np.array([sum(np.roll(arr[w], dot[s][w], axis=-1) for w in range(q))
                      for s in range(q)])
-    # the transform overwrites its input
-    assert np.array_equal(_dft(arr.copy(), p), want)
+    # the transform overwrites its input, and its entries are those sums in
+    # Z[zeta_p]: the same canonical coefficients
+    assert np.array_equal(_canonical(_dft(arr.copy(), p)), _canonical(want))
 
 
 @pytest.mark.parametrize("q,p", [(256, 2), (243, 3), (49, 7)])
@@ -176,11 +184,10 @@ def test_dft_peaks_at_one_buffer(q, p):
 # -- the column reduction against the generic path ----------------------------
 
 def _walsh_values(F):
-    """All Walsh values as a (q, q, p) array: entry [u, v] is the
-    exponent-count vector of W_F(u, v), gathered from the transformed
+    """All Walsh values as a (q, q, p) array: entry [u, v] is a coefficient
+    vector of W_F(u, v) in Z[zeta_p], gathered from the transformed
     columns."""
-    columns = _column_map(F)
-    return columns.take(_walsh_columns(F, columns, None, F.spec.q))
+    return _take(F, _walsh_columns(F, None, F.spec.q))
 
 
 def _histograms(F, c):
@@ -189,7 +196,7 @@ def _histograms(F, c):
     count side's vector has q + 1 entries, the Walsh side's one more than
     the largest count."""
     return [np.trim_zeros(freq, "b") for freq in
-            (_walsh_histogram(F, c, _column_map(F)), _count_histogram(F, c))]
+            (_walsh_histogram(F, c), _count_histogram(F, c))]
 
 
 def _power_sum(freq, j):
@@ -220,7 +227,7 @@ def walsh_cases(draw):
 @example((from_polynomial(build_field(2, 4), {3: 1}), 2, "power"))   # 3 cosets of M
 @example((from_polynomial(build_field(3, 4), {2: 1}), 2, "power"))   # |ker μ| = 2
 @example((from_polynomial(build_field(3, 2, (1, 0, 1)), {4: 5}), 5, "power"))
-@example((raw_table(build_field(3, 3), np.zeros(27)), 2, "constant"))
+@example((raw_table(build_field(3, 3), np.zeros(27, dtype=int)), 2, "constant"))
 def test_column_reduction_matches_generic(case):
     F, c, kind = case
     spec = F.spec
@@ -228,23 +235,24 @@ def test_column_reduction_matches_generic(case):
     if kind == "power":
         # A x^d: Λ = GF(q)^*, M = <g^d>, 1 + gcd(d, q - 1) columns
         d = next(iter(F.origin["coeffs"]))
-        columns = _column_map(F)
-        assert len(columns.cols) == 1 + math.gcd(d, q - 1)
-        assert list(columns.sym.rows) == [0, 1] and columns.sym.order == q - 1
+        sym = F.symmetry
+        assert len(sym.columns.cols) == 1 + math.gcd(d, q - 1)
+        assert list(sym.rows) == [0, 1] and sym.order == q - 1
     W, table = _walsh_values(F), walsh_table(F)
-    pcn, freq = pcn_power_sum(F, c), _walsh_histogram(F, c, _column_map(F))
+    pcn, freq = pcn_power_sum(F, c), _walsh_histogram(F, c)
     G = trivial_record(F)
-    columns = _column_map(G)
-    assert len(columns.cols) == len(columns.sym.rows) == q
+    sym = G.symmetry
+    assert len(sym.columns.cols) == len(sym.rows) == q
     assert np.array_equal(_walsh_values(G), W)
     assert walsh_table(G).entries == table.entries
     assert pcn_power_sum(G, c) == pcn
-    assert np.array_equal(_walsh_histogram(G, c, columns), freq)
+    assert np.array_equal(_walsh_histogram(G, c), freq)
     if q <= 27:
         oracle = slow_field_like(spec)
         oracle.trace = functools.cache(oracle.trace)
         vals = [F[x] for x in range(q)]
-        assert np.array_equal(W, np.array(brute_walsh_table(oracle, vals)))
+        want = np.array(brute_walsh_table(oracle, vals))
+        assert np.array_equal(_canonical(W), _canonical(want))
         assert pcn == brute_pcn_sum(oracle, vals, c)
 
 
@@ -272,15 +280,14 @@ def _assert_hat_g_rows(F, c):
     neg = spec.neg_array(np.arange(q))
     t = sum(spec.trace_all()[spec.scale_array(spec.p ** i, np.arange(q))] * spec.p ** i
             for i in range(spec.n))
-    assert np.array_equal(t, _labels(spec))
+    assert np.array_equal(t, spec.trace_labels)
     assert np.array_equal(np.sort(t), np.arange(q))
-    columns = _column_map(F)
-    rows = columns.sym.rows
-    R = _hat_g_rows(F, c, columns)
+    rows = F.symmetry.rows
+    R = _hat_g_rows(F, c)
     want = np.zeros((q, len(rows), spec.p), dtype=np.int64)
     want[..., 0] = q * q * ddt_c(F, c)[np.ix_(rows, neg)].T
     assert np.array_equal(R[t] - R[t][..., -1:], want)
-    return columns
+    return F.symmetry
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -295,7 +302,7 @@ def test_transformed_g_is_q2_times_ddt(pn, seed, drawn):
     F = raw_table(spec, np.random.default_rng(seed).integers(0, q, q))
     for c in (0, 1, drawn % q):
         _assert_hat_g_rows(F, c)
-        assert len(_assert_hat_g_rows(trivial_record(F), c).sym.rows) == q
+        assert len(_assert_hat_g_rows(trivial_record(F), c).rows) == q
 
 
 @pytest.mark.parametrize("pn", [(2, 4), (3, 3), (5, 2), (3, 4), (7, 2),
@@ -321,7 +328,7 @@ def test_count_frequencies_rejects_non_counts(p, n):
     q = spec.q
     F = raw_table(spec, np.random.default_rng(q).integers(0, q, q))
     G = trivial_record(F)
-    Ghat = _hat_g_rows(G, 2, _column_map(G))   # every row
+    Ghat = _hat_g_rows(G, 2)   # every row
     assert np.array_equal(_count_frequencies(Ghat, q * q),
                           np.bincount(ddt_c(F, 2).ravel()))
     # entry [1, 2]: coefficient 0 off by one (not a multiple of q^2), then
@@ -439,7 +446,7 @@ def test_tensor_matches_brute_force():
             F = from_monomial(spec, desc["d"])
         oracle = slow_field_like(spec)
         vals = [F[x] for x in range(spec.q)]
-        freq = _walsh_histogram(F, c, _column_map(F))
+        freq = _walsh_histogram(F, c)
         for j in ((1, 2, 3) if spec.q == 4 else (1, 2)):
             # the (j+1)-fold tensor is q^(2j) times the j-th sum
             assert (spec.q ** (2 * j) * _power_sum(freq, j)
@@ -542,8 +549,8 @@ def test_statistics_peak_at_two_arrays():
     spec = build_field(2, 9)
     q, p = spec.q, spec.p
     F = raw_table(spec, np.random.default_rng(q).integers(0, q, q))
-    columns = _column_map(F)
-    assert len(columns.cols) == len(columns.sym.rows) == q
+    sym = F.symmetry
+    assert len(sym.columns.cols) == len(sym.rows) == q
     for call in (lambda: apcn_statistic(F, 2), lambda: pcn_power_sum(F, 2)):
         tracemalloc.start()
         try:
@@ -580,7 +587,7 @@ def count_cases(draw):
     elif kind == "constant":
         F = raw_table(spec, np.full(q, draw(st.integers(1, q - 1))))
     elif kind == "zero":
-        F = raw_table(spec, np.zeros(q))
+        F = raw_table(spec, np.zeros(q, dtype=int))
     else:
         F = raw_table(spec, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
                       .integers(0, q, q))
@@ -591,7 +598,7 @@ def count_cases(draw):
 @given(count_cases())
 @example((from_monomial(build_field(3, 3), 2), 2))            # |Λ| = 26, |M| = 13
 @example((from_monomial(build_field(3, 3), 26), 26))          # x^(q-1)
-@example((raw_table(build_field(2, 4), np.zeros(16)), 0))      # F = 0
+@example((raw_table(build_field(2, 4), np.zeros(16, dtype=int)), 0))      # F = 0
 @example((from_polynomial(build_field(5, 2), {5: 2, 1: 1}), 3))   # Λ = GF(5)^*
 def test_count_side_matches_every_row(case):
     # the rows of a coset aΛ share one histogram, so the count side scans
@@ -641,6 +648,48 @@ def test_one_stabilizer_search_per_table(gf27):
             for call in calls:
                 call(F)
         assert search.call_count == 1
+
+
+def test_one_column_map_per_table():
+    # F's column map (the cosets of M) is built on its first Walsh query and
+    # kept with its record, and the labels once per field, whichever Walsh
+    # query runs; a spectrum builds neither.  A new field model, so no
+    # earlier test has built its labels
+    spec = FieldSpec(3, 3)
+    labels = FieldSpec.__dict__["trace_labels"]
+    calls = [lambda F: pcn_power_sum(F, 2), lambda F: apcn_statistic(F, 2),
+             lambda F: convolution_statistic(F, 2, 2), lambda F: walsh_check(F, 2, 2),
+             lambda F: walsh_table(F)]
+    with mock.patch.object(FieldSpec, "cosets", autospec=True,
+                           side_effect=FieldSpec.cosets) as cosets, \
+            mock.patch.object(labels, "func", wraps=labels.func) as build:
+        F = from_polynomial(spec, {5: 1, 1: 2})   # |Λ| = 2, M = {1, -1}
+        spectrum(F, "all", INC)
+        assert (cosets.call_count, build.call_count) == (1, 0)   # the cosets of Λ
+        assert "columns" not in vars(F.symmetry) and "trace_labels" not in vars(spec)
+        for _ in range(2):
+            for call in calls:
+                call(F)
+        assert (cosets.call_count, build.call_count) == (2, 1)
+        G = from_monomial(spec, 2)
+        for call in calls:
+            call(G)
+        assert (cosets.call_count, build.call_count) == (4, 1)
+
+
+@pytest.mark.parametrize("p,n", [(2, 16), (3, 10)])
+def test_walsh_check_past_the_raw_dft_bound(p, n):
+    # x^3 over GF(2^16) and the inverse over GF(3^10): the last transform's
+    # input (the gathered rows of hat G) carries a large multiple of 1 +
+    # zeta + ... + zeta^(p-1) = 0, above _dft's int64 bound unless each
+    # entry's last coefficient is subtracted first
+    spec = build_field(p, n)
+    q = spec.q
+    F = from_monomial(spec, 3) if p == 2 else inverse_table(spec)
+    pcn, (lhs, _), (count_side, walsh_side) = walsh_check(F, 2, 2)
+    counts = _count_histogram(F, 2)
+    assert walsh_side == count_side
+    assert (pcn, lhs) == (q ** 2 * _power_sum(counts, 1), q ** 4 * _power_sum(counts, 2))
 
 
 def test_count_side_is_one_pass(gf16):
@@ -703,7 +752,7 @@ def test_convolution_walsh_guard(gf16):
     F = from_monomial(gf16, 5)
     cs, ws = convolution_statistic(F, 2, 3)
     assert cs == ws
-    held = 16 * _column_map(F).width * 2
+    held = 16 * _width(F.symmetry) * 2
     assert held == 16 * 6 * 2
     with mock.patch.object(walsh_module, "WALSH_ENTRY_GUARD", held - 1):
         assert convolution_statistic(F, 2, 3) == (cs, None)
