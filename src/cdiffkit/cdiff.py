@@ -14,7 +14,9 @@ proved identities: rows a and λa share their maximum for λ in the
 multiplicative stabilizer Λ of F, and c shares its maxima with 1/c (and
 with c^p when F commutes with Frobenius).  So the sweep scans row 0 and one
 row per coset aΛ, for one c per orbit (_c_orbits), and rebuilds every other
-c's witness from its representative's record.  Λ and the Frobenius test are
+c's witness from its representative's record.  It scans the representatives
+in groups, one kernel pass over each group's c-major (c, a) rows (_scan),
+and the kernel takes one c per row.  Λ and the Frobenius test are
 held in one record per table (FunctionTable.symmetry), which every query reads.
 Every witness row is then recounted in numpy by one function (_results), a
 block of (c, a) rows at a time, so a wrong scan raises WitnessMismatch.
@@ -22,6 +24,7 @@ block of (c, a) rows at a time, so a wrong scan raises WitnessMismatch.
 
 from __future__ import annotations
 
+import bisect
 import ctypes
 import enum
 import functools
@@ -138,17 +141,22 @@ def _block_rows(q: int, max_rows: int) -> int:
     return min(max_rows, max(1, BLOCK_ELEMENTS // q))
 
 
-def _count_blocks(spec: FieldSpec, values, c: int, rows):
+def _count_blocks(spec: FieldSpec, values, c, rows):
     """Histograms of the derivative rows a in rows (an array of shifts), a
     block at a time: yields (a_list, counts) with counts[i, b] the number of
-    solutions x of F(x + a_list[i]) - c*F(x) = b.
+    solutions x of F(x + a_list[i]) - c_i*F(x) = b, where c_i is c for a
+    rank c and c[i] for an array of one rank per row (as derivative_rows).
 
     The one place that picks a kernel: the compiled one when _kernel
     loaded it, else this numpy body, the fallback and the tests' reference.
-    The C loop indexes without checks, so values (q ranks) and rows (ranks)
-    are checked first, on either path.  A block is a new array of at most
-    _MAX_BLOCK_ROWS rows and max(q, BLOCK_ELEMENTS) elements, so its
-    intermediates stay in cache; the counts do not depend on its size.
+    The C loop indexes without checks, so values (q ranks), rows and a
+    per-row c (ranks) are checked first, on either path.  The compiled
+    kernel reads each row's -cF from a stack built once per call, one table
+    per run of equal c in rows' order, so a caller passing c-major (c, a)
+    rows holds one table per c; a rank c builds one table and no per-row
+    array.  A block is a new array of at most _MAX_BLOCK_ROWS rows and
+    max(q, BLOCK_ELEMENTS) elements, so its intermediates stay in cache; the
+    counts do not depend on its size.
     """
     q = spec.q
     values, rows = np.asarray(values), np.asarray(rows)
@@ -156,41 +164,58 @@ def _count_blocks(spec: FieldSpec, values, c: int, rows):
         raise ValueError(f"values must hold q = {q} ranks, not shape {values.shape}")
     _check_ranks("values", values, q)
     _check_ranks("rows", rows, q)
+    per_row = not isinstance(c, (int, np.integer))
+    if per_row:
+        c = np.asarray(c)
+        _check_ranks("c", c, q)
+        if c.shape != rows.shape:
+            raise ValueError(f"c must hold one rank per row, not shape {c.shape}")
     chunk = _block_rows(q, _MAX_BLOCK_ROWS)
     starts = range(0, len(rows), chunk)
     kernel = _kernel()
     if kernel is None:
         for start in starts:
             a_list = rows[start:start + chunk]
-            block = derivative_rows(spec, values, c, a_list)
+            block = derivative_rows(spec, values, c[start:start + chunk] if per_row else c,
+                                    a_list)
             offsets = (np.arange(len(a_list), dtype=np.int64) * q)[:, None]
             yield a_list, np.bincount((block.astype(np.int64) + offsets).ravel(),
                                       minlength=block.size).reshape(block.shape)
         return
-    work = np.empty((4, q), dtype=np.int32)
-    v, w, vl, wl = work
-    ncf = spec.neg_array(spec.scale_array(c, values))
+    if per_row:
+        first = np.ones(len(c), dtype=bool)
+        first[1:] = c[1:] != c[:-1]           # the rows that start a run of one c
+        slot = np.cumsum(first, dtype=np.int32)
+        slot -= 1                             # each row's table in the stack
+        ncf = spec.mul_arrays(values, spec.neg_array(c[first])[:, np.newaxis])
+    else:
+        slot, ncf = None, spec.neg_array(spec.scale_array(c, values))[np.newaxis]
     m = spec._split or 0
+    # v and vl, then the stack of -cF tables, w (and wl) for each (see _scan.c)
+    work = np.empty((2 + len(ncf) * (2 if m else 1), q), dtype=np.int32)
+    stack = work[2:].reshape(-1, 2 if m else 1, q)
     if m:
         # offsets into the flat HI and LO tables (see _scan.c)
-        np.divmod(values, m, out=(v, vl))
-        np.divmod(ncf, m, out=(w, wl))
-        v *= q // m
-        vl *= m
+        np.divmod(values, m, out=(work[0], work[1]))
+        np.divmod(ncf, m, out=(stack[:, 0], stack[:, 1]))
+        work[0] *= q // m
+        work[1] *= m
         hi, lo = (np.ascontiguousarray(t, dtype=np.int32) for t in (spec._hi, spec._lo))
         tables = hi.ctypes.data, lo.ctypes.data
     else:
-        v[:], w[:] = values, ncf
+        work[0], stack[:, 0] = values, ncf
         tables = None, None   # the p = 2 and n = 1 loops read no table
-    shifts = rows.astype(np.int64)
+    shifts = np.ascontiguousarray(rows, dtype=np.int64)
     # addresses taken once per call: ndpointer conversions per block cost
     # more than a small block
-    fixed = (q, spec.p, m, work.ctypes.data, *tables)
+    base, at_rows = work.ctypes.data, shifts.ctypes.data
+    at_slot = None if slot is None else slot.ctypes.data
+    fixed = (q, spec.p, m, base, base + 2 * q * work.itemsize)
     for start in starts:
         a_list = rows[start:start + chunk]
         counts = np.empty((len(a_list), q), dtype=np.int32)
-        kernel(*fixed, shifts.ctypes.data + start * shifts.itemsize, len(a_list),
-               counts.ctypes.data)
+        kernel(*fixed, None if slot is None else at_slot + start * slot.itemsize,
+               *tables, at_rows + start * shifts.itemsize, len(a_list), counts.ctypes.data)
         yield a_list, counts
 
 
@@ -260,7 +285,7 @@ def _kernel():
     except (OSError, subprocess.SubprocessError):
         return None
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = [i64, i64, i64, ptr, ptr, ptr, ptr, i64, ptr]
+    fn.argtypes = [i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr]
     fn.restype = None
     return fn
 
@@ -276,17 +301,19 @@ def _check_ranks(name: str, arr: np.ndarray, q: int):
         raise ValueError(f"{name} must be a 1-d array of ranks in [0, {q})")
 
 
-def _row_maxima(spec: FieldSpec, values, c: int, rows):
-    """One pass over the shifts a in rows for a fixed c: the maximum of
-    each row's histogram over b, and the smallest b attaining it, reduced
-    in numpy from the blocks of _count_blocks (whichever kernel made
-    them)."""
-    maxima, first_b = [], []
-    for _, counts in _count_blocks(spec, values, c, rows):
-        b = counts.argmax(axis=1)
-        maxima.append(counts[np.arange(len(b)), b])
-        first_b.append(b)
-    return np.concatenate(maxima), np.concatenate(first_b)
+def _row_maxima(spec: FieldSpec, values, c, rows):
+    """One pass over the shifts a in rows, with c a rank or one rank per
+    row: the maximum of each row's histogram over b, and the smallest b
+    attaining it, reduced in numpy from the blocks of _count_blocks
+    (whichever kernel made them)."""
+    maxima, first_b = np.empty(len(rows), dtype=np.int32), np.empty(len(rows), dtype=np.intp)
+    start = 0
+    for a_list, counts in _count_blocks(spec, values, c, rows):
+        end = start + len(a_list)
+        b = counts.argmax(axis=1, out=first_b[start:end])
+        maxima[start:end] = counts[np.arange(len(b)), b]
+        start = end
+    return maxima, first_b
 
 
 def _c_orbits(F: FunctionTable, cs):
@@ -320,101 +347,143 @@ def _solutions(spec: FieldSpec, values, c: int, a: int, b: int):
     return tuple(int(x) for x in np.nonzero(d == b)[0])
 
 
-def _scan(F: FunctionTable, c: int):
-    """The scan record of one c over the stabilizer rows (see Symmetry): for
-    a >= 0 and for a >= 1, (the maximum, the scanned rows attaining it
-    ascending, the smallest b attaining it in the first row attaining it).
+def _scan(F: FunctionTable, cs):
+    """The scan records of the c values cs, in their order, from one
+    _row_maxima pass over the c-major (c, a) pairs of cs and the stabilizer
+    rows (see Symmetry); one c passes a rank, so it builds no per-row c.  A
+    record holds, for a >= 0 and for a >= 1, (the maximum, the scanned rows
+    attaining it ascending, the smallest b attaining it in the first row
+    attaining it).  Both are read from one comparison with the a >= 1
+    maxima: row 0 (a = 0) either exceeds, ties or falls below them.
 
     _results reads only min(coset_min(±frob^k(rows))) for k < n, so when
     more than 2n rows attain the maximum the record keeps just the row
     giving each of those 2n minima: a record holds at most 2n rows."""
-    spec, rows, coset_min = F.spec, F.symmetry.rows, F.symmetry.coset_min
-    row_max, first_b = _row_maxima(spec, F.values, c, rows)
-    record = []
-    for lo in (0, 1):   # rows[0] is a = 0
-        best = int(row_max[lo:].max())
-        hit = lo + np.flatnonzero(row_max[lo:] == best)
-        top, b = rows[hit], int(first_b[hit[0]])
-        if len(top) > 2 * spec.n:
-            keep, image = np.zeros(len(top), dtype=bool), top
-            for _ in range(spec.n):
-                keep[coset_min[image].argmin()] = True
-                keep[coset_min[spec._neg[image]].argmin()] = True
-                image = spec._frob[image]
-            top = top[keep]
-        record.append((best, top, b))
-    return tuple(record)
+    spec, rows = F.spec, F.symmetry.rows
+    k, width = len(cs), len(rows)
+    if k == 1:
+        c, shifts = int(cs[0]), rows
+    else:
+        c, shifts = np.repeat(np.asarray(cs, dtype=np.int32), width), np.tile(rows, k)
+    row_max, first_b = _row_maxima(spec, F.values, c, shifts)
+    row_max, first_b = row_max.reshape(k, width), first_b.reshape(k, width)
+    best = row_max[:, 1:].max(axis=1)                # the a >= 1 maxima
+    hit = row_max == best[:, np.newaxis]             # the rows attaining them, and a tie at a = 0
+    which, at = np.nonzero(hit)                      # c-major, ascending within each c
+    tops, firsts = rows[at], first_b[which, at].tolist()
+    which, at = which.tolist(), at.tolist()
+    records, start = [], 0
+    for i, (row0, b0, value) in enumerate(zip(row_max[:, 0].tolist(), first_b[:, 0].tolist(),
+                                               best.tolist())):
+        end = bisect.bisect_right(which, i, start)
+        tie = at[start] == 0
+        nonzero = (value, _trim(F, tops[start + tie:end]), firsts[start + tie])
+        if row0 > value:
+            zero = (row0, rows[:1], b0)
+        elif tie:
+            zero = (value, _trim(F, tops[start:end]), firsts[start])
+        else:
+            zero = nonzero
+        records.append((zero, nonzero))
+        start = end
+    return records
+
+
+def _trim(F: FunctionTable, top):
+    """top, or when it holds more than 2n rows, just the row giving each
+    smallest coset minimum of ±frob^k(top) for k < n (see _scan)."""
+    spec, coset_min = F.spec, F.symmetry.coset_min
+    if len(top) <= 2 * spec.n:
+        return top
+    keep, image = np.zeros(len(top), dtype=bool), top
+    for _ in range(spec.n):
+        keep[coset_min[image].argmin()] = True
+        keep[coset_min[spec._neg[image]].argmin()] = True
+        image = spec._frob[image]
+    return top[keep]
 
 
 def _sweep(F: FunctionTable, c_filter, threads: int):
     """The one dispatch point of every uniformity query.
 
     Resolves the c-set, reads the rows that decide each scan from F's
-    symmetry record and the c values to scan from _c_orbits, and scans
-    each representative once, in one parallel map.  The record is read
-    before the workers fork, so they inherit it with F.
+    symmetry record and the c values to scan from _c_orbits, and scans the
+    representatives in groups of at most BLOCK_ELEMENTS / q c values, one
+    _scan pass each, so a group's stack of -cF tables stays near
+    BLOCK_ELEMENTS entries; the groups are the items of one parallel map.
+    The record is read before the workers fork, so they inherit it with F.
     Logs one DEBUG record on the "cdiffkit" logger with |Λ|, the rows
-    scanned, the c values requested and scanned, and the kernel path (C or
-    numpy, see _kernel).  Returns the map {c: (r, k, neg)} over the c-set
-    ascending, and {r: scan record} (see _scan).
+    scanned, the c values requested and scanned, the passes and kernel
+    blocks that scanned them, and the kernel path (C or numpy, see
+    _kernel).  Returns the map {c: (r, k, neg)} over the c-set ascending,
+    and {r: scan record} (see _scan).
     """
     spec, sym = F.spec, F.symmetry
     cs = admissible_c(spec, c_filter)
     rep = _c_orbits(F, cs)
     scanned = [c for c, (r, _, _) in rep.items() if r == c]
+    size = max(1, BLOCK_ELEMENTS // spec.q)   # c values a pass
+    groups = [scanned[i:i + size] for i in range(0, len(scanned), size)]
+    chunk = _block_rows(spec.q, _MAX_BLOCK_ROWS)
+    blocks = sum(-(-len(group) * len(sym.rows) // chunk) for group in groups)
     # _kernel_name resolves the kernel before the workers fork
     _logger.debug("sweep over GF(%d^%d): |stabilizer| %d, rows scanned %d of %d, "
-                  "c requested %d, c scanned %d, kernel %s", spec.p, spec.n,
-                  sym.order, len(sym.rows), spec.q, len(cs), len(scanned),
-                  _kernel_name())
-    records = parallel_map(_scan, F, scanned, threads)
-    return rep, dict(zip(scanned, records))
+                  "c requested %d, c scanned %d, passes %d, blocks %d, kernel %s",
+                  spec.p, spec.n, sym.order, len(sym.rows), spec.q, len(cs),
+                  len(scanned), len(groups), blocks, _kernel_name())
+    records = parallel_map(_scan, F, groups, threads)
+    return rep, dict(zip(scanned, itertools.chain.from_iterable(records)))
 
 
-def _results(F: FunctionTable, conv: AConvention, rep, records):
-    """The results for the cs of rep, in its order, and the number of
-    blocks recounted.  rep maps c -> (r, k, neg) with c =
-    (r^(p^k))^(-1 if neg else 1) (see _c_orbits), and records[r] is r's
-    scan record; k = 0 and neg False mean c was scanned itself.
+def _results(F: FunctionTable, queries, records):
+    """The results of queries, in their order, and the number of blocks
+    recounted.  A query is (c, (r, k, neg), conv): c =
+    (r^(p^k))^(-1 if neg else 1) (see _c_orbits), records[r] is r's scan
+    record, k = 0 and neg False mean c was scanned itself, and conv picks
+    the half of the record (a >= 0 or a >= 1) and the result's convention.
 
     Row a of r has the maximum of row ±a^(p^k) of c, and a coset aΛ maps
     to a coset, so c's witness row is the smallest coset minimum of the
     images of the rows attaining r's maximum: the row a scan of c would
-    find first.  Those minima are taken once per r, for every (k, neg).
+    find first.  Those minima are taken once per (r, half), for every
+    (k, neg), so two conventions may read one representative.
     The witness rows are then recounted in numpy, a block of (c, a) rows
     at a time: one derivative_rows call with one c per row, one offset
     bincount, one argmax and one nonzero.  Each recounted maximum must be
     the scanned value and, when c was scanned, its smallest b the
     kernel's; otherwise WitnessMismatch is raised.
     """
-    if not rep:
+    if not queries:
         return (), 0
     spec, coset_min = F.spec, F.symmetry.coset_min
-    half = {r: 0 if conv.admits_zero_shift(r) else 1 for r, _, _ in rep.values()}
-    index = {r: i for i, r in enumerate(half)}
-    tops = [records[r][h] for r, h in half.items()]
-    # minima[k][neg][index[r]]: the smallest coset minimum of ±frob^k(r's rows)
+    index = {}   # (r, half) -> its place in tops
+    for _, (r, _, _), conv in queries:
+        index.setdefault((r, 0 if conv.admits_zero_shift(r) else 1), len(index))
+    tops = [records[r][half] for r, half in index]
+    # minima[k][neg][i]: the smallest coset minimum of ±frob^k(rows of tops[i])
     images = np.concatenate([rows for _, rows, _ in tops])
     images = np.array([images, spec._neg[images]])
     segments = list(itertools.accumulate([len(rows) for _, rows, _ in tops[:-1]], initial=0))
     minima = []
-    for _ in range(1 + max(k for _, k, _ in rep.values())):
+    for _ in range(1 + max(k for _, (_, k, _), _ in queries)):
         minima.append(np.minimum.reduceat(coset_min[images], segments, axis=1).tolist())
         images = spec._frob[images]
-    witnesses = [(c, minima[k][neg][index[r]], tops[index[r]], k == 0 and not neg)
-                 for c, (r, k, neg) in rep.items()]
+    witnesses = []
+    for c, (r, k, neg), conv in queries:
+        i = index[r, 0 if conv.admits_zero_shift(r) else 1]
+        witnesses.append((c, minima[k][neg][i], tops[i], k == 0 and not neg, conv))
     chunk = _block_rows(spec.q, _MAX_RECOUNT_ROWS)
     results, starts = [], range(0, len(witnesses), chunk)
     for start in starts:
         block = witnesses[start:start + chunk]
-        cs, a_list = np.array([(c, a) for c, a, _, _ in block], dtype=np.int64).T
+        cs, a_list = np.array([(c, a) for c, a, _, _, _ in block], dtype=np.int64).T
         d = derivative_rows(spec, F.values, cs, a_list)
         offsets = np.arange(0, d.size, spec.q)[:, np.newaxis]   # row i counts from i*q
         counts = np.bincount((d + offsets).ravel(), minlength=d.size).reshape(d.shape)
         top = counts.argmax(axis=1)
         xs = np.nonzero(d == top[:, np.newaxis])[1].tolist()
         lo = 0
-        for (c, a, (value, _, first_b), scanned), got, b in zip(
+        for (c, a, (value, _, first_b), scanned, conv), got, b in zip(
                 block, counts.max(axis=1).tolist(), top.tolist()):
             if got != value or (scanned and b != first_b):
                 first = f", first at b = {first_b}" if scanned else ""
@@ -468,7 +537,7 @@ def spectrum(F: FunctionTable, c_filter, conv: AConvention,
     """
     spec = F.spec
     rep, records = _sweep(F, c_filter, threads)
-    results, blocks = _results(F, conv, rep, records)
+    results, blocks = _results(F, [(c, orbit, conv) for c, orbit in rep.items()], records)
     _log_recount(spec, len(results), blocks)
     c_desc = c_filter if isinstance(c_filter, str) else ",".join(map(str, rep))
     return SpectrumReport(
@@ -490,21 +559,20 @@ def dual_convention_max(F: FunctionTable, c_filter, threads: int = 1):
     c -> 1/c (and Frobenius, when F commutes with it); values are constant
     on an orbit, so the first c in ascending order that reaches each
     maximum is the smallest requested member of its orbit, a scanned c.
-    Its witness is recounted by _results, as in spectrum, so a wrong value
-    raises WitnessMismatch; one DEBUG record names the rows recounted (one
-    per convention) and the blocks.
+    Both witnesses are recounted by one _results call, as in spectrum, so
+    a wrong value raises WitnessMismatch; one DEBUG record names the rows
+    recounted (one per convention) and the blocks.
     """
     _, records = _sweep(F, c_filter, threads)
-    best, rows, blocks = {}, 0, 0
-    for conv in AConvention:
-        if not records:
-            best[conv.value] = (0, None)
-            continue
+    queries = []
+    for conv in AConvention if records else ():
         r = max(records, key=lambda r: records[r][0 if conv.admits_zero_shift(r) else 1][0])
-        (res,), used = _results(F, conv, {r: (r, 0, False)}, records)
-        best[conv.value] = (res.value, (r, res.witness_a, res.witness_b))
-        rows, blocks = rows + 1, blocks + used
-    _log_recount(F.spec, rows, blocks)
+        queries.append((r, (r, 0, False), conv))
+    results, blocks = _results(F, queries, records)
+    _log_recount(F.spec, len(results), blocks)
+    best = {conv.value: (0, None) for conv in AConvention}
+    for res in results:
+        best[res.convention.value] = (res.value, (res.c, res.witness_a, res.witness_b))
     return best
 
 

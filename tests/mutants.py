@@ -160,9 +160,25 @@ MUTANTS = [
            "if got != value or (scanned and b != first_b):", "if got != value:",
            (TC + "test_witness_check_rejects_inflated_value",)),
     Mutant("maxima: the last b attaining the maximum, not the first", CDIFF,
-           "b = counts.argmax(axis=1)",
-           "b = counts.shape[1] - 1 - counts[:, ::-1].argmax(axis=1)",
+           "b = counts.argmax(axis=1, out=first_b[start:end])",
+           "first_b[start:end] = b = counts.shape[1] - 1 - counts[:, ::-1].argmax(axis=1)",
            (TC + "test_compiled_row_maxima_matches_numpy",)),
+    Mutant("kernel: every row of a block reads the first row's c", SCAN,
+           "slot ? w + slot[i] * step : w", "slot ? w + slot[0] * step : w",
+           (TC + "test_compiled_count_blocks_match_numpy",
+            TC + "test_batched_scan_matches_one_c_at_a_time")),
+    Mutant("sweep: the c-group offset one further on each pass", CDIFF,
+           "for i in range(0, len(scanned), size)]",
+           "for i in range(0, len(scanned), size + 1)]",
+           (TC + "test_all_c_sweep_over_several_passes",)),
+    Mutant("scan: the a >= 1 rows read from row 0 on, not past a tie at a = 0", CDIFF,
+           "(value, _trim(F, tops[start + tie:end]), firsts[start + tie])",
+           "(value, _trim(F, tops[start:end]), firsts[start])",
+           (TC + "test_batched_scan_matches_one_c_at_a_time",)),
+    Mutant("count blocks: a per-row c not checked as ranks", CDIFF,
+           "        _check_ranks(\"c\", c, q)\n        if c.shape != rows.shape:",
+           "        if c.shape != rows.shape:",
+           (TC + "test_per_row_c_is_checked_before_the_call",)),
 ]
 
 

@@ -316,7 +316,7 @@ def test_witness_check_rejects_inflated_value(gf8):
 
     def result(value, b):   # a scan record whose a != 0 maximum is in row 1
         record = (None, (value, np.array([1]), b))
-        (res,), blocks = cdiff._results(F, NZ, {7: (7, 0, False)}, {7: record})
+        (res,), blocks = cdiff._results(F, [(7, (7, 0, False), NZ)], {7: record})
         assert blocks == 1
         return res
 
@@ -356,10 +356,12 @@ def _check_inflated_scan_raises(gf27):
     row_maxima = cdiff._row_maxima
 
     def inflated(spec, values, c, rows):
+        # row 1 of c = 9, which one pass scans among other c values
         row_max, first_b = row_maxima(spec, values, c, rows)
-        if c == 9:
+        at = np.flatnonzero(np.broadcast_to(c, rows.shape) == 9)
+        if len(at):
             row_max = row_max.copy()
-            row_max[1] += spec.q
+            row_max[at[1]] += spec.q
         return row_max, first_b
 
     with mock.patch.object(cdiff, "_row_maxima", inflated):
@@ -526,11 +528,14 @@ def test_dispatch_scan_matches_generic(case):
         assert rows.tolist() == [0, 1]
     assert rows.tolist() == _stabilizer_rows(spec, F.values)
     every = trivial_record(F)
-    for c in range(q):
-        # per maximum (a >= 0, a >= 1): the value, its first row and its b
-        fast, generic = ([(value, int(top[0]), b) for value, top, b in cdiff._scan(G, c)]
-                         for G in (F, every))
-        assert fast == generic
+    # per c and maximum (a >= 0, a >= 1): the value, its first row and its
+    # b, from passes over groups of c values as _sweep makes them
+    size = max(1, cdiff.BLOCK_ELEMENTS // q)
+    fast, generic = ([[(value, int(top[0]), b) for value, top, b in record]
+                      for start in range(0, q, size)
+                      for record in cdiff._scan(G, list(range(start, min(q, start + size))))]
+                     for G in (F, every))
+    assert fast == generic
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -658,14 +663,14 @@ def test_orbit_representative_is_smallest_requested_member(gf27):
 
 def test_orbit_image_is_recounted(gf27):
     F = deca_trinomial(gf27, 1)
-    record = cdiff._scan(F, 13)
+    (record,) = cdiff._scan(F, [13])
     # 16 = 13^3 and 22 = 1/13; a single c is scanned directly
     for c, k, neg in ((16, 1, False), (22, 0, True)):
-        assert (cdiff._results(F, INC, {c: (13, k, neg)}, {13: record})
+        assert (cdiff._results(F, [(c, (13, k, neg), INC)], {13: record})
                 == (spectrum(F, [c], INC).results, 1))
         inflated = ((record[0][0] + 1,) + record[0][1:], record[1])
         with pytest.raises(WitnessMismatch):
-            cdiff._results(F, INC, {c: (13, k, neg)}, {13: inflated})
+            cdiff._results(F, [(c, (13, k, neg), INC)], {13: inflated})
 
 
 @pytest.mark.parametrize("p,n,coeffs", [(3, 3, {1: 1, 0: 2}), (3, 4, {1: 1, 0: 2}),
@@ -696,7 +701,7 @@ def test_orbit_dispatch_scans_one_c_per_orbit():
     # GF(3^5): c = 2 = -1 is fixed and the other 240 values of c != 0, 1
     # form 48 Frobenius orbits of 5, paired by c -> 1/c; a changed value at
     # x = 5 leaves F not invariant, and c -> 1/c still pairs its 240 values;
-    # uniformity scans its one c
+    # uniformity scans its one c; each call scans its c values in one pass
     spec = build_field(3, 5)
     F = deca_trinomial(spec, 1)
     values = F.values.copy()
@@ -707,7 +712,9 @@ def test_orbit_dispatch_scans_one_c_per_orbit():
                             (lambda: uniformity(G, 13, INC), 1)):
             with mock.patch.object(cdiff, "_row_maxima", wraps=cdiff._row_maxima) as scan:
                 call()
-            assert scan.call_count == count
+            assert scan.call_count == 1
+            ((_, _, c, rows), _), = scan.call_args_list
+            assert len(set(np.broadcast_to(c, rows.shape).tolist())) == count
 
 
 def test_sweep_logs_what_it_scanned(caplog):
@@ -745,8 +752,8 @@ def _check_count_records(caplog, kernel):
 
 def _check_sweep_record(caplog, kernel):
     # the deca trinomial over GF(3^5) is even: Λ = {1, -1}, so row 0 and 121
-    # coset rows; 25 c values as above; one witness row recounted for each
-    # convention
+    # coset rows; 25 c values as above, in one pass of 25 x 122 rows at 128
+    # a block; one witness row recounted for each convention, in one block
     F = deca_trinomial(build_field(3, 5), 1)
     with caplog.at_level(logging.DEBUG, logger="cdiffkit"):
         dual_convention_max(F, "exclude_0_1")
@@ -755,8 +762,8 @@ def _check_sweep_record(caplog, kernel):
     assert [r.getMessage() for r in records] == [
         "symmetry over GF(3^5): |stabilizer| 2, rows 122 of 243, frobenius yes",
         ("sweep over GF(3^5): |stabilizer| 2, rows scanned 122 of 243, c requested 241, "
-         f"c scanned 25, kernel {kernel}"),
-        "recount over GF(3^5): rows recounted 2 in 2 blocks, kernel numpy"]
+         f"c scanned 25, passes 1, blocks 24, kernel {kernel}"),
+        "recount over GF(3^5): rows recounted 2 in 1 blocks, kernel numpy"]
 
 
 def test_spectrum_logs_its_recount(caplog):
@@ -905,14 +912,25 @@ BLOCK_ROWS = st.sampled_from([1, 3, cdiff._MAX_BLOCK_ROWS])
 
 
 @st.composite
-def scan_cases(draw):
+def scan_cases(draw, per_row=False):
     """(spec, values, c, rows): p in {2, 3, 5, 7} with n = 1, even n and odd
-    n; a random table, a random list of rows and c in {0, 1, random}."""
+    n; a random table, a random list of rows and c in {0, 1, random}, or
+    with per_row also one c per row: runs of c-major (c, a) pairs, as a
+    sweep passes them, or any c for each row."""
     spec = build_field(*draw(st.sampled_from(SCAN_FIELDS)))
     rank = st.integers(0, spec.q - 1)
     values = np.array(draw(st.lists(rank, min_size=spec.q, max_size=spec.q)), dtype=np.int32)
     rows = np.array(draw(st.lists(rank, min_size=1, max_size=spec.q, unique=True)))
-    return spec, values, draw(st.sampled_from([0, 1]) | rank), rows
+    c = st.sampled_from([0, 1]) | rank
+    if per_row:
+        cs = st.lists(c, min_size=1, max_size=8)
+        c_major = st.tuples(cs, st.just(rows)).map(
+            lambda t: (np.repeat(t[0], len(t[1])), np.tile(t[1], len(t[0]))))
+        each = st.lists(rank, min_size=len(rows), max_size=len(rows)).map(
+            lambda cs: (np.array(cs), rows))
+        c, rows = draw(c.map(lambda c: (c, rows)) | c_major | each)
+        return spec, values, c, rows
+    return spec, values, draw(c), rows
 
 
 def _block_rows(n):
@@ -920,7 +938,7 @@ def _block_rows(n):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(scan_cases(), BLOCK_ROWS)
+@given(scan_cases(per_row=True), BLOCK_ROWS)
 def test_compiled_count_blocks_match_numpy(case, block_rows):
     _require_compiled_scan()
     spec, values, c, rows = case
@@ -938,7 +956,7 @@ def test_compiled_count_blocks_match_numpy(case, block_rows):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(scan_cases())
+@given(scan_cases(per_row=True))
 def test_compiled_row_maxima_matches_numpy(case):
     # both kernels against a literal histogram of each row: the maximum and
     # the smallest b attaining it
@@ -998,6 +1016,10 @@ def _recount_one_c_at_a_time(F, conv, rep, records):
     return tuple(results)
 
 
+def _queries(rep, conv):
+    return [(c, orbit, conv) for c, orbit in rep.items()]
+
+
 RECOUNT_FIELDS = [(2, 1), (2, 4), (2, 5), (2, 6), (3, 1), (3, 2), (3, 3), (3, 4),
                   (5, 2), (7, 2)]
 
@@ -1037,10 +1059,87 @@ def test_blocked_recount_matches_one_c_at_a_time(case, conv, threads, block_rows
     F, c_set = case
     rep, records = cdiff._sweep(F, c_set, threads)
     with mock.patch.object(cdiff, "_MAX_RECOUNT_ROWS", block_rows):
-        results, blocks = cdiff._results(F, conv, rep, records)
+        results, blocks = cdiff._results(F, _queries(rep, conv), records)
     assert results == _recount_one_c_at_a_time(F, conv, rep, records)
     rows = min(block_rows, max(1, cdiff.BLOCK_ELEMENTS // F.spec.q))
     assert blocks == -(-len(rep) // rows)
+
+
+# -- the batched scan against a scan of one c at a time ----------------------
+
+def _scan_one_c_at_a_time(F, c):
+    """c's scan record as a scan of c alone makes it: a literal histogram of
+    each stabilizer row; then, for a >= 0 and for a >= 1, the maximum, the
+    rows attaining it and the first b of the first of them, cut to the row
+    giving each smallest coset minimum of ±frob^k(rows) when more than 2n
+    rows attain it."""
+    spec, rows, coset_min = F.spec, F.symmetry.rows, F.symmetry.coset_min
+    hists = [np.bincount(d, minlength=spec.q)
+             for d in cdiff.derivative_rows(spec, F.values, c, rows)]
+    row_max = np.array([h.max() for h in hists])
+    record = []
+    for lo in (0, 1):
+        best = int(row_max[lo:].max())
+        hit = lo + np.flatnonzero(row_max[lo:] == best)
+        top = rows[hit]
+        if len(top) > 2 * spec.n:
+            keep, image = np.zeros(len(top), dtype=bool), top
+            for _ in range(spec.n):
+                keep[coset_min[image].argmin()] = True
+                keep[coset_min[spec._neg[image]].argmin()] = True
+                image = spec._frob[image]
+            top = top[keep]
+        record.append((best, top.tolist(), int(hists[hit[0]].argmax())))
+    return tuple(record)
+
+
+def _batched_sweep(F, c_set, conv, threads, kernel):
+    """The sweep's records as lists, and the results of the c-set."""
+    if kernel == "C":
+        _require_compiled_scan()
+    with contextlib.nullcontext() if kernel == "C" else _numpy_scan():
+        rep, records = cdiff._sweep(F, c_set, threads)
+        results, _ = cdiff._results(F, _queries(rep, conv), records)
+    return rep, {r: tuple((value, top.tolist(), b) for value, top, b in record)
+                 for r, record in records.items()}, results
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(recount_cases(), st.sampled_from([INC, NZ]), st.sampled_from([1, 2]), BLOCK_ROWS,
+       st.sampled_from(["C", "numpy"]))
+def test_batched_scan_matches_one_c_at_a_time(case, conv, threads, block_rows, kernel):
+    F, c_set = case
+    with _block_rows(block_rows):
+        rep, records, results = _batched_sweep(F, c_set, conv, threads, kernel)
+    assert records == {r: _scan_one_c_at_a_time(F, r) for r in records}
+    assert results == _recount_one_c_at_a_time(F, conv, rep, records)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kernel", ["C", "numpy"])
+def test_all_c_sweep_over_several_passes(caplog, threads, kernel):
+    # x^3 over GF(2^11) commutes with Frobenius: 2048 c values in 95 orbits,
+    # scanned at 32 a pass in 3 passes of at most 64 rows, 32 rows a block
+    F = from_monomial(build_field(2, 11), 3)
+    with caplog.at_level(logging.DEBUG, logger="cdiffkit"):
+        rep, records, results = _batched_sweep(F, "all", NZ, threads, kernel)
+    sweep = [r.getMessage() for r in caplog.records if r.getMessage().startswith("sweep")]
+    assert sweep == ["sweep over GF(2^11): |stabilizer| 2047, rows scanned 2 of 2048, "
+                     f"c requested 2048, c scanned 95, passes 3, blocks 6, kernel {kernel}"]
+    assert records == {r: _scan_one_c_at_a_time(F, r) for r in records}
+    assert results == _recount_one_c_at_a_time(F, NZ, rep, records)
+
+
+@pytest.mark.parametrize("c_set", [[1], [2], [1, 2], "all"])
+def test_dual_max_recounts_both_conventions_at_once(gf27, c_set):
+    # c = 1 has one half for both conventions, c = 2 one half for each
+    F = deca_trinomial(gf27, 1)
+    with mock.patch.object(cdiff, "_results", wraps=cdiff._results) as recount:
+        dual = dual_convention_max(F, c_set)
+    assert recount.call_count == 1
+    for conv in AConvention:
+        first = max(spectrum(F, c_set, conv).results, key=lambda r: r.value)
+        assert dual[conv.value] == (first.value, (first.c, first.witness_a, first.witness_b))
 
 
 def _payloads(F, c_set, conv):
@@ -1122,3 +1221,21 @@ def test_compiled_scan_checks_ranks_before_the_call(gf27):
                 with pytest.raises(ValueError):
                     call(gf27, values, 1, np.array(rows))
     kernel.assert_not_called()
+
+
+@pytest.mark.parametrize("kernel", ["C", "numpy"])
+@pytest.mark.parametrize("cs", [[2, 2, -1], [2, 2, 27], [2, 2.0, 3], [2, 3], [[2, 2, 3]]])
+def test_per_row_c_is_checked_before_the_call(gf27, kernel, cs):
+    # the bad c is in the last row, at one row a block, so a check made block
+    # by block would let the first blocks run; derivative_rows is the numpy
+    # body's kernel
+    rows, values = np.array([1, 2, 3]), np.zeros(27, dtype=np.int32)
+    compiled, numpy_rows = mock.Mock(), mock.Mock()
+    with _block_rows(1), \
+            mock.patch.object(cdiff, "_kernel", return_value=compiled if kernel == "C" else None), \
+            mock.patch.object(cdiff, "derivative_rows", numpy_rows):
+        for call in (cdiff._row_maxima, lambda *args: list(cdiff._count_blocks(*args))):
+            with pytest.raises(ValueError):
+                call(gf27, values, np.array(cs), rows)
+    compiled.assert_not_called()
+    numpy_rows.assert_not_called()
