@@ -13,18 +13,18 @@ Every uniformity query goes through one sweep (_sweep), which applies two
 proved identities: rows a and λa share their maximum for λ in the
 multiplicative stabilizer Λ of F, and c shares its maxima with 1/c (and
 with c^p when F commutes with Frobenius).  So the sweep scans row 0 and one
-row per coset aΛ, for one c per orbit (_c_orbits), and rebuilds every other
-c's witness from its representative's record.  It scans the representatives
-in groups, one kernel pass over each group's c-major (c, a) rows (_scan),
-and the kernel takes one c per row.  Λ and the Frobenius test are
-held in one record per table (FunctionTable.symmetry), which every query reads.
+row per coset aΛ, for one c per orbit (_c_orbits), and reads every other
+c's witness from its representative's entry in one WitnessTable.  It scans
+the representatives in groups, one kernel pass over each group's c-major
+(c, a) rows (_scan), and the kernel takes one c per row.  Λ and the
+Frobenius test are held in one record per table (FunctionTable.symmetry),
+which every query reads.
 Every witness row is then recounted in numpy by one function (_results), a
 block of (c, a) rows at a time, so a wrong scan raises WitnessMismatch.
 """
 
 from __future__ import annotations
 
-import bisect
 import ctypes
 import enum
 import functools
@@ -37,6 +37,7 @@ import tempfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -347,19 +348,28 @@ def _solutions(spec: FieldSpec, values, c: int, a: int, b: int):
     return tuple(int(x) for x in np.nonzero(d == b)[0])
 
 
-def _scan(F: FunctionTable, cs):
-    """The scan records of the c values cs, in their order, from one
-    _row_maxima pass over the c-major (c, a) pairs of cs and the stabilizer
-    rows (see Symmetry); one c passes a rank, so it builds no per-row c.  A
-    record holds, for a >= 0 and for a >= 1, (the maximum, the scanned rows
-    attaining it ascending, the smallest b attaining it in the first row
-    attaining it).  Both are read from one comparison with the a >= 1
-    maxima: row 0 (a = 0) either exceeds, ties or falls below them.
+class WitnessTable(NamedTuple):
+    """What a sweep keeps of each scanned c.  coset_min(0) = 0 lies below
+    every other image, so with a = 0 admitted c's witness is row 0 when
+    row0 >= best (with b0 when c was scanned), else the a >= 1 one."""
 
-    _results reads only min(coset_min(±frob^k(rows))) for k < n, so when
-    more than 2n rows attain the maximum the record keeps just the row
-    giving each of those 2n minima: a record holds at most 2n rows."""
-    spec, rows = F.spec, F.symmetry.rows
+    c: np.ndarray      # the scanned c values
+    best: np.ndarray   # the maximum over the rows a >= 1
+    row0: np.ndarray   # row 0's maximum
+    b0: np.ndarray     # the kernel's first b in row 0
+    b1: np.ndarray     # the kernel's first b in the first row a >= 1 attaining best
+    wit: np.ndarray    # wit[i, k, neg]: min coset_min(±frob^k(a)) over those rows
+
+
+def _scan(F: FunctionTable, cs):
+    """The witness table of the c values cs, in their order, from one
+    _row_maxima pass over the c-major (c, a) pairs of cs and the stabilizer
+    rows (see Symmetry); one c passes a rank, so it builds no per-row c.
+    wit is one min over Symmetry.images where a row attains best, for a
+    few c values at a time, so its temporary holds at most
+    max(BLOCK_ELEMENTS, one c's images) entries."""
+    spec, sym = F.spec, F.symmetry
+    rows, images = sym.rows, sym.images[..., 1:]
     k, width = len(cs), len(rows)
     if k == 1:
         c, shifts = int(cs[0]), rows
@@ -367,40 +377,16 @@ def _scan(F: FunctionTable, cs):
         c, shifts = np.repeat(np.asarray(cs, dtype=np.int32), width), np.tile(rows, k)
     row_max, first_b = _row_maxima(spec, F.values, c, shifts)
     row_max, first_b = row_max.reshape(k, width), first_b.reshape(k, width)
-    best = row_max[:, 1:].max(axis=1)                # the a >= 1 maxima
-    hit = row_max == best[:, np.newaxis]             # the rows attaining them, and a tie at a = 0
-    which, at = np.nonzero(hit)                      # c-major, ascending within each c
-    tops, firsts = rows[at], first_b[which, at].tolist()
-    which, at = which.tolist(), at.tolist()
-    records, start = [], 0
-    for i, (row0, b0, value) in enumerate(zip(row_max[:, 0].tolist(), first_b[:, 0].tolist(),
-                                               best.tolist())):
-        end = bisect.bisect_right(which, i, start)
-        tie = at[start] == 0
-        nonzero = (value, _trim(F, tops[start + tie:end]), firsts[start + tie])
-        if row0 > value:
-            zero = (row0, rows[:1], b0)
-        elif tie:
-            zero = (value, _trim(F, tops[start:end]), firsts[start])
-        else:
-            zero = nonzero
-        records.append((zero, nonzero))
-        start = end
-    return records
-
-
-def _trim(F: FunctionTable, top):
-    """top, or when it holds more than 2n rows, just the row giving each
-    smallest coset minimum of ±frob^k(top) for k < n (see _scan)."""
-    spec, coset_min = F.spec, F.symmetry.coset_min
-    if len(top) <= 2 * spec.n:
-        return top
-    keep, image = np.zeros(len(top), dtype=bool), top
-    for _ in range(spec.n):
-        keep[coset_min[image].argmin()] = True
-        keep[coset_min[spec._neg[image]].argmin()] = True
-        image = spec._frob[image]
-    return top[keep]
+    best = row_max[:, 1:].max(axis=1)
+    hit = row_max[:, 1:] == best[:, np.newaxis]      # the rows a >= 1 attaining best
+    wit = np.empty((k, *images.shape[:2]), dtype=images.dtype)
+    step = max(1, BLOCK_ELEMENTS // images.size)     # c values a reduction
+    for lo in range(0, k, step):
+        np.where(hit[lo:lo + step, np.newaxis, np.newaxis], images, spec.q).min(
+            axis=3, out=wit[lo:lo + step])
+    # copies: a view of row 0 would keep the group's whole arrays alive
+    return WitnessTable(np.asarray(cs), best, row_max[:, 0].copy(), first_b[:, 0].copy(),
+                        first_b[np.arange(k), 1 + hit.argmax(axis=1)], wit)
 
 
 def _sweep(F: FunctionTable, c_filter, threads: int):
@@ -416,7 +402,7 @@ def _sweep(F: FunctionTable, c_filter, threads: int):
     scanned, the c values requested and scanned, the passes and kernel
     blocks that scanned them, and the kernel path (C or numpy, see
     _kernel).  Returns the map {c: (r, k, neg)} over the c-set ascending,
-    and {r: scan record} (see _scan).
+    and the WitnessTable of the scanned c values, ascending.
     """
     spec, sym = F.spec, F.symmetry
     cs = admissible_c(spec, c_filter)
@@ -431,59 +417,48 @@ def _sweep(F: FunctionTable, c_filter, threads: int):
                   "c requested %d, c scanned %d, passes %d, blocks %d, kernel %s",
                   spec.p, spec.n, sym.order, len(sym.rows), spec.q, len(cs),
                   len(scanned), len(groups), blocks, _kernel_name())
-    records = parallel_map(_scan, F, groups, threads)
-    return rep, dict(zip(scanned, itertools.chain.from_iterable(records)))
+    # an empty c-set scans one empty group, for an empty table
+    tables = parallel_map(_scan, F, groups or [[]], threads)
+    return rep, WitnessTable(*map(np.concatenate, zip(*tables))) if tables[1:] else tables[0]
 
 
-def _results(F: FunctionTable, queries, records):
+def _results(F: FunctionTable, queries, table: WitnessTable):
     """The results of queries, in their order, and the number of blocks
     recounted.  A query is (c, (r, k, neg), conv): c =
-    (r^(p^k))^(-1 if neg else 1) (see _c_orbits), records[r] is r's scan
-    record, k = 0 and neg False mean c was scanned itself, and conv picks
-    the half of the record (a >= 0 or a >= 1) and the result's convention.
+    (r^(p^k))^(-1 if neg else 1) (see _c_orbits), r is a c of the witness
+    table, k = 0 and neg False mean c was scanned itself, and conv picks
+    the a >= 0 or a >= 1 witness and the result's convention.
 
     Row a of r has the maximum of row ±a^(p^k) of c, and a coset aΛ maps
-    to a coset, so c's witness row is the smallest coset minimum of the
-    images of the rows attaining r's maximum: the row a scan of c would
-    find first.  Those minima are taken once per (r, half), for every
-    (k, neg), so two conventions may read one representative.
+    to a coset, so c's witness row is the table's wit[r, k, neg], or row 0
+    (see WitnessTable): the row a scan of c would find first.
     The witness rows are then recounted in numpy, a block of (c, a) rows
     at a time: one derivative_rows call with one c per row, one offset
     bincount, one argmax and one nonzero.  Each recounted maximum must be
     the scanned value and, when c was scanned, its smallest b the
     kernel's; otherwise WitnessMismatch is raised.
     """
-    if not queries:
-        return (), 0
-    spec, coset_min = F.spec, F.symmetry.coset_min
-    index = {}   # (r, half) -> its place in tops
-    for _, (r, _, _), conv in queries:
-        index.setdefault((r, 0 if conv.admits_zero_shift(r) else 1), len(index))
-    tops = [records[r][half] for r, half in index]
-    # minima[k][neg][i]: the smallest coset minimum of ±frob^k(rows of tops[i])
-    images = np.concatenate([rows for _, rows, _ in tops])
-    images = np.array([images, spec._neg[images]])
-    segments = list(itertools.accumulate([len(rows) for _, rows, _ in tops[:-1]], initial=0))
-    minima = []
-    for _ in range(1 + max(k for _, (_, k, _), _ in queries)):
-        minima.append(np.minimum.reduceat(coset_min[images], segments, axis=1).tolist())
-        images = spec._frob[images]
+    spec = F.spec
+    index = dict(zip(table.c.tolist(), itertools.count()))
+    best, row0, b0, b1, wit = (col.tolist() for col in table[1:])
     witnesses = []
     for c, (r, k, neg), conv in queries:
-        i = index[r, 0 if conv.admits_zero_shift(r) else 1]
-        witnesses.append((c, minima[k][neg][i], tops[i], k == 0 and not neg, conv))
+        i = index[r]
+        zero = conv.admits_zero_shift(r) and row0[i] >= best[i]   # a tie at a = 0 gives row 0
+        a, value, first_b = (0, row0[i], b0[i]) if zero else (wit[i][k][neg], best[i], b1[i])
+        witnesses.append((c, a, value, first_b, k == 0 and not neg, conv))
     chunk = _block_rows(spec.q, _MAX_RECOUNT_ROWS)
     results, starts = [], range(0, len(witnesses), chunk)
     for start in starts:
         block = witnesses[start:start + chunk]
-        cs, a_list = np.array([(c, a) for c, a, _, _, _ in block], dtype=np.int64).T
+        cs, a_list = np.array([(c, a) for c, a, _, _, _, _ in block], dtype=np.int64).T
         d = derivative_rows(spec, F.values, cs, a_list)
         offsets = np.arange(0, d.size, spec.q)[:, np.newaxis]   # row i counts from i*q
         counts = np.bincount((d + offsets).ravel(), minlength=d.size).reshape(d.shape)
         top = counts.argmax(axis=1)
         xs = np.nonzero(d == top[:, np.newaxis])[1].tolist()
         lo = 0
-        for (c, a, (value, _, first_b), scanned, conv), got, b in zip(
+        for (c, a, value, first_b, scanned, conv), got, b in zip(
                 block, counts.max(axis=1).tolist(), top.tolist()):
             if got != value or (scanned and b != first_b):
                 first = f", first at b = {first_b}" if scanned else ""
@@ -528,16 +503,16 @@ def spectrum(F: FunctionTable, c_filter, conv: AConvention,
     One sweep (see _sweep) scans one c per orbit under c -> 1/c (and
     Frobenius, when F commutes with it), over row 0 and one row per
     stabilizer coset.  Every c's witness row comes from its
-    representative's scan record, and all of them are recounted in blocks
-    (see _results), so a wrong value raises WitnessMismatch.  With
+    representative's witness table entry, and all of them are recounted in
+    blocks (see _results), so a wrong value raises WitnessMismatch.  With
     threads > 1 the representatives are distributed over worker processes
     (fork start method); results are merged in c order, so the report is
     identical for every thread count.  Logs one DEBUG record on the
     "cdiffkit" logger after the sweep's: the rows recounted and the blocks.
     """
     spec = F.spec
-    rep, records = _sweep(F, c_filter, threads)
-    results, blocks = _results(F, [(c, orbit, conv) for c, orbit in rep.items()], records)
+    rep, table = _sweep(F, c_filter, threads)
+    results, blocks = _results(F, [(c, orbit, conv) for c, orbit in rep.items()], table)
     _log_recount(spec, len(results), blocks)
     c_desc = c_filter if isinstance(c_filter, str) else ",".join(map(str, rep))
     return SpectrumReport(
@@ -558,17 +533,19 @@ def dual_convention_max(F: FunctionTable, c_filter, threads: int = 1):
     for an empty c-set.  The sweep (see _sweep) scans one c per orbit under
     c -> 1/c (and Frobenius, when F commutes with it); values are constant
     on an orbit, so the first c in ascending order that reaches each
-    maximum is the smallest requested member of its orbit, a scanned c.
+    maximum is the smallest requested member of its orbit, a scanned c:
+    one argmax over the witness table's maxima per convention.
     Both witnesses are recounted by one _results call, as in spectrum, so
     a wrong value raises WitnessMismatch; one DEBUG record names the rows
     recounted (one per convention) and the blocks.
     """
-    _, records = _sweep(F, c_filter, threads)
+    rep, table = _sweep(F, c_filter, threads)
     queries = []
-    for conv in AConvention if records else ():
-        r = max(records, key=lambda r: records[r][0 if conv.admits_zero_shift(r) else 1][0])
+    for conv in AConvention if rep else ():
+        admitted = [conv.admits_zero_shift(c) for c in table.c.tolist()]
+        r = int(table.c[np.maximum(table.best, table.row0 * admitted).argmax()])
         queries.append((r, (r, 0, False), conv))
-    results, blocks = _results(F, queries, records)
+    results, blocks = _results(F, queries, table)
     _log_recount(F.spec, len(results), blocks)
     best = {conv.value: (0, None) for conv in AConvention}
     for res in results:

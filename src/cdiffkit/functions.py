@@ -95,6 +95,19 @@ class Symmetry:
         return cls(spec, m, mu, (spec.q - 1) // m, *spec.cosets(m), frobenius)
 
     @functools.cached_property
+    def images(self) -> np.ndarray:
+        """images[k, neg, j] = coset_min[±frob^k(rows[j])], minus when neg, for
+        k < n when frobenius holds and k = 0 otherwise: row rows[j] of c
+        read in c's orbit (see cdiff._c_orbits).  Built on first use."""
+        spec = self.spec
+        a = np.array([self.rows, spec._neg[self.rows]])
+        out = np.empty((spec.n if self.frobenius else 1, *a.shape), dtype=self.coset_min.dtype)
+        for k in range(len(out)):
+            out[k] = self.coset_min[a]
+            a = spec._frob[a]
+        return out
+
+    @functools.cached_property
     def columns(self) -> ColumnMap:
         """The columns of F's Walsh arrays, built on first Walsh use.  x = λy
         gives W_F(λu, μ_λ v) = W_F(u, v), and so G(λu, μ_λ v) = G(u, v) for

@@ -16,10 +16,12 @@ _worker = None   # (fn, state), set in each pool worker by _init_worker
 
 def worker_count(threads: int, n_items: int) -> int:
     """Processes to start: min(threads, n_items, cpu count), at least 1.
-    threads < 1 is rejected."""
+    threads < 1 is rejected.  The cpu count is asked for only when more
+    than one process could start."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    return max(1, min(threads, n_items, os.cpu_count() or 1))
+    workers = min(threads, n_items)
+    return min(workers, os.cpu_count() or 1) if workers > 1 else 1
 
 
 def _init_worker(fn, state):

@@ -171,9 +171,18 @@ MUTANTS = [
            "for i in range(0, len(scanned), size)]",
            "for i in range(0, len(scanned), size + 1)]",
            (TC + "test_all_c_sweep_over_several_passes",)),
-    Mutant("scan: the a >= 1 rows read from row 0 on, not past a tie at a = 0", CDIFF,
-           "(value, _trim(F, tops[start + tie:end]), firsts[start + tie])",
-           "(value, _trim(F, tops[start:end]), firsts[start])",
+    Mutant("results: a tie at a = 0 not given to row 0", CDIFF,
+           "row0[i] >= best[i]", "row0[i] > best[i]",
+           (TC + "test_batched_scan_matches_one_c_at_a_time",)),
+    Mutant("results: the witness of 1/c read at +a", CDIFF,
+           "wit[i][k][neg]", "wit[i][k][0]",
+           (TC + "test_batched_scan_matches_one_c_at_a_time",)),
+    Mutant("images: -a read as a", FUNCTIONS,
+           "a = np.array([self.rows, spec._neg[self.rows]])",
+           "a = np.array([self.rows, self.rows])",
+           (TC + "test_batched_scan_matches_one_c_at_a_time",)),
+    Mutant("images: no Frobenius step", FUNCTIONS,
+           "            a = spec._frob[a]\n", "",
            (TC + "test_batched_scan_matches_one_c_at_a_time",)),
     Mutant("count blocks: a per-row c not checked as ranks", CDIFF,
            "        _check_ranks(\"c\", c, q)\n        if c.shape != rows.shape:",

@@ -314,9 +314,10 @@ def test_witness_check_rejects_inflated_value(gf8):
     res = uniformity(F, 7, NZ)
     assert (res.witness_a, res.witness_b) == (1, 1)
 
-    def result(value, b):   # a scan record whose a != 0 maximum is in row 1
-        record = (None, (value, np.array([1]), b))
-        (res,), blocks = cdiff._results(F, [(7, (7, 0, False), NZ)], {7: record})
+    def result(value, b):   # a witness table whose a != 0 maximum is in row 1
+        table = cdiff.WitnessTable(np.array([7]), np.array([value]), np.array([0]),
+                                   np.array([0]), np.array([b]), np.ones((1, gf8.n, 2), int))
+        (res,), blocks = cdiff._results(F, [(7, (7, 0, False), NZ)], table)
         assert blocks == 1
         return res
 
@@ -528,12 +529,14 @@ def test_dispatch_scan_matches_generic(case):
         assert rows.tolist() == [0, 1]
     assert rows.tolist() == _stabilizer_rows(spec, F.values)
     every = trivial_record(F)
-    # per c and maximum (a >= 0, a >= 1): the value, its first row and its
-    # b, from passes over groups of c values as _sweep makes them
+    # per c: the a >= 1 maximum, row 0's maximum, the first b of row 0 and
+    # of the first row a >= 1 attaining the maximum, and the smallest ±a
+    # over those rows, from passes over groups of c values as _sweep makes
+    # them; the a >= 0 maximum and its witness follow from these
     size = max(1, cdiff.BLOCK_ELEMENTS // q)
-    fast, generic = ([[(value, int(top[0]), b) for value, top, b in record]
-                      for start in range(0, q, size)
-                      for record in cdiff._scan(G, list(range(start, min(q, start + size))))]
+    fast, generic = ([[col.tolist() for col in (*table[:5], table.wit[:, 0])]
+                      for table in (cdiff._scan(G, list(range(start, min(q, start + size))))
+                                    for start in range(0, q, size))]
                      for G in (F, every))
     assert fast == generic
 
@@ -663,30 +666,32 @@ def test_orbit_representative_is_smallest_requested_member(gf27):
 
 def test_orbit_image_is_recounted(gf27):
     F = deca_trinomial(gf27, 1)
-    (record,) = cdiff._scan(F, [13])
+    table = cdiff._scan(F, [13])
     # 16 = 13^3 and 22 = 1/13; a single c is scanned directly
     for c, k, neg in ((16, 1, False), (22, 0, True)):
-        assert (cdiff._results(F, [(c, (13, k, neg), INC)], {13: record})
+        assert (cdiff._results(F, [(c, (13, k, neg), INC)], table)
                 == (spectrum(F, [c], INC).results, 1))
-        inflated = ((record[0][0] + 1,) + record[0][1:], record[1])
+        # the a >= 0 maximum, row 0's or the a >= 1 one, one too high
+        inflated = table._replace(best=table.best + 1, row0=table.row0 + 1)
         with pytest.raises(WitnessMismatch):
-            cdiff._results(F, [(c, (13, k, neg), INC)], {13: inflated})
+            cdiff._results(F, [(c, (13, k, neg), INC)], inflated)
 
 
 @pytest.mark.parametrize("p,n,coeffs", [(3, 3, {1: 1, 0: 2}), (3, 4, {1: 1, 0: 2}),
                                         (2, 5, {3: 1, 1: 1})])
 def test_scan_records_hold_at_most_n_rows(p, n, coeffs):
     # x + 2 attains every maximum in every row, and both functions commute
-    # with Frobenius, so orbit images read the bounded records: at most 2n
-    # rows, one per element of <Frobenius, c -> 1/c>; each witness is still
-    # the lexicographically smallest one in the dense DDT
+    # with Frobenius, so orbit images read the witness table: 2n witness
+    # rows per representative, one per element of <Frobenius, c -> 1/c>,
+    # however many rows attain its maximum; each witness is still the
+    # lexicographically smallest one in the dense DDT
     spec = build_field(p, n)
     F = from_polynomial(spec, coeffs)
-    rep, records = cdiff._sweep(F, "all", 1)
+    rep, table = cdiff._sweep(F, "all", 1)
     assert any(r != c for c, (r, _, _) in rep.items())
-    for record in records.values():
-        for _, rows, _ in record:
-            assert 1 <= len(rows) <= 2 * n
+    assert F.symmetry.frobenius
+    assert table.c.tolist() == [c for c, (r, _, _) in rep.items() if r == c]
+    assert table.wit.shape == (len(table.c), n, 2)
     for conv in (INC, NZ):
         for res in spectrum(F, "all", conv).results:
             ddt = ddt_c(F, res.c)
@@ -994,19 +999,19 @@ def test_compiled_statistics_match_numpy(case, block_rows):
 
 # -- the blocked witness recount against a recount of one c at a time -------
 
-def _recount_one_c_at_a_time(F, conv, rep, records):
-    """Each c's witness row found and recounted on its own: the images
-    ±a^(p^k) of the rows attaining r's maximum, their smallest coset
-    minimum, one derivative row and one bincount."""
-    spec, values, coset_min = F.spec, F.values, F.symmetry.coset_min
+def _recount_one_c_at_a_time(F, conv, rep, entries):
+    """Each c's witness row read from its representative's entry (see
+    _scan_one_c_at_a_time) and recounted on its own: row 0 when a = 0 is
+    admitted and row 0 reaches the a >= 1 maximum, else the (k, neg)
+    witness; one derivative row and one bincount."""
+    spec, values = F.spec, F.values
     results = []
     for c, (r, k, neg) in rep.items():
-        value, rows, b = records[r][0 if conv.admits_zero_shift(c) else 1]
-        for _ in range(k):
-            rows = spec._frob[rows]
-        if neg:
-            rows = spec._neg[rows]
-        a = int(coset_min[rows].min())
+        best, row0, b0, b1, wit = entries[r]
+        if conv.admits_zero_shift(c) and row0 >= best:
+            a, value, b = 0, row0, b0
+        else:
+            a, value, b = wit[k][neg], best, b1
         d = cdiff.derivative_rows(spec, values, c, [a])[0]
         counts = np.bincount(d, minlength=spec.q)
         top = int(counts.argmax())
@@ -1057,10 +1062,10 @@ INVERSE_256 = inverse_table(build_field(2, 8))
 @example((INVERSE_256, "all"), NZ, 2, cdiff._MAX_RECOUNT_ROWS)
 def test_blocked_recount_matches_one_c_at_a_time(case, conv, threads, block_rows):
     F, c_set = case
-    rep, records = cdiff._sweep(F, c_set, threads)
+    rep, table = cdiff._sweep(F, c_set, threads)
     with mock.patch.object(cdiff, "_MAX_RECOUNT_ROWS", block_rows):
-        results, blocks = cdiff._results(F, _queries(rep, conv), records)
-    assert results == _recount_one_c_at_a_time(F, conv, rep, records)
+        results, blocks = cdiff._results(F, _queries(rep, conv), table)
+    assert results == _recount_one_c_at_a_time(F, conv, rep, _entries(table))
     rows = min(block_rows, max(1, cdiff.BLOCK_ELEMENTS // F.spec.q))
     assert blocks == -(-len(rep) // rows)
 
@@ -1068,51 +1073,56 @@ def test_blocked_recount_matches_one_c_at_a_time(case, conv, threads, block_rows
 # -- the batched scan against a scan of one c at a time ----------------------
 
 def _scan_one_c_at_a_time(F, c):
-    """c's scan record as a scan of c alone makes it: a literal histogram of
-    each stabilizer row; then, for a >= 0 and for a >= 1, the maximum, the
-    rows attaining it and the first b of the first of them, cut to the row
-    giving each smallest coset minimum of ±frob^k(rows) when more than 2n
-    rows attain it."""
-    spec, rows, coset_min = F.spec, F.symmetry.rows, F.symmetry.coset_min
+    """c's witness table entry as a scan of c alone makes it, from a literal
+    histogram of each stabilizer row: the a >= 1 maximum, row 0's maximum,
+    the first b of row 0 and of the first row a >= 1 attaining the maximum,
+    and wit[k][neg], the smallest coset minimum of ±a^(p^k) over those rows,
+    for k < n under Frobenius and k = 0 otherwise."""
+    spec, rows, coset_min = F.spec, F.symmetry.rows.tolist(), F.symmetry.coset_min
     hists = [np.bincount(d, minlength=spec.q)
              for d in cdiff.derivative_rows(spec, F.values, c, rows)]
-    row_max = np.array([h.max() for h in hists])
-    record = []
-    for lo in (0, 1):
-        best = int(row_max[lo:].max())
-        hit = lo + np.flatnonzero(row_max[lo:] == best)
-        top = rows[hit]
-        if len(top) > 2 * spec.n:
-            keep, image = np.zeros(len(top), dtype=bool), top
-            for _ in range(spec.n):
-                keep[coset_min[image].argmin()] = True
-                keep[coset_min[spec._neg[image]].argmin()] = True
-                image = spec._frob[image]
-            top = top[keep]
-        record.append((best, top.tolist(), int(hists[hit[0]].argmax())))
-    return tuple(record)
+    row_max = [int(h.max()) for h in hists]
+    best = max(row_max[1:])
+    first = row_max.index(best, 1)
+    hit = [a for a, value in zip(rows[1:], row_max[1:]) if value == best]
+    wit = []
+    for k in range(spec.n if F.symmetry.frobenius else 1):
+        images = [spec.pow(a, spec.p ** k) for a in hit]
+        wit.append([min(int(coset_min[x]) for x in images),
+                    min(int(coset_min[spec.neg(x)]) for x in images)])
+    return best, row_max[0], int(hists[0].argmax()), int(hists[first].argmax()), wit
+
+
+def _entries(table):
+    """The witness table as {c: its entry}, in _scan_one_c_at_a_time's form."""
+    return {c: tuple(entry) for c, *entry in zip(*(col.tolist() for col in table))}
 
 
 def _batched_sweep(F, c_set, conv, threads, kernel):
-    """The sweep's records as lists, and the results of the c-set."""
+    """The sweep's witness table as {c: entry}, and the results of the c-set."""
     if kernel == "C":
         _require_compiled_scan()
     with contextlib.nullcontext() if kernel == "C" else _numpy_scan():
-        rep, records = cdiff._sweep(F, c_set, threads)
-        results, _ = cdiff._results(F, _queries(rep, conv), records)
-    return rep, {r: tuple((value, top.tolist(), b) for value, top, b in record)
-                 for r, record in records.items()}, results
+        rep, table = cdiff._sweep(F, c_set, threads)
+        results, _ = cdiff._results(F, _queries(rep, conv), table)
+    return rep, _entries(table), results
+
+
+# Λ = {1} in odd characteristic, so -a and a lie in different cosets and
+# the witness of 1/c is not c's
+RANDOM_49 = raw_table(build_field(7, 2), np.random.default_rng(49).integers(0, 49, 49))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(recount_cases(), st.sampled_from([INC, NZ]), st.sampled_from([1, 2]), BLOCK_ROWS,
        st.sampled_from(["C", "numpy"]))
+@example((RANDOM_49, "all"), NZ, 1, cdiff._MAX_BLOCK_ROWS, "numpy")
 def test_batched_scan_matches_one_c_at_a_time(case, conv, threads, block_rows, kernel):
     F, c_set = case
     with _block_rows(block_rows):
-        rep, records, results = _batched_sweep(F, c_set, conv, threads, kernel)
-    assert records == {r: _scan_one_c_at_a_time(F, r) for r in records}
-    assert results == _recount_one_c_at_a_time(F, conv, rep, records)
+        rep, entries, results = _batched_sweep(F, c_set, conv, threads, kernel)
+    assert entries == {r: _scan_one_c_at_a_time(F, r) for r in entries}
+    assert results == _recount_one_c_at_a_time(F, conv, rep, entries)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -1122,17 +1132,17 @@ def test_all_c_sweep_over_several_passes(caplog, threads, kernel):
     # scanned at 32 a pass in 3 passes of at most 64 rows, 32 rows a block
     F = from_monomial(build_field(2, 11), 3)
     with caplog.at_level(logging.DEBUG, logger="cdiffkit"):
-        rep, records, results = _batched_sweep(F, "all", NZ, threads, kernel)
+        rep, entries, results = _batched_sweep(F, "all", NZ, threads, kernel)
     sweep = [r.getMessage() for r in caplog.records if r.getMessage().startswith("sweep")]
     assert sweep == ["sweep over GF(2^11): |stabilizer| 2047, rows scanned 2 of 2048, "
                      f"c requested 2048, c scanned 95, passes 3, blocks 6, kernel {kernel}"]
-    assert records == {r: _scan_one_c_at_a_time(F, r) for r in records}
-    assert results == _recount_one_c_at_a_time(F, NZ, rep, records)
+    assert entries == {r: _scan_one_c_at_a_time(F, r) for r in entries}
+    assert results == _recount_one_c_at_a_time(F, NZ, rep, entries)
 
 
 @pytest.mark.parametrize("c_set", [[1], [2], [1, 2], "all"])
 def test_dual_max_recounts_both_conventions_at_once(gf27, c_set):
-    # c = 1 has one half for both conventions, c = 2 one half for each
+    # c = 1 admits no a = 0 under either convention, c = 2 under one of them
     F = deca_trinomial(gf27, 1)
     with mock.patch.object(cdiff, "_results", wraps=cdiff._results) as recount:
         dual = dual_convention_max(F, c_set)

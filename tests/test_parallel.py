@@ -15,6 +15,16 @@ def test_worker_count_caps(monkeypatch):
     assert parallel.worker_count(8, 100) == 1
 
 
+def test_worker_count_asks_for_the_cpu_count_only_for_two_workers(monkeypatch):
+    def cpu_count():
+        raise AssertionError("the cpu count was asked for")
+
+    monkeypatch.setattr(parallel.os, "cpu_count", cpu_count)
+    assert parallel.worker_count(1, 100) == 1
+    assert parallel.worker_count(8, 1) == 1
+    assert parallel.worker_count(8, 0) == 1
+
+
 @pytest.mark.parametrize("threads", [0, -1])
 def test_worker_count_rejects_below_one(threads):
     with pytest.raises(ValueError):
