@@ -155,9 +155,12 @@ def _count_blocks(spec: FieldSpec, values, c, rows):
     kernel reads each row's -cF from a stack built once per call, one table
     per run of equal c in rows' order, so a caller passing c-major (c, a)
     rows holds one table per c; a rank c builds one table and no per-row
-    array.  A block is a new array of at most _MAX_BLOCK_ROWS rows and
-    max(q, BLOCK_ELEMENTS) elements, so its intermediates stay in cache; the
-    counts do not depend on its size.
+    array.  For odd p with n > 1, F and each -cF table are one packed word
+    per rank, formed with one np.take from _split_tables, which also holds
+    the HI and LO tables at the words' width (see _scan.c).  A block is a
+    new array of at most _MAX_BLOCK_ROWS rows and max(q, BLOCK_ELEMENTS)
+    elements, so its intermediates stay in cache; the counts do not depend
+    on its size.
     """
     q = spec.q
     values, rows = np.asarray(values), np.asarray(rows)
@@ -190,34 +193,62 @@ def _count_blocks(spec: FieldSpec, values, c, rows):
         slot -= 1                             # each row's table in the stack
         ncf = spec.mul_arrays(values, spec.neg_array(c[first])[:, np.newaxis])
     else:
-        slot, ncf = None, spec.neg_array(spec.scale_array(c, values))[np.newaxis]
-    m = spec._split or 0
-    # v and vl, then the stack of -cF tables, w (and wl) for each (see _scan.c)
-    work = np.empty((2 + len(ncf) * (2 if m else 1), q), dtype=np.int32)
-    stack = work[2:].reshape(-1, 2 if m else 1, q)
-    if m:
-        # offsets into the flat HI and LO tables (see _scan.c)
-        np.divmod(values, m, out=(work[0], work[1]))
-        np.divmod(ncf, m, out=(stack[:, 0], stack[:, 1]))
-        work[0] *= q // m
-        work[1] *= m
-        hi, lo = (np.ascontiguousarray(t, dtype=np.int32) for t in (spec._hi, spec._lo))
-        tables = hi.ctypes.data, lo.ctypes.data
+        slot, ncf = None, spec.scale_array(spec.neg(c), values)
+    if spec._split:
+        # one packed word per rank on either side (see _scan.c)
+        split = _split_tables(spec)
+        fv, fw = np.take(split.pack_v, values), np.take(split.pack_w, ncf)
+        layout = (spec._split, split.shift, *split.addresses)
     else:
-        work[0], stack[:, 0] = values, ncf
-        tables = None, None   # the p = 2 and n = 1 loops read no table
+        fv, fw = (np.ascontiguousarray(t, dtype=np.int32) for t in (values, ncf))
+        layout = (0, 0, None, None)   # the p = 2 and n = 1 loops read no table
     shifts = np.ascontiguousarray(rows, dtype=np.int64)
     # addresses taken once per call: ndpointer conversions per block cost
     # more than a small block
-    base, at_rows = work.ctypes.data, shifts.ctypes.data
+    fixed = (q, spec.p, *layout, fv.ctypes.data, fw.ctypes.data)
+    at_rows = shifts.ctypes.data
     at_slot = None if slot is None else slot.ctypes.data
-    fixed = (q, spec.p, m, base, base + 2 * q * work.itemsize)
     for start in starts:
         a_list = rows[start:start + chunk]
         counts = np.empty((len(a_list), q), dtype=np.int32)
         kernel(*fixed, None if slot is None else at_slot + start * slot.itemsize,
-               *tables, at_rows + start * shifts.itemsize, len(a_list), counts.ctypes.data)
+               at_rows + start * shifts.itemsize, len(a_list), counts.ctypes.data)
         yield a_list, counts
+
+
+class _SplitTables(NamedTuple):
+    """What the compiled kernel reads of an odd-p, n > 1 field (see
+    _scan.c): the shift S of the packed words' high half, the HI and LO
+    digit-sum tables at S's width, and the packing of a rank on each side
+    of the addition."""
+
+    shift: int
+    hi: np.ndarray
+    lo: np.ndarray
+    pack_v: np.ndarray   # F's side: h*m + l -> (h * (q/m)) << S | l*m
+    pack_w: np.ndarray   # -cF's side: h*m + l -> h << S | l
+    addresses: tuple     # of hi and lo, taken once
+
+
+@functools.lru_cache(maxsize=32)   # as many fields as build_field keeps
+def _split_tables(spec: FieldSpec) -> _SplitTables:
+    """The kernel's tables of an odd-p, n > 1 field, read-only and built on
+    the compiled path's first use of the field, never by build_field.  The
+    width follows from m alone: 16 bits when m^2 <= 2^16, which bounds
+    every offset and, since q <= m^2, every HI entry; 32 bits (the field's
+    own int32 tables) else."""
+    q, m = spec.q, spec._split
+    shift = 16 if m * m <= 1 << 16 else 32
+    word, entry = (np.uint32, np.uint16) if shift == 16 else (np.uint64, np.int32)
+    h, l = np.divmod(np.arange(q, dtype=word), word(m))
+    pack_w = h << shift | l
+    h *= q // m
+    l *= m
+    pack_v = h << shift | l
+    hi, lo = (np.asarray(t, dtype=entry) for t in (spec._hi, spec._lo))
+    for t in (hi, lo, pack_v, pack_w):
+        t.setflags(write=False)
+    return _SplitTables(shift, hi, lo, pack_v, pack_w, (hi.ctypes.data, lo.ctypes.data))
 
 
 def c_derivative(F: FunctionTable, c: int, a: int) -> FunctionTable:
@@ -231,7 +262,7 @@ def ddt_c(F: FunctionTable, c: int) -> np.ndarray:
     """Dense difference distribution table: entry (a, b) counts solutions x
     of F(x + a) - c*F(x) = b.  Guarded to q <= DDT_DENSE_BOUND.  Logs one
     DEBUG record on the "cdiffkit" logger with the rows scanned and the
-    kernel path (C or numpy, see _kernel)."""
+    kernel path (see _kernel_name)."""
     spec = F.spec
     q = spec.q
     if q > DDT_DENSE_BOUND:
@@ -239,7 +270,7 @@ def ddt_c(F: FunctionTable, c: int) -> np.ndarray:
             f"dense DDT needs q <= {DDT_DENSE_BOUND}; q = {q}. "
             "Use uniformity()/spectrum(), which stream per-a histograms.")
     _logger.debug("ddt over GF(%d^%d): rows scanned %d, kernel %s",
-                  spec.p, spec.n, q, _kernel_name())
+                  spec.p, spec.n, q, _kernel_name(spec))
     out = np.empty((q, q), dtype=np.int32)
     for a_list, counts in _count_blocks(spec, F.values, c, np.arange(q)):
         out[a_list] = counts
@@ -286,14 +317,17 @@ def _kernel():
     except (OSError, subprocess.SubprocessError):
         return None
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = [i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr]
+    fn.argtypes = [i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr]
     fn.restype = None
     return fn
 
 
-def _kernel_name() -> str:
-    """The kernel path _count_blocks takes, for DEBUG records: C or numpy."""
-    return "numpy" if _kernel() is None else "C"
+def _kernel_name(spec: FieldSpec) -> str:
+    """The kernel path _count_blocks takes over spec, for DEBUG records: C
+    (with the width of its tables for odd p, n > 1) or numpy."""
+    if _kernel() is None:
+        return "numpy"
+    return f"C, {_split_tables(spec).shift}-bit tables" if spec._split else "C"
 
 
 def _check_ranks(name: str, arr: np.ndarray, q: int):
@@ -400,8 +434,8 @@ def _sweep(F: FunctionTable, c_filter, threads: int):
     The record is read before the workers fork, so they inherit it with F.
     Logs one DEBUG record on the "cdiffkit" logger with |Λ|, the rows
     scanned, the c values requested and scanned, the passes and kernel
-    blocks that scanned them, and the kernel path (C or numpy, see
-    _kernel).  Returns the map {c: (r, k, neg)} over the c-set ascending,
+    blocks that scanned them, and the kernel path (see _kernel_name).
+    Returns the map {c: (r, k, neg)} over the c-set ascending,
     and the WitnessTable of the scanned c values, ascending.
     """
     spec, sym = F.spec, F.symmetry
@@ -412,11 +446,11 @@ def _sweep(F: FunctionTable, c_filter, threads: int):
     groups = [scanned[i:i + size] for i in range(0, len(scanned), size)]
     chunk = _block_rows(spec.q, _MAX_BLOCK_ROWS)
     blocks = sum(-(-len(group) * len(sym.rows) // chunk) for group in groups)
-    # _kernel_name resolves the kernel before the workers fork
+    # _kernel_name resolves the kernel and its tables before the workers fork
     _logger.debug("sweep over GF(%d^%d): |stabilizer| %d, rows scanned %d of %d, "
                   "c requested %d, c scanned %d, passes %d, blocks %d, kernel %s",
                   spec.p, spec.n, sym.order, len(sym.rows), spec.q, len(cs),
-                  len(scanned), len(groups), blocks, _kernel_name())
+                  len(scanned), len(groups), blocks, _kernel_name(spec))
     # an empty c-set scans one empty group, for an empty table
     tables = parallel_map(_scan, F, groups or [[]], threads)
     return rep, WitnessTable(*map(np.concatenate, zip(*tables))) if tables[1:] else tables[0]

@@ -427,7 +427,7 @@ def _count_histogram(F: FunctionTable, c: int) -> np.ndarray:
     q = spec.q
     _logger.debug("counts over GF(%d^%d): |stabilizer| %d, rows scanned %d of %d, "
                   "kernel %s", spec.p, spec.n, sym.order, len(sym.rows), q,
-                  _kernel_name())
+                  _kernel_name(spec))
     freq = np.zeros(2 * (q + 1), dtype=np.int64)
     for a_list, mult in _count_blocks(spec, F.values, c, sym.rows):
         # mult[i, b] = n_F(a_i, b, c); freq[k (q + 1) + m] counts the (a, b)

@@ -164,9 +164,20 @@ MUTANTS = [
            "first_b[start:end] = b = counts.shape[1] - 1 - counts[:, ::-1].argmax(axis=1)",
            (TC + "test_compiled_row_maxima_matches_numpy",)),
     Mutant("kernel: every row of a block reads the first row's c", SCAN,
-           "slot ? w + slot[i] * step : w", "slot ? w + slot[0] * step : w",
+           "slot ? slot[i] : 0", "slot ? slot[0] : 0",
            (TC + "test_compiled_count_blocks_match_numpy",
             TC + "test_batched_scan_matches_one_c_at_a_time")),
+    Mutant("kernel: 16-bit tables up to m^2 = 2^17, so for GF(17^3)", CDIFF,
+           "shift = 16 if m * m <= 1 << 16 else 32",
+           "shift = 16 if m * m <= 1 << 17 else 32",
+           (TC + "test_compiled_kernel_matches_numpy_at_both_widths",
+            TC + "test_packed_words_hold_both_offsets")),
+    Mutant("kernel: the low half masked with 0x7fff", SCAN,
+           "const PACK mask = ((PACK)1 << (S)) - 1;", "const PACK mask = 0x7fff;",
+           (TC + "test_compiled_kernel_matches_numpy_at_both_widths",)),
+    Mutant("kernel: F's high half packed at bit S - 1", CDIFF,
+           "pack_v = h << shift | l", "pack_v = h << shift - 1 | l",
+           (TC + "test_packed_words_hold_both_offsets",)),
     Mutant("sweep: the c-group offset one further on each pass", CDIFF,
            "for i in range(0, len(scanned), size)]",
            "for i in range(0, len(scanned), size + 1)]",

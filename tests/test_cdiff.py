@@ -724,7 +724,7 @@ def test_orbit_dispatch_scans_one_c_per_orbit():
 
 def test_sweep_logs_what_it_scanned(caplog):
     _require_compiled_scan()
-    _check_sweep_record(caplog, "C")
+    _check_sweep_record(caplog, "C, 16-bit tables")
 
 
 def test_sweep_logs_the_numpy_kernel(caplog):
@@ -734,7 +734,23 @@ def test_sweep_logs_the_numpy_kernel(caplog):
 
 def test_ddt_and_counts_log_the_compiled_kernel(caplog):
     _require_compiled_scan()
-    _check_count_records(caplog, "C")
+    _check_count_records(caplog, "C, 16-bit tables")
+
+
+def test_records_name_the_wide_tables(caplog):
+    # m^2 = 17^4 > 2^16 over GF(17^3): the kernel reads its 32-bit tables,
+    # and p = 2 names no width
+    _require_compiled_scan()
+    F = from_monomial(build_field(17, 3), 3)
+    with caplog.at_level(logging.DEBUG, logger="cdiffkit"):
+        uniformity(F, 2, NZ)
+        _count_histogram(F, 2)
+        ddt_c(from_monomial(build_field(2, 4), 3), 2)
+    assert [r.getMessage() for r in caplog.records if "kernel C" in r.getMessage()] == [
+        ("sweep over GF(17^3): |stabilizer| 4912, rows scanned 2 of 4913, c requested 1, "
+         "c scanned 1, passes 1, blocks 1, kernel C, 32-bit tables"),
+        "counts over GF(17^3): |stabilizer| 4912, rows scanned 2 of 4913, kernel C, 32-bit tables",
+        "ddt over GF(2^4): rows scanned 16, kernel C"]
 
 
 def test_ddt_and_counts_log_the_numpy_kernel(caplog):
@@ -958,6 +974,72 @@ def test_compiled_count_blocks_match_numpy(case, block_rows):
         assert blocks() == compiled
     assert [a for a_list, _ in compiled for a in a_list] == rows.tolist()
     assert all(len(a_list) <= block_rows for a_list, _ in compiled)
+
+
+@pytest.mark.parametrize("p, n", [(3, 10), (17, 3), (3, 11)])
+def test_compiled_kernel_matches_numpy_at_both_widths(p, n):
+    # GF(3^10) has m^2 = q = 59049, the largest GF(3^n) the 16-bit tables
+    # serve; GF(17^3) (q = 4913 but m^2 = 83521) and GF(3^11) take
+    # the 32-bit ones.  F(0) = q - 1 and F(1) = -(q - 1) put the largest
+    # offsets on both sides of the packed sum at x = 1 of row a = -1, c = 1.
+    _require_compiled_scan()
+    spec = build_field(p, n)
+    q = spec.q
+    rng = np.random.default_rng(q)
+    values = rng.integers(0, q, q)
+    values[:2] = q - 1, spec.neg(q - 1)
+    rows = np.append(rng.choice(q, 7, replace=False), spec.neg(1))
+    cs = [0, 1, *rng.integers(2, q, 2).tolist()]
+    cases = [(c, rows) for c in cs[:3]]
+    cases.append((np.repeat(cs, len(rows)), np.tile(rows, len(cs))))   # c-major runs
+
+    def scan(c, rows):
+        with _block_rows(3):
+            blocks = list(cdiff._count_blocks(spec, values, c, rows))
+        return (np.concatenate([a_list for a_list, _ in blocks]),
+                np.concatenate([counts for _, counts in blocks]),
+                *cdiff._row_maxima(spec, values, c, rows))
+
+    for c, rows in cases:
+        compiled = scan(c, rows)
+        with _numpy_scan():
+            reference = scan(c, rows)
+        assert all(np.array_equal(x, y) for x, y in zip(compiled, reference))
+
+
+@pytest.mark.parametrize("p, n", [(3, 4), (3, 10), (17, 3), (3, 11)])
+def test_packed_words_hold_both_offsets(p, n):
+    # each rank's word holds its flat HI offset above bit S and its LO
+    # offset below it, and the two low halves of a sum stay below 2^S
+    spec = build_field(p, n)
+    q, m = spec.q, spec._split
+    split = cdiff._split_tables(spec)
+    r, mask = np.arange(q), (1 << split.shift) - 1
+    for word, high, low in ((split.pack_v, r // m * (q // m), r % m * m),
+                            (split.pack_w, r // m, r % m)):
+        np.testing.assert_array_equal(word >> split.shift, high)
+        np.testing.assert_array_equal(word & mask, low)
+    assert int((split.pack_v & mask).max() + (split.pack_w & mask).max()) < 1 << split.shift
+
+
+def test_split_tables_are_built_once_per_field():
+    # the kernel reads one read-only copy of HI and LO per field, built on
+    # its first call and not by the field's construction
+    cdiff._split_tables.cache_clear()
+    spec = build_field(3, 4, [2, 2, 0, 0, 1])   # a modulus no other test uses
+    assert cdiff._split_tables.cache_info().currsize == 0
+    kernel = mock.Mock()
+    with mock.patch.object(cdiff, "_kernel", return_value=kernel):
+        for c in (2, np.array([2, 3])):
+            list(cdiff._count_blocks(spec, np.arange(81), c, np.array([0, 1])))
+    tables = cdiff._split_tables(spec)
+    assert cdiff._split_tables.cache_info().misses == 1
+    assert tables.hi.dtype == tables.lo.dtype == np.uint16
+    assert not any(t.flags.writeable for t in tables[1:5])
+    first, second = (call.args[4:6] for call in kernel.call_args_list)
+    assert first == second == (tables.hi.ctypes.data, tables.lo.ctypes.data)
+    np.testing.assert_array_equal(tables.hi, spec._hi)
+    np.testing.assert_array_equal(tables.lo, spec._lo)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
